@@ -128,9 +128,24 @@ def max_cardinality_matching(g: Graph) -> Matching:
 
     Greedy seeding first, then one breadth-first augmenting-path search
     from each vertex still exposed; odd cycles met during a search are
-    contracted by rebasing their vertices onto the cycle's base.  If no
-    augmenting path starts at an exposed vertex, none will exist later,
-    so a single pass over the vertices suffices.
+    contracted by rebasing their vertices onto the cycle's base.
+
+    Each search works on the tree it grows, never on all n vertices.  It
+    records every vertex it adds to its tree; only those vertices can
+    have had their parent, base or tree flag changed, and only they can
+    have a base on a new odd cycle, so blossoms rebase them alone and the
+    search resets them alone when it ends.
+
+    A search that finds no augmenting path leaves a Hungarian tree: every
+    neighbour of its even vertices (retired ones aside) lies in the tree,
+    and the matching pairs the tree's vertices among themselves apart
+    from the root.  By Edmonds (1965; see Lovasz and Plummer, Matching
+    Theory) no later augmenting path passes through such a tree, and a
+    maximum matching of the graph with the tree removed, plus the tree's
+    matched edges, is maximum.  So the tree's vertices are retired: later
+    searches skip them, which is the same as searching the graph with
+    them removed.  Its root stays exposed for good, so one pass over the
+    vertices suffices.
     """
     n = g.n
     nbr: list[list[int]] = [[] for _ in range(n)]
@@ -146,7 +161,11 @@ def max_cardinality_matching(g: Graph) -> Matching:
     parent = [-1] * n
     base = list(range(n))
     in_tree = [False] * n
-    mark = [0] * n  # lca timestamps, never reset
+    retired = [False] * n
+    # per-blossom timestamps, never reset: mark stamps the bases on the
+    # way to the root, blossom the bases on the new odd cycle
+    mark = [0] * n
+    blossom = [0] * n
     stamp = 0
 
     def cycle_base(a: int, b: int) -> int:
@@ -166,21 +185,19 @@ def max_cardinality_matching(g: Graph) -> Matching:
                 return b
             b = parent[mate[b]]
 
-    def relink_path(v: int, b: int, child: int, blossom: bytearray) -> None:
-        # flag every blossom base on v's path down to b and repoint the
+    def relink_path(v: int, b: int, child: int) -> None:
+        # stamp every blossom base on v's path down to b and repoint the
         # even vertices' parents across the new odd cycle
         while base[v] != b:
-            blossom[base[v]] = 1
-            blossom[base[mate[v]]] = 1
+            blossom[base[v]] = stamp
+            blossom[base[mate[v]]] = stamp
             parent[v] = child
             child = mate[v]
             v = parent[mate[v]]
 
-    def augment_from(root: int) -> bool:
-        for i in range(n):
-            parent[i] = -1
-            base[i] = i
-            in_tree[i] = False
+    def augment_from(root: int, tree: list[int]) -> bool:
+        # grows the alternating tree from root; every vertex added to it
+        # is appended to tree
         in_tree[root] = True
         queue = [root]
         qi = 0
@@ -188,22 +205,22 @@ def max_cardinality_matching(g: Graph) -> Matching:
             v = queue[qi]
             qi += 1
             for w in nbr[v]:
-                if base[v] == base[w] or mate[v] == w:
+                if retired[w] or base[v] == base[w] or mate[v] == w:
                     continue
                 # w is even iff it is the root or its mate hangs in the tree
                 if w == root or (mate[w] != -1 and parent[mate[w]] != -1):
                     b = cycle_base(v, w)
-                    blossom = bytearray(n)
-                    relink_path(v, b, w, blossom)
-                    relink_path(w, b, v, blossom)
-                    for i in range(n):
-                        if blossom[base[i]]:
+                    relink_path(v, b, w)
+                    relink_path(w, b, v)
+                    for i in tree:
+                        if blossom[base[i]] == stamp:
                             base[i] = b
                             if not in_tree[i]:
                                 in_tree[i] = True
                                 queue.append(i)
                 elif parent[w] == -1:
                     parent[w] = v
+                    tree.append(w)
                     if mate[w] == -1:
                         # flip matched and unmatched edges back to the root
                         u = w
@@ -215,12 +232,19 @@ def max_cardinality_matching(g: Graph) -> Matching:
                             u = nxt
                         return True
                     in_tree[mate[w]] = True
+                    tree.append(mate[w])
                     queue.append(mate[w])
         return False
 
     for v in range(n):
         if mate[v] == -1:
-            augment_from(v)
+            tree = [v]
+            augmented = augment_from(v, tree)
+            for i in tree:
+                parent[i] = -1
+                base[i] = i
+                in_tree[i] = False
+                retired[i] = not augmented
     return Matching.from_mate(g, tuple(mate))
 
 

@@ -12,8 +12,6 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .graph import Graph, Orientation, VertexWeights
 from .matching import Matching
 
@@ -85,6 +83,10 @@ def brute_force_min_light(
         raise ValueError("threshold must be nonnegative")
     if weights is not None and len(weights) != g.n:
         raise ValueError(f"weights cover {len(weights)} vertices, graph has {g.n}")
+    # imported here, past the budget checks, so that solving (which never
+    # calls the oracle) and over-budget calls do not load numpy
+    import numpy as np
+
     masks = np.arange(1 << m, dtype=np.uint64)
     total = np.zeros(1 << m, dtype=np.int64)
     for v in range(g.n):

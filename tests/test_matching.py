@@ -7,6 +7,7 @@ from conftest import (
     complete_graph,
     cycle_graph,
     path_graph,
+    random_core,
     random_maximal_matching,
     star_graph,
 )
@@ -17,11 +18,13 @@ from orientlight import (
     SplitMix64,
     brute_force_max_matching,
     build_gprime,
+    eliminate_degree_one,
     extend_to_maximal,
     is_valid_matching,
     max_cardinality_matching,
     max_weight_matching,
     random_graph,
+    strip_isolated,
 )
 
 
@@ -153,6 +156,60 @@ class TestMaxCardinality:
                 continue
             assert max_cardinality_matching(g).size == brute_force_max_matching(g).size
             checked += 1
+
+    def test_failed_tree_is_retired_and_later_roots_still_augment(self):
+        # Greedy seeding matches a-b, c-d, x-y and w-w2 and leaves r, s, t,
+        # u and z exposed.  The search from r grows r-a=b, closes the
+        # blossom b-c=d-b and fails, so r, a, b, c and d are retired; a
+        # keeps an edge to x outside that tree.  The search from s then
+        # augments along s-y=x-t, and the one from u along u-x=t-w=w2-z,
+        # through vertices the successful search from s had in its tree.
+        r, a, b, c, d, x, y, s, t, u, w, w2, z = range(13)
+        g = Graph(13, (
+            (a, b), (c, d), (x, y), (w, w2),
+            (r, a), (b, c), (b, d), (a, x), (y, s), (x, t), (x, u), (t, w), (w2, z),
+        ))
+        assert extend_to_maximal(g, Matching.empty(g)).exposed() == (r, s, t, u, z)
+        m = max_cardinality_matching(g)
+        ok, why = is_valid_matching(g, m)
+        assert ok, why
+        assert m.size == brute_force_max_matching(g).size == 6
+        assert m.exposed() == (r,)
+        assert max_cardinality_matching(g) == m
+
+    @pytest.mark.parametrize("n, seed", [(100, 11), (150, 12), (180, 13)])
+    def test_agrees_with_networkx_on_random_gadgets(self, n, seed):
+        # m ~ 3n cores give gadgets of 1300-2400 vertices, far above the
+        # brute-force caps
+        core = random_core(n, 6.0 / (n - 1), seed)
+        self._check_against_networkx(build_gprime(core).gprime)
+
+    @pytest.mark.parametrize("seed", [21, 22])
+    def test_agrees_with_networkx_on_pendant_heavy_gadgets(self, seed):
+        # a random tree on 200 vertices plus 40 chords: many leaves, each
+        # of which becomes a 4-cycle before the gadget is built
+        n = 200
+        rng = SplitMix64(seed)
+        edges = {(rng.next_below(v), v) for v in range(1, n)}
+        while len(edges) < n - 1 + 40:
+            u, v = sorted((rng.next_below(n), rng.next_below(n)))
+            if u != v:
+                edges.add((u, v))
+        g = Graph(n, tuple(sorted(edges)))
+        assert sum(1 for v in range(n) if g.degree(v) == 1) >= n // 4
+        core, _ = strip_isolated(eliminate_degree_one(g).graph)
+        self._check_against_networkx(build_gprime(core).gprime)
+
+    @staticmethod
+    def _check_against_networkx(g):
+        nx = pytest.importorskip("networkx")
+        m = max_cardinality_matching(g)
+        ok, why = is_valid_matching(g, m)
+        assert ok, why
+        h = nx.Graph()
+        h.add_nodes_from(range(g.n))
+        h.add_edges_from(g.edges)
+        assert m.size == len(nx.max_weight_matching(h, maxcardinality=True))
 
 
 class TestMaxWeight:

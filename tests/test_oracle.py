@@ -1,8 +1,13 @@
 """The exhaustive baselines and their budget guard."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from conftest import complete_graph, path_graph
+import orientlight
 from orientlight import (
     BudgetExceededError,
     Graph,
@@ -132,3 +137,15 @@ class TestMatchingOracle:
     def test_complete_graph_perfect(self):
         g = complete_graph(6)
         assert brute_force_max_matching(g).size == 3
+
+
+def test_importing_the_package_does_not_load_numpy():
+    # only brute_force_min_light needs numpy, and it imports it itself
+    src = os.path.dirname(os.path.dirname(os.path.abspath(orientlight.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys, orientlight, orientlight.cli; print('numpy' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env=env, capture_output=True, text=True, check=True, timeout=60,
+    )
+    assert out.stdout.strip() == "False"
