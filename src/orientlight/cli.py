@@ -7,6 +7,7 @@ bad usage or unreadable/unparseable input.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import dataclass
@@ -316,11 +317,17 @@ def _parse_schedule(text: str) -> list[tuple[int, int]]:
 
 def cmd_bench(args: argparse.Namespace) -> int:
     entries = _parse_schedule(args.schedule)
+    if args.weights_max is not None and args.weights_max < 0:
+        raise ValueError("--weights-max must be nonnegative")
     for i, (n, m_target) in enumerate(entries):
         pairs = n * (n - 1) // 2
         p = min(1.0, m_target / pairs)
         g = random_graph(n, p, args.seed + i)
-        sol, stats = solve_with_stats(g)
+        weights = None
+        if args.weights_max is not None:
+            # the costs gen draws for a graph generated from the same seed
+            weights = random_weights(n, args.weights_max, args.seed + i + 1)
+        sol, stats = solve_with_stats(g, weights)
         cert = sol.certificate
         if sol.objective != cert.constant - cert.matching_value + cert.offset:
             print(f"bench: certificate identity violated on n={n} m={g.m}")
@@ -351,7 +358,9 @@ def cmd_bench(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    # built once per process: parse_args leaves the parser unchanged
     parser = argparse.ArgumentParser(
         prog="orientlight",
         description="Orient every edge of a graph so that as few vertices as "
@@ -400,6 +409,13 @@ def _build_parser() -> argparse.ArgumentParser:
         help="semicolon-separated n=..,m=.. entries",
     )
     p.add_argument("--seed", type=int, default=0)
+    p.add_argument(
+        "--weights-max",
+        type=int,
+        metavar="W",
+        help="draw integer costs in [0, W] (as gen does for the same seed) "
+        "and solve the weighted problem",
+    )
     p.set_defaults(func=cmd_bench)
     return parser
 

@@ -273,10 +273,35 @@ def max_weight_matching(g: Graph, edge_weights) -> Matching:
     """Maximum-weight matching via the primal-dual blossom method.
 
     Weights must be nonnegative integers (rational costs are scaled to
-    integer units before they get here).  Vertex duals are stored
-    doubled so every dual adjustment stays an integer.  Among optima the
-    result is extended with zero-weight edges until maximal, so callers
-    get a maximal matching without losing weight.  Runs in O(V^3).
+    integer units before they get here).  Internally every weight is
+    doubled and vertex duals are stored doubled, so every dual adjustment
+    stays an integer.  Among optima the result is extended with
+    zero-weight edges until maximal, so callers get a maximal matching
+    without losing weight.  Runs in O(V^3).
+
+    The run starts from a feasible dual solution, not a uniform one: each
+    vertex's dual is its heaviest incident (doubled) edge, which covers
+    every edge, and every edge whose two ends both attain that maximum is
+    tight.  Such tight edges seed the matching greedily in edge-id order.
+    The roots of the alternating forest are the exposed vertices whose
+    dual is still positive; an exposed vertex with dual zero already
+    meets complementary slackness.  All initial duals are even and every
+    root has been outer in every substage since the start, so all roots
+    share one parity, every tree vertex has its root's parity across the
+    tight edges, and each outer-outer slack is even.
+
+    A stage ends in one of three ways.  Two trees meet, or a tree reaches
+    a free blossom whose base is exposed (it has dual zero): the path
+    between the two exposed ends is augmenting.  Or an outer vertex v's
+    dual falls to zero (the smallest dual among outer vertices bounds each
+    dual step, so none goes negative): the tree path from v's root to v
+    is flipped, the root becomes matched and v exposed with dual zero.
+    Every edge on a tree path is tight and flipping a path changes no
+    dual, so feasibility holds and every matched edge stays tight, and
+    each full blossom on the path stays full with a rotated base.  Each
+    stage removes at least one root, so the run ends when a stage starts
+    with none: then every exposed vertex has dual zero and the matching
+    is optimal, which verify_optimum checks on every call.
     """
     n, m = g.n, g.m
     if len(edge_weights) != m:
@@ -289,16 +314,26 @@ def max_weight_matching(g: Graph, edge_weights) -> Matching:
     if m == 0:
         return Matching.empty(g)
 
+    # doubled weights, and doubled vertex duals starting at each vertex's
+    # heaviest incident edge: all even, every edge covered
     pair_wt: dict[tuple[int, int], int] = {}
     adj: list[list[int]] = [[] for _ in range(n)]
+    dual: dict = {v: 0 for v in range(n)}
     for e, (u, v) in enumerate(g.edges):
-        pair_wt[(u, v)] = pair_wt[(v, u)] = edge_weights[e]
+        w = 2 * edge_weights[e]
+        pair_wt[(u, v)] = pair_wt[(v, u)] = w
         adj[u].append(v)
         adj[v].append(u)
-    max_wt = max(edge_weights)
+        dual[u] = max(dual[u], w)
+        dual[v] = max(dual[v], w)
 
     # mate maps a matched vertex to its partner; exposed vertices are absent.
+    # Seeded with the tight edges, greedily in edge-id order.
     mate: dict[int, int] = {}
+    for u, v in g.edges:
+        if u not in mate and v not in mate and dual[u] + dual[v] == 2 * pair_wt[(u, v)]:
+            mate[u] = v
+            mate[v] = u
     # label: 1 = outer (S), 2 = inner (T), on both vertices and top blossoms;
     # a vertex inside an inner blossom gets its own label 2 once reached.
     label: dict = {}
@@ -310,12 +345,18 @@ def max_weight_matching(g: Graph, edge_weights) -> Matching:
     base_of: dict = {v: v for v in range(n)}
     # least-slack edge per free vertex / per top-level outer blossom
     best_edge: dict = {}
-    # vertex duals, stored doubled; blossom duals, stored as-is
-    dual: dict = {v: max_wt for v in range(n)}
+    # blossom duals, stored as-is
     blossom_dual: dict = {}
     # edges known to have zero slack
     allowed: dict = {}
     queue: list[int] = []
+
+    def internal_error(what: str) -> RuntimeError:
+        # an engine bug, not bad input: name enough to reproduce it
+        return RuntimeError(f"internal error: {what} (n={n}, m={m})")
+
+    def edge_id(x: int, y: int) -> int:
+        return g.edge_ids[(x, y) if x < y else (y, x)]
 
     def slack(x: int, y: int) -> int:
         return dual[x] + dual[y] - 2 * pair_wt[(x, y)]
@@ -541,38 +582,43 @@ def max_weight_matching(g: Graph, edge_weights) -> Matching:
         base_of[b] = base_of[b.children[0]]
         assert base_of[b] == v
 
-    def augment_path(x, y) -> None:
-        # the augmenting path runs root .. x - y .. root; walk both halves
-        for s, t in ((x, y), (y, x)):
-            while True:
-                bs = in_blossom[s]
-                assert label[bs] == 1
-                assert (label_edge[bs] is None and base_of[bs] not in mate) or (
-                    label_edge[bs][0] == mate[base_of[bs]]
-                )
-                if isinstance(bs, _Blossom):
-                    augment_through(bs, s)
+    def flip_path(s, t) -> None:
+        # match outer vertex s to t (t None: leave s exposed) and flip the
+        # tree path from s up to its root, which ends up matched
+        while True:
+            bs = in_blossom[s]
+            assert label[bs] == 1
+            assert (label_edge[bs] is None and base_of[bs] not in mate) or (
+                label_edge[bs][0] == mate[base_of[bs]]
+            )
+            if isinstance(bs, _Blossom):
+                augment_through(bs, s)
+            if t is None:
+                mate.pop(s, None)
+            else:
                 mate[s] = t
-                if label_edge[bs] is None:
-                    break
-                p = label_edge[bs][0]
-                bp = in_blossom[p]
-                assert label[bp] == 2
-                s, t = label_edge[bp]
-                assert base_of[bp] == p
-                if isinstance(bp, _Blossom):
-                    augment_through(bp, t)
-                mate[t] = s
+            if label_edge[bs] is None:
+                break
+            p = label_edge[bs][0]
+            bp = in_blossom[p]
+            assert label[bp] == 2
+            s, t = label_edge[bp]
+            assert base_of[bp] == p
+            if isinstance(bp, _Blossom):
+                augment_through(bp, t)
+            mate[t] = s
 
     def verify_optimum() -> None:
         # complementary slackness for the final duals; any failure here
         # is an engine bug, not bad input
-        if min(dual.values()) < 0:
-            raise RuntimeError("internal error: negative vertex dual at optimum")
-        if blossom_dual and min(blossom_dual.values()) < 0:
-            raise RuntimeError("internal error: negative blossom dual at optimum")
+        for v in range(n):
+            if dual[v] < 0:
+                raise internal_error(f"negative dual {dual[v]} at vertex {v}")
+        for b, z in blossom_dual.items():
+            if z < 0:
+                raise internal_error(f"negative dual on the blossom with base {base_of[b]}")
         for e, (i, j) in enumerate(g.edges):
-            s = dual[i] + dual[j] - 2 * edge_weights[e]
+            s = dual[i] + dual[j] - 2 * pair_wt[(i, j)]
             chain_i = [i]
             chain_j = [j]
             while parent_of[chain_i[-1]] is not None:
@@ -586,26 +632,29 @@ def max_weight_matching(g: Graph, edge_weights) -> Matching:
                     break
                 s += 2 * blossom_dual[bi]
             if s < 0:
-                raise RuntimeError("internal error: negative slack at optimum")
+                raise internal_error(f"negative slack {s} on edge {e} ({i}, {j})")
             if (mate.get(i) == j or mate.get(j) == i) and s != 0:
-                raise RuntimeError("internal error: matched edge with nonzero slack")
+                raise internal_error(f"matched edge {e} ({i}, {j}) has slack {s}")
         for v in range(n):
             if v not in mate and dual[v] != 0:
-                raise RuntimeError("internal error: exposed vertex with nonzero dual")
+                raise internal_error(f"exposed vertex {v} has dual {dual[v]}")
         for b, z in blossom_dual.items():
             if z > 0:
                 if len(b.links) % 2 != 1:
-                    raise RuntimeError("internal error: even blossom with positive dual")
+                    raise internal_error(f"even blossom with base {base_of[b]} has dual {z}")
                 for i, j in b.links[1::2]:
-                    if mate[i] != j or mate[j] != i:
-                        raise RuntimeError("internal error: positive-dual blossom not full")
+                    if mate.get(i) != j or mate.get(j) != i:
+                        raise internal_error(
+                            f"blossom with base {base_of[b]} and dual {z} is not full: "
+                            f"edge {edge_id(i, j)} ({i}, {j}) is unmatched"
+                        )
 
     # expansion and augmentation recurse through nested blossoms
     old_limit = sys.getrecursionlimit()
     sys.setrecursionlimit(max(old_limit, 2 * n + 200))
     try:
         while True:
-            # one stage per augmentation
+            # one stage per augmentation or retired root
             label.clear()
             label_edge.clear()
             best_edge.clear()
@@ -614,12 +663,15 @@ def max_weight_matching(g: Graph, edge_weights) -> Matching:
             allowed.clear()
             queue[:] = []
             for v in range(n):
-                if v not in mate and label.get(in_blossom[v]) is None:
+                if v not in mate and dual[v] > 0 and label.get(in_blossom[v]) is None:
                     assign_label(v, 1, None)
-            augmented = False
-            while True:
+            if not queue:
+                # every exposed vertex has dual zero
+                break
+            stage_over = False
+            while not stage_over:
                 # one substage per dual adjustment
-                while queue and not augmented:
+                while queue and not stage_over:
                     v = queue.pop()
                     assert label[in_blossom[v]] == 1
                     for w in adj[v]:
@@ -633,17 +685,30 @@ def max_weight_matching(g: Graph, edge_weights) -> Matching:
                                 allowed[(v, w)] = allowed[(w, v)] = True
                         if (v, w) in allowed:
                             if label.get(bw) is None:
-                                # free blossom: becomes inner, its base's
-                                # mate becomes outer
-                                assign_label(w, 2, v)
+                                if base_of[bw] in mate:
+                                    # free blossom: becomes inner, its base's
+                                    # mate becomes outer
+                                    assign_label(w, 2, v)
+                                else:
+                                    # free blossom whose base is exposed with
+                                    # dual zero: the path from v's root to
+                                    # that base augments
+                                    assert dual[base_of[bw]] == 0
+                                    flip_path(v, w)
+                                    if isinstance(bw, _Blossom):
+                                        augment_through(bw, w)
+                                    mate[w] = v
+                                    stage_over = True
+                                    break
                             elif label.get(bw) == 1:
                                 # outer-outer edge: new blossom or augment
                                 bse = find_cycle_base(v, w)
                                 if bse is not None:
                                     shrink_blossom(bse, v, w)
                                 else:
-                                    augment_path(v, w)
-                                    augmented = True
+                                    flip_path(v, w)
+                                    flip_path(w, v)
+                                    stage_over = True
                                     break
                             elif label.get(w) is None:
                                 # first reach of a vertex inside an inner
@@ -658,24 +723,31 @@ def max_weight_matching(g: Graph, edge_weights) -> Matching:
                         elif label.get(w) is None:
                             if best_edge.get(w) is None or ks < slack(*best_edge[w]):
                                 best_edge[w] = (v, w)
-                if augmented:
+                if stage_over:
                     break
 
                 # no augmenting path yet: squeeze slack out of the duals.
-                # delta candidates: 1 = smallest vertex dual, 2 = smallest
-                # slack to a free vertex, 3 = half the smallest outer-outer
-                # slack, 4 = smallest inner blossom dual
+                # delta candidates: 1 = smallest outer vertex dual, 2 =
+                # smallest slack to a free vertex, 3 = half the smallest
+                # outer-outer slack, 4 = smallest inner blossom dual
                 delta_type = 1
-                delta = min(dual.values())
-                delta_edge = None
-                delta_blossom = None
+                delta = delta_vertex = delta_edge = delta_blossom = None
+                d2 = d2_edge = None
                 for v in range(n):
-                    if label.get(in_blossom[v]) is None and best_edge.get(v) is not None:
+                    lbl = label.get(in_blossom[v])
+                    if lbl == 1:
+                        if delta is None or dual[v] < delta:
+                            delta = dual[v]
+                            delta_vertex = v
+                    elif lbl is None and best_edge.get(v) is not None:
                         d = slack(*best_edge[v])
-                        if d < delta:
-                            delta = d
-                            delta_type = 2
-                            delta_edge = best_edge[v]
+                        if d2 is None or d < d2:
+                            d2 = d
+                            d2_edge = best_edge[v]
+                if d2 is not None and d2 < delta:
+                    delta = d2
+                    delta_type = 2
+                    delta_edge = d2_edge
                 for b in parent_of:
                     if (
                         parent_of[b] is None
@@ -684,7 +756,10 @@ def max_weight_matching(g: Graph, edge_weights) -> Matching:
                     ):
                         ks = slack(*best_edge[b])
                         if ks % 2 != 0:
-                            raise RuntimeError("internal error: odd outer-outer slack")
+                            x, y = best_edge[b]
+                            raise internal_error(
+                                f"odd slack {ks} on outer-outer edge {edge_id(x, y)} ({x}, {y})"
+                            )
                         d = ks // 2
                         if d < delta:
                             delta = d
@@ -708,9 +783,12 @@ def max_weight_matching(g: Graph, edge_weights) -> Matching:
                         elif label.get(b) == 2:
                             blossom_dual[b] -= delta
                 if delta_type == 1:
-                    # a vertex dual hit zero: no improvement possible
-                    break
-                if delta_type == 2:
+                    # an outer dual hit zero: that vertex takes over as its
+                    # tree's exposed vertex and the root is matched (or
+                    # retired, when it is the root itself)
+                    flip_path(delta_vertex, None)
+                    stage_over = True
+                elif delta_type == 2:
                     x, y = delta_edge
                     assert label[in_blossom[x]] == 1
                     allowed[(x, y)] = allowed[(y, x)] = True
@@ -722,8 +800,6 @@ def max_weight_matching(g: Graph, edge_weights) -> Matching:
                     queue.append(x)
                 elif delta_type == 4:
                     expand_blossom(delta_blossom, False)
-            if not augmented:
-                break
             # stage done: drop outer blossoms whose dual fell to zero
             for b in list(blossom_dual.keys()):
                 if b not in blossom_dual:
@@ -743,5 +819,7 @@ def max_weight_matching(g: Graph, edge_weights) -> Matching:
     extended = extend_to_maximal(g, result)
     for e in extended.matched_edge_ids - result.matched_edge_ids:
         if edge_weights[e] != 0:
-            raise RuntimeError("internal error: positive-weight edge was addable at optimum")
+            raise internal_error(
+                f"edge {e} {g.edges[e]} of weight {edge_weights[e]} was addable at optimum"
+            )
     return extended

@@ -241,10 +241,64 @@ class TestBench:
         assert rc == 2
         assert "schedule" in err
 
+    def test_weighted_rows(self, capsys):
+        rc, out, _ = run(capsys, "bench", "n=10,m=15;n=12,m=20;n=8,m=12", "--weights-max", "9")
+        assert rc == 0
+        rows = out.strip().splitlines()
+        assert len(rows) == 3
+        assert all("objective=" in row for row in rows)
+
+    def test_weighted_matches_solve_on_gen_instance(self, capsys, tmp_path):
+        # bench entry i uses the graph and costs gen draws from seed S + i
+        rc, out, _ = run(capsys, "bench", "n=9,m=36;n=9,m=36", "--seed", "4", "--weights-max", "7")
+        assert rc == 0
+        bench_objective = out.strip().splitlines()[1].split("objective=")[1].split()[0]
+        g, w = tmp_path / "g.graph", tmp_path / "w.txt"
+        rc, _, _ = run(
+            capsys, "gen", "9", "1", "--seed", "5", "--out", g,
+            "--weights-max", "7", "--weights-out", w,
+        )
+        assert rc == 0
+        rc, out, _ = run(capsys, "solve", g, "--weights", w, "--json")
+        assert rc == 0
+        assert str(json.loads(out)["objective"]) == bench_objective
+
+    def test_negative_weights_max_is_usage_error(self, capsys):
+        rc, out, err = run(capsys, "bench", "n=10,m=15", "--weights-max", "-1")
+        assert rc == 2
+        assert out == ""
+        assert "--weights-max" in err
+
 
 class TestMainPlumbing:
     def test_unknown_subcommand(self, capsys):
         assert run(capsys, "frobnicate")[0] == 2
+
+    def test_repeated_calls_share_no_flags(self, capsys, tmp_path, k3_file):
+        # one process, several main() calls: no flag or default of one
+        # call may leak into the next
+        w = tmp_path / "w.txt"
+        w.write_text("1 3\n2 3\n3 3\n")
+        sol_w = tmp_path / "sol_w.json"
+        rc, out, _ = run(capsys, "solve", k3_file, "--weights", w, "--json")
+        assert rc == 0
+        assert json.loads(out)["objective"] == 6
+        sol_w.write_text(out)
+
+        rc, out, _ = run(capsys, "solve", k3_file)
+        assert rc == 0
+        assert out.startswith("objective: 2\n")
+
+        rc, out, _ = run(capsys, "verify", k3_file, sol_w)
+        assert rc == 1
+        assert "objective 6 disagrees" in out
+        rc, out, _ = run(capsys, "verify", k3_file, sol_w, "--weights", w)
+        assert rc == 0
+        assert out == "verify: OK\n"
+
+        rc, out, _ = run(capsys, "solve", k3_file, "--json")
+        assert rc == 0
+        assert json.loads(out)["objective"] == 2
 
     def test_no_arguments(self, capsys):
         assert run(capsys)[0] == 2

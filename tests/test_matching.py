@@ -16,6 +16,7 @@ from orientlight import (
     Matching,
     OracleBudget,
     SplitMix64,
+    VertexWeights,
     brute_force_max_matching,
     build_gprime,
     eliminate_degree_one,
@@ -26,6 +27,30 @@ from orientlight import (
     random_graph,
     strip_isolated,
 )
+
+
+def pendant_heavy_graph(n: int, chords: int, seed: int) -> Graph:
+    """A random tree on n vertices plus chords: many leaves, each of which
+    becomes a 4-cycle before the gadget is built."""
+    rng = SplitMix64(seed)
+    edges = {(rng.next_below(v), v) for v in range(1, n)}
+    while len(edges) < n - 1 + chords:
+        u, v = sorted((rng.next_below(n), rng.next_below(n)))
+        if u != v:
+            edges.add((u, v))
+    g = Graph(n, tuple(sorted(edges)))
+    assert sum(1 for v in range(n) if g.degree(v) == 1) >= n // 4
+    return g
+
+
+def benchmark_like_costs(n: int, top: int, seed: int) -> VertexWeights:
+    """Costs in hundredths: a tenth of them zero, the rest 1..top units,
+    so a small top forces many ties."""
+    rng = SplitMix64(seed)
+    return VertexWeights(
+        tuple(0 if rng.next_below(10) == 0 else 1 + rng.next_below(top) for _ in range(n)),
+        100,
+    )
 
 
 class TestMatchingType:
@@ -186,18 +211,7 @@ class TestMaxCardinality:
 
     @pytest.mark.parametrize("seed", [21, 22])
     def test_agrees_with_networkx_on_pendant_heavy_gadgets(self, seed):
-        # a random tree on 200 vertices plus 40 chords: many leaves, each
-        # of which becomes a 4-cycle before the gadget is built
-        n = 200
-        rng = SplitMix64(seed)
-        edges = {(rng.next_below(v), v) for v in range(1, n)}
-        while len(edges) < n - 1 + 40:
-            u, v = sorted((rng.next_below(n), rng.next_below(n)))
-            if u != v:
-                edges.add((u, v))
-        g = Graph(n, tuple(sorted(edges)))
-        assert sum(1 for v in range(n) if g.degree(v) == 1) >= n // 4
-        core, _ = strip_isolated(eliminate_degree_one(g).graph)
+        core, _ = strip_isolated(eliminate_degree_one(pendant_heavy_graph(200, 40, seed)).graph)
         self._check_against_networkx(build_gprime(core).gprime)
 
     @staticmethod
@@ -287,6 +301,85 @@ class TestMaxWeight:
         wts = (2, 2, 2, 5, 2, 2, 2)
         m = max_weight_matching(g, wts)
         assert m.weight_units(wts) == brute_force_max_matching(g, wts).weight_units(wts)
+
+    # Small graphs, each forcing one event of the warm-started engine.
+    # Duals start doubled at each vertex's heaviest incident edge, so with
+    # weights w the doubled duals read 2*max(w); the greedy seed takes the
+    # edges whose two ends both attain that maximum.
+    @pytest.mark.parametrize(
+        "n, edges, wts",
+        [
+            # root retired: 0-2 is seeded; root 1 has dual 2 while its
+            # only edge has slack 4, so its dual reaches zero first
+            (3, ((0, 1), (0, 2)), (1, 3)),
+            # root retired inside its blossom: 0-1 is seeded, root 2 closes
+            # the blossom 2-0=1-2, and 2's dual is the smallest in it
+            (3, ((0, 1), (0, 2), (1, 2)), (2, 2, 3)),
+            # matched outer vertex: 0-4 is seeded, 1-2 augments in the
+            # first stage; in the second the tree from root 3 grows
+            # 3-4=0 and 3-2=1, and 1's dual reaches zero before 3's, so
+            # 3-2=1 is flipped, leaving 1 exposed and 3 matched
+            (5, ((0, 4), (1, 2), (2, 3), (3, 4)), (4, 1, 2, 4)),
+            # matched outer vertex inside a blossom: 3-4 is seeded, 0-1
+            # augments; root 2 closes the blossom 2-1=0-2 and grows
+            # 2-4=3, then 0's dual reaches zero, so the blossom is rotated
+            # to base 0, which is left exposed, and keeps a positive dual
+            (5, ((0, 1), (0, 2), (1, 2), (2, 4), (3, 4)), (2, 2, 3, 4, 5)),
+            # exposed zero-dual vertex: 0-1 is seeded; root 3 is retired in
+            # the first stage, then the tree from root 2 grows 2-0=1 and
+            # the edge 1-3 becomes tight: 2-0=1-3 augments
+            (4, ((0, 1), (0, 2), (1, 3)), (4, 4, 1)),
+            # free blossom with an exposed zero-dual base: 0-3 and 4-5 are
+            # seeded; root 1 closes the blossom 1-4=5-1 and is retired in
+            # it, then the tree from root 2 grows 2-3=0 and reaches the
+            # blossom through 0-4: 2-3=0-4, rotated through 4=5-1, augments
+            (
+                6,
+                ((0, 3), (0, 4), (1, 3), (1, 4), (1, 5), (2, 3), (4, 5)),
+                (6, 3, 2, 2, 2, 5, 3),
+            ),
+        ],
+        ids=[
+            "root-retired",
+            "root-retired-in-blossom",
+            "matched-outer-flipped",
+            "flipped-inside-blossom",
+            "zero-dual-vertex-reached",
+            "zero-dual-blossom-reached",
+        ],
+    )
+    def test_warm_start_events(self, n, edges, wts):
+        g = Graph(n, edges)
+        got = max_weight_matching(g, wts)
+        ok, why = is_valid_matching(g, got)
+        assert ok, why
+        assert got.weight_units(wts) == brute_force_max_matching(g, wts).weight_units(wts)
+        assert max_weight_matching(g, wts) == got
+
+    @pytest.mark.parametrize("n, seed, top", [(60, 31, 1000), (80, 32, 1000), (100, 33, 10)])
+    def test_agrees_with_networkx_on_weighted_gadgets(self, n, seed, top):
+        # m ~ 3n cores with benchmark-like costs give gadgets of 800-1400
+        # vertices, far above the brute-force caps
+        core = random_core(n, 6.0 / (n - 1), seed)
+        self._check_against_networkx(build_gprime(core, benchmark_like_costs(core.n, top, seed)))
+
+    def test_agrees_with_networkx_on_a_pendant_heavy_weighted_gadget(self):
+        core, _ = strip_isolated(eliminate_degree_one(pendant_heavy_graph(100, 20, 41)).graph)
+        self._check_against_networkx(build_gprime(core, benchmark_like_costs(core.n, 1000, 41)))
+
+    @staticmethod
+    def _check_against_networkx(r):
+        nx = pytest.importorskip("networkx")
+        g, wts = r.gprime, r.edge_weights
+        m = max_weight_matching(g, wts)
+        ok, why = is_valid_matching(g, m)
+        assert ok, why
+        h = nx.Graph()
+        h.add_nodes_from(range(g.n))
+        for e, (u, v) in enumerate(g.edges):
+            h.add_edge(u, v, weight=wts[e])
+        want = sum(h[u][v]["weight"] for u, v in nx.max_weight_matching(h))
+        assert m.weight_units(wts) == want
 
     def test_dense_complete_graphs(self):
         # K7 has 21 edges, past the default oracle cap, so raise it here
