@@ -33,15 +33,7 @@ from .oracle import (
     brute_force_max_matching,
     brute_force_min_light,
 )
-from .reduction import (
-    CycleAugmentedGraph,
-    CycleGadget,
-    ReducedGraph,
-    build_gprime,
-    eliminate_degree_one,
-    quotient_Q,
-    strip_isolated,
-)
+from .reduction import ReducedGraph, build_gprime
 from .solver import (
     Certificate,
     Solution,
@@ -58,8 +50,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BudgetExceededError",
     "Certificate",
-    "CycleAugmentedGraph",
-    "CycleGadget",
     "Graph",
     "Matching",
     "OracleBudget",
@@ -73,7 +63,6 @@ __all__ = [
     "brute_force_min_light",
     "build_gprime",
     "check_orientation",
-    "eliminate_degree_one",
     "extend_to_maximal",
     "is_valid_matching",
     "light_cost",
@@ -85,7 +74,6 @@ __all__ = [
     "out_degree",
     "parse_graph",
     "parse_weights",
-    "quotient_Q",
     "random_graph",
     "random_orientation",
     "random_weights",
@@ -93,5 +81,4 @@ __all__ = [
     "render_graph",
     "solve_min_light",
     "solve_with_stats",
-    "strip_isolated",
 ]

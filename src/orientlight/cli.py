@@ -25,7 +25,7 @@ from .graph import (
     render_graph,
 )
 from .oracle import BudgetExceededError, brute_force_min_light
-from .reduction import build_gprime, eliminate_degree_one, strip_isolated
+from .reduction import build_gprime
 from .solver import Certificate, Solution, solve_with_stats
 
 __all__ = ["RunReport", "main"]
@@ -37,8 +37,8 @@ class RunReport:
 
     n: int
     m: int
-    degree_one: int
-    isolated: int
+    core_vertices: int
+    core_edges: int
     gprime_vertices: int
     gprime_edges: int
     reduce_seconds: float
@@ -50,8 +50,8 @@ class RunReport:
     def row(self) -> str:
         c = self.certificate
         return (
-            f"n={self.n:>5}  m={self.m:>6}  n1={self.degree_one:>4}  "
-            f"iso={self.isolated:>4}  |V'|={self.gprime_vertices:>6}  "
+            f"n={self.n:>5}  m={self.m:>6}  core_n={self.core_vertices:>5}  "
+            f"core_m={self.core_edges:>6}  |V'|={self.gprime_vertices:>6}  "
             f"|E'|={self.gprime_edges:>7}  reduce={self.reduce_seconds:7.3f}s  "
             f"match={self.match_seconds:7.3f}s  recover={self.recover_seconds:7.3f}s  "
             f"objective={_num(self.objective)}  "
@@ -100,22 +100,16 @@ def _dump_reduction(g: Graph, weights: VertexWeights | None, path: str) -> None:
     The sidecar uses 1-based vertex labels (matching the graph file) and
     0-based edge indices into that file's edge list.
     """
-    aug = eliminate_degree_one(g)
-    core, kept = strip_isolated(aug.graph)
-    core_weights = None
-    if weights is not None:
-        units = tuple(
-            weights.unit(kept[i]) if kept[i] < g.n else 0 for i in range(core.n)
-        )
-        core_weights = VertexWeights(units, weights.scale)
-    r = build_gprime(core, core_weights)
+    r = build_gprime(g, weights)
     Path(path).write_text(render_graph(r.gprime), encoding="utf-8")
     sidecar = {
         "conventions": "vertex labels are 1-based; edge indices are 0-based "
         "positions in the edge list of the graph file",
-        "core_vertices": core.n,
-        "core_edges": core.m,
-        "core_to_input": [v + 1 if v < g.n else 0 for v in kept],
+        "core_vertices": r.core.n,
+        "core_edges": r.core.m,
+        "core_to_input": [v + 1 for v in r.core_to_input],
+        "core_edge_to_input": list(r.core_edge_to_input),
+        "demand": list(r.demand),
         "connector": [v + 1 for v in r.connector],
         "ports": [[a + 1, b + 1] for a, b in r.ports],
         "connecting_edges": [list(pair) for pair in r.connecting_edges],
@@ -333,19 +327,20 @@ def cmd_bench(args: argparse.Namespace) -> int:
             print(f"bench: certificate identity violated on n={n} m={g.m}")
             return 1
         # reduced sizes must satisfy the closed-form gadget-graph formulas
-        core, _ = strip_isolated(eliminate_degree_one(g).graph)
-        want_v = 5 * core.m - 2 * core.n
+        r = build_gprime(g, weights)
+        want_v = 5 * r.core.m - sum(r.demand)
         want_e = sum(
-            core.degree(v) ** 2 - core.degree(v) + 1 for v in range(core.n)
+            r.core.degree(c) ** 2 - (b - 1) * r.core.degree(c) + (b == 2)
+            for c, b in enumerate(r.demand)
         )
-        if core.m and (stats.reduced_vertices, stats.reduced_edges) != (want_v, want_e):
+        if (r.gprime.n, r.gprime.m) != (want_v, want_e):
             print(f"bench: reduced sizes disagree with the formulas on n={n} m={g.m}")
             return 1
         report = RunReport(
             n=g.n,
             m=g.m,
-            degree_one=stats.degree_one,
-            isolated=stats.isolated,
+            core_vertices=stats.core_vertices,
+            core_edges=stats.core_edges,
             gprime_vertices=stats.reduced_vertices,
             gprime_edges=stats.reduced_edges,
             reduce_seconds=stats.reduce_seconds,

@@ -12,6 +12,7 @@ from fractions import Fraction
 from functools import cached_property
 
 __all__ = [
+    "MAX_VERTICES",
     "Graph",
     "Orientation",
     "VertexWeights",
@@ -23,6 +24,10 @@ __all__ = [
     "parse_weights",
     "render_graph",
 ]
+
+# largest vertex count parse_graph accepts: the solver keeps a few
+# per-vertex lists, about 0.25 GB at this size
+MAX_VERTICES = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -151,7 +156,9 @@ def parse_graph(text: str) -> Graph:
     """Parses the edge-list format: header "n m", then m lines "u v".
 
     Labels are 1-based.  Blank lines and lines starting with '#' are
-    ignored.  Errors carry the offending line number.
+    ignored.  Errors carry the offending line number.  A header with
+    more than MAX_VERTICES vertices is rejected before anything is
+    allocated for them.
     """
     header: tuple[int, int] | None = None
     edges: list[tuple[int, int]] = []
@@ -170,6 +177,10 @@ def parse_graph(text: str) -> Graph:
                 raise ValueError(f"line {lineno}: header must be two integers") from None
             if n < 0 or m < 0:
                 raise ValueError(f"line {lineno}: header counts must be nonnegative")
+            if n > MAX_VERTICES:
+                raise ValueError(
+                    f"line {lineno}: {n} vertices exceed the limit of {MAX_VERTICES}"
+                )
             header = (n, m)
             continue
         n, m = header

@@ -1,13 +1,13 @@
 """End-to-end pipeline from input graph to certified optimal orientation.
 
-The pipeline: absorb degree-1 vertices into 4-cycles, drop isolated
-vertices, build the gadget graph, compute one maximum matching, read the
-orientation back off the matching, and restrict it to the original
-edges.  The matching value yields a certificate: on the preprocessed
-core the optimal light count is 2m - |M| (unweighted) or Q - w(M)
-(weighted), and the dropped vertices contribute a closed-form offset.
-Both identities are recounted on the final orientation; a mismatch
-raises an internal error instead of returning a wrong answer.
+The pipeline: peel the input to a core and build the core's gadget
+graph (build_gprime), compute one maximum matching, read the core
+orientation back off the matching, and map it onto the input edges next
+to the tails the peel fixed.  The matching value yields a certificate:
+on the core the optimal light count is 2m - |M| (unweighted) or
+Q - w(M) (weighted), and the peeled vertices that stay light contribute
+the offset.  Both identities are recounted on the final orientation; a
+mismatch raises an internal error instead of returning a wrong answer.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from .matching import (
     max_cardinality_matching,
     max_weight_matching,
 )
-from .reduction import ReducedGraph, build_gprime, eliminate_degree_one, strip_isolated
+from .reduction import ReducedGraph, build_gprime
 
 __all__ = [
     "Certificate",
@@ -47,8 +47,13 @@ __all__ = [
 class Certificate:
     """Optimality certificate: objective = constant - matching_value + offset.
 
-    constant is 2m (unweighted) or Q (weighted) of the preprocessed
-    core; offset accounts for the vertices the preprocessing removed.
+    constant is 2m (unweighted) or Q = sum(d(v) c_v) (weighted) over the
+    peeled core, and constant - matching_value is the core's optimal
+    light total.  offset is the count (or cost) of the peeled vertices
+    that stay light, so it is never negative.  The sum is the optimum of
+    the input because peeling is sound: the out-edges it gives a
+    neighbour never hurt it, and a peeled vertex's status is already
+    fixed when it is peeled.
     """
 
     matching_value: int | Fraction
@@ -70,8 +75,8 @@ class SolveStats:
 
     n: int
     m: int
-    degree_one: int
-    isolated: int
+    core_vertices: int
+    core_edges: int
     reduced_vertices: int
     reduced_edges: int
     reduce_seconds: float
@@ -86,7 +91,8 @@ def matching_from_orientation(r: ReducedGraph, o: Orientation) -> Matching:
     greedily to a maximal matching (every connector is already covered,
     so only gadget edges can still fit), then normalizes every gadget.
     The result matches exactly out_degree(v) of v's side edges, and its
-    size is 2m minus the number of light core vertices.
+    size is 2m minus the number of core vertices whose out-degree is
+    below their demand.
     """
     core = r.core
     check_orientation(core, o)
@@ -103,15 +109,22 @@ def matching_from_orientation(r: ReducedGraph, o: Orientation) -> Matching:
 def normalize_gadget_matching(r: ReducedGraph, m: Matching, v: int) -> Matching:
     """Rebalances the matching inside one gadget, leaving the rest alone.
 
-    With k matched side edges at v, the result holds exactly d(v) - 1
-    matched edges among v's gadget and side edges when k <= 1, and
-    exactly d(v) when k >= 2.  Only two situations need work: no side
-    edge and no parity edge matched (the gadget is repacked into a
+    With k matched side edges at core vertex v of degree d and demand b,
+    the result holds exactly d - 1 + [k >= b] matched edges among v's
+    gadget and side edges: v meets its demand in the core orientation
+    read off the matching exactly when its gadget holds d edges.  A
+    demand-1 gadget needs no work, since a maximal matching already
+    covers all its d - 1 inner vertices and, when k >= 1, all its
+    remaining ports.  A demand-2 gadget needs work in two situations: no
+    side edge and no parity edge matched (the gadget is repacked into a
     perfect matching of its vertices, one edge larger than before), and
     two or more side edges with the parity edge matched (the parity edge
     is swapped for two inner-to-port edges, again one edge larger).
     Requires a maximal matching, as the counts above do not hold
-    otherwise.
+    otherwise.  With every gadget normalized, the matching's size (or
+    weight) is 2m (or Q) minus the core's light total; the vertices the
+    peel removed are already settled, since their extra out-edges never
+    hurt a core vertex and their own status was fixed when peeled.
     """
     core = r.core
     if not 0 <= v < core.n:
@@ -131,7 +144,9 @@ def normalize_gadget_matching(r: ReducedGraph, m: Matching, v: int) -> Matching:
     k = sum(1 for eid in r.side_edges[v] if eid in matched)
     parity_in = r.parity_edge[v] in matched
 
-    if k == 0 and not parity_in:
+    if r.demand[v] == 1:
+        out = m
+    elif k == 0 and not parity_in:
         # repack: parity edge covers the two designated ports, and each
         # inner vertex pairs with one of the remaining ports in order
         keep = set(matched)
@@ -159,7 +174,7 @@ def normalize_gadget_matching(r: ReducedGraph, m: Matching, v: int) -> Matching:
     else:
         out = m
 
-    expected = d - 1 if k <= 1 else d
+    expected = d - 1 + (k >= r.demand[v])
     got = sum(1 for eid in bucket if eid in out.matched_edge_ids)
     if got != expected:
         raise RuntimeError(
@@ -205,104 +220,64 @@ def solve_with_stats(
 ) -> tuple[Solution, SolveStats]:
     """solve_min_light plus instance sizes and per-phase timings."""
     weighted = weights is not None
-    if weighted:
-        if len(weights) != g.n:
-            raise ValueError(f"weights cover {len(weights)} vertices, graph has {g.n}")
-        if any(u < 0 for u in weights.units):
-            raise ValueError(
-                "negative vertex costs are not supported: that variant is NP-hard"
-            )
-    isolated = sum(1 for v in range(g.n) if g.degree(v) == 0)
+    if weighted and any(u < 0 for u in weights.units):
+        raise ValueError("negative vertex costs are not supported: that variant is NP-hard")
+    costs = weights if weighted else VertexWeights.ones(g.n)
 
     t0 = perf_counter()
-    aug = eliminate_degree_one(g)
-    degree_one = len(aug.added_cycles)
-    core, kept = strip_isolated(aug.graph)
-
-    if core.m == 0:
-        # no edges anywhere: every vertex is trivially light
-        light = frozenset(range(g.n))
-        if weighted:
-            objective = weights.as_value(sum(weights.units))
-        else:
-            objective = g.n
-        cert = Certificate(0, 0, objective)
-        stats = SolveStats(g.n, g.m, degree_one, isolated, 0, 0, perf_counter() - t0, 0.0, 0.0)
-        return Solution(Orientation(()), light, objective, cert), stats
-
-    core_weights = None
-    if weighted:
-        units = tuple(
-            weights.unit(kept[i]) if kept[i] < g.n else 0 for i in range(core.n)
-        )
-        core_weights = VertexWeights(units, weights.scale)
-    r = build_gprime(core, core_weights)
+    r = build_gprime(g, weights)
     t1 = perf_counter()
 
     if weighted:
         matching = max_weight_matching(r.gprime, r.edge_weights)
         matching_units = matching.weight_units(r.edge_weights)
-        constant_units = sum(
-            core.degree(v) * core_weights.unit(v) for v in range(core.n)
-        )
     else:
         matching = max_cardinality_matching(r.gprime)
         matching_units = matching.size
-        constant_units = 2 * core.m
     t2 = perf_counter()
 
+    # map the core orientation onto the input edges next to the peeled tails
     o_core = recover_orientation(r, matching)
+    tails = list(r.peeled_tails)
+    for f, e in enumerate(r.core_edge_to_input):
+        tails[e] = r.core_to_input[o_core.tails[f]]
+    orientation = Orientation(tuple(tails))
+    light = light_vertices(g, orientation, 1)
+
+    constant_units = sum(
+        r.core.degree(c) * costs.unit(v) for c, v in enumerate(r.core_to_input)
+    )
+    offset_units = sum(costs.unit(v) for v in r.peeled_light)
     predicted_core = constant_units - matching_units
-    core_light = light_vertices(core, o_core, 1)
-    if weighted:
-        core_count = sum(core_weights.unit(v) for v in core_light)
-    else:
-        core_count = len(core_light)
+    core_count = sum(costs.unit(v) for v in r.core_to_input if v in light)
     if core_count != predicted_core:
         raise RuntimeError(
             f"internal error: core recount {core_count} disagrees with "
             f"certificate value {predicted_core}"
         )
-
-    # restrict to the original edges; edge ids survive both preprocessing steps
-    tails = tuple(kept[o_core.tails[e]] for e in range(g.m))
-    orientation = Orientation(tails)
-    light = light_vertices(g, orientation, 1)
-
-    if weighted:
-        offset_units = sum(weights.unit(v) for v in range(g.n) if g.degree(v) <= 1)
-        objective_units = sum(weights.unit(v) for v in light)
-        if objective_units != predicted_core + offset_units:
-            raise RuntimeError(
-                f"internal error: objective recount {objective_units} disagrees with "
-                f"certificate {predicted_core} plus offset {offset_units}"
-            )
-        objective = weights.as_value(objective_units)
-        cert = Certificate(
-            weights.as_value(matching_units),
-            weights.as_value(constant_units),
-            weights.as_value(offset_units),
+    objective_units = sum(costs.unit(v) for v in light)
+    if objective_units != predicted_core + offset_units:
+        raise RuntimeError(
+            f"internal error: objective recount {objective_units} disagrees with "
+            f"certificate {predicted_core} plus offset {offset_units}"
         )
-    else:
-        offset = isolated - degree_one
-        objective = len(light)
-        if objective != predicted_core + offset:
-            raise RuntimeError(
-                f"internal error: objective recount {objective} disagrees with "
-                f"certificate {predicted_core} plus offset {offset}"
-            )
-        cert = Certificate(matching_units, constant_units, offset)
+    cert = Certificate(
+        costs.as_value(matching_units),
+        costs.as_value(constant_units),
+        costs.as_value(offset_units),
+    )
     t3 = perf_counter()
 
     stats = SolveStats(
         n=g.n,
         m=g.m,
-        degree_one=degree_one,
-        isolated=isolated,
+        core_vertices=r.core.n,
+        core_edges=r.core.m,
         reduced_vertices=r.gprime.n,
         reduced_edges=r.gprime.m,
         reduce_seconds=t1 - t0,
         match_seconds=t2 - t1,
         recover_seconds=t3 - t2,
     )
-    return Solution(orientation, light, objective, cert), stats
+    solution = Solution(orientation, light, costs.as_value(objective_units), cert)
+    return solution, stats

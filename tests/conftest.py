@@ -4,14 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from orientlight import (
-    Graph,
-    Matching,
-    SplitMix64,
-    eliminate_degree_one,
-    random_graph,
-    strip_isolated,
-)
+from orientlight import Graph, Matching, SplitMix64, random_graph
 
 
 def complete_graph(k: int) -> Graph:
@@ -67,10 +60,38 @@ def star13() -> Graph:
     return star_graph(3)
 
 
+def two_core(g: Graph) -> Graph:
+    """The largest subgraph of minimum degree 2, relabeled in vertex order.
+
+    Edges keep their relative order.  Built independently of the
+    solver's peel, which keeps demand-1 vertices that this drops.
+    """
+    alive = [True] * g.n
+    deg = [g.degree(v) for v in range(g.n)]
+    stack = [v for v in range(g.n) if deg[v] < 2]
+    for v in stack:
+        alive[v] = False
+    while stack:
+        v = stack.pop()
+        for e in g.adjacency[v]:
+            w = g.other_end(e, v)
+            deg[w] -= 1
+            if alive[w] and deg[w] < 2:
+                alive[w] = False
+                stack.append(w)
+    new_id = {}
+    for v in range(g.n):
+        if alive[v]:
+            new_id[v] = len(new_id)
+    edges = tuple(
+        (new_id[u], new_id[v]) for u, v in g.edges if alive[u] and alive[v]
+    )
+    return Graph(len(new_id), edges)
+
+
 def random_core(n: int, p: float, seed: int) -> Graph | None:
-    """A random min-degree-2 graph, or None when the draw leaves no edges."""
-    g = random_graph(n, p, seed)
-    core, _ = strip_isolated(eliminate_degree_one(g).graph)
+    """The 2-core of a random graph, or None when it has no edges."""
+    core = two_core(random_graph(n, p, seed))
     return core if core.m else None
 
 

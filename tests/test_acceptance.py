@@ -24,18 +24,15 @@ from orientlight import (
     brute_force_max_matching,
     brute_force_min_light,
     build_gprime,
-    eliminate_degree_one,
     is_valid_matching,
     light_cost,
-    light_vertices,
     max_cardinality_matching,
     max_weight_matching,
-    quotient_Q,
+    out_degree,
     random_graph,
     random_weights,
     recover_orientation,
     solve_min_light,
-    strip_isolated,
 )
 
 ORACLE_EDGE_CAP = 20
@@ -115,7 +112,29 @@ def test_criterion_3_gadget_graph_size_formulas():
         )
         assert r.gprime.m == want_edges, f"seed {seed - 1}"
         verified += 1
-    print("criterion 3 PASS: size formulas exact on 100 random cores")
+
+    # the general formulas on peeled random graphs, which keep demand-1
+    # vertices: |V'| = 5m - sum(b) and |E'| = sum(d^2 - (b - 1) d + [b = 2])
+    peeled = demand_one = 0
+    seed = 21_000
+    while peeled < 100:
+        g = random_graph(6 + (peeled % 9), 0.3, seed)
+        seed += 1
+        r = build_gprime(g)
+        core = r.core
+        if core.m == 0:
+            continue
+        assert r.gprime.n == 5 * core.m - sum(r.demand), f"seed {seed - 1}"
+        want_edges = sum(
+            core.degree(c) ** 2 - (b - 1) * core.degree(c) + (b == 2)
+            for c, b in enumerate(r.demand)
+        )
+        assert r.gprime.m == want_edges, f"seed {seed - 1}"
+        demand_one += r.demand.count(1)
+        peeled += 1
+    assert demand_one > 0
+    print(f"criterion 3 PASS: size formulas exact on 100 random cores and on "
+          f"100 peeled graphs with {demand_one} demand-1 vertices")
 
 
 def test_criterion_4_certificate_identities():
@@ -127,34 +146,33 @@ def test_criterion_4_certificate_identities():
         g = random_graph(4 + (checked % 7), 0.45, seed)
         w = random_weights(g.n, 8, seed + 1)
         seed += 2
-        aug = eliminate_degree_one(g)
-        core, kept = strip_isolated(aug.graph)
+        r = build_gprime(g)
+        core = r.core
         if core.m == 0:
             continue
 
-        r = build_gprime(core)
+        # a core vertex is light when its core out-degree is below its demand
         m = max_cardinality_matching(r.gprime)
         o = recover_orientation(r, m)
-        core_light = len(light_vertices(core, o, 1))
-        assert core_light == 2 * core.m - m.size, f"seed {seed - 2}"
+        core_light = [c for c in range(core.n) if out_degree(core, o, c) < r.demand[c]]
+        assert len(core_light) == 2 * core.m - m.size, f"seed {seed - 2}"
 
-        from orientlight import VertexWeights
-
-        units = tuple(w.unit(kept[i]) if kept[i] < g.n else 0 for i in range(core.n))
-        cw = VertexWeights(units, w.scale)
-        rw = build_gprime(core, cw)
+        rw = build_gprime(g, w)
+        cost = [w.unit(v) for v in rw.core_to_input]
         mw = max_weight_matching(rw.gprime, rw.edge_weights)
         ow = recover_orientation(rw, mw)
-        cost = sum(cw.unit(v) for v in light_vertices(core, ow, 1))
-        q_units = sum(core.degree(v) * cw.unit(v) for v in range(core.n))
-        assert cw.as_value(q_units) == quotient_Q(core, cw)
-        assert cost == q_units - mw.weight_units(rw.edge_weights), f"seed {seed - 2}"
+        light_cost_units = sum(
+            cost[c] for c in range(rw.core.n) if out_degree(rw.core, ow, c) < rw.demand[c]
+        )
+        q_units = sum(rw.core.degree(c) * cost[c] for c in range(rw.core.n))
+        assert light_cost_units == q_units - mw.weight_units(rw.edge_weights), f"seed {seed - 2}"
 
         sol = solve_min_light(g)
         c = sol.certificate
         assert sol.objective == c.constant - c.matching_value + c.offset
         solw = solve_min_light(g, w)
         cw_cert = solw.certificate
+        assert cw_cert.constant == w.as_value(q_units)
         assert solw.objective == cw_cert.constant - cw_cert.matching_value + cw_cert.offset
         assert solw.objective == light_cost(g, solw.orientation, w)
         checked += 1
@@ -191,8 +209,37 @@ def test_criterion_5_normalization_lemma_conformance():
             counts["grew"] += 1
         verified += 1
     assert counts["d-1"] > 0 and counts["d"] > 0
-    print(f"criterion 5 PASS: 200 normalization triples follow the case "
-          f"equation exactly ({counts})")
+
+    # peeled random graphs add demand-1 gadgets: d - 1 + [k >= b] edges
+    verified = 0
+    seed = 45_000
+    by_demand = {(b, heavy): 0 for b in (1, 2) for heavy in (False, True)}
+    while verified < 200:
+        g = random_graph(6 + (verified % 7), 0.35, seed)
+        seed += 1
+        r = build_gprime(g)
+        if r.core.m == 0:
+            continue
+        m = random_maximal_matching(r.gprime, seed * 31 + 7)
+        # every other triple takes a demand-1 vertex when the core has one
+        ones = [c for c in range(r.core.n) if r.demand[c] == 1]
+        v = ones[verified % len(ones)] if ones and verified % 2 else verified % r.core.n
+        d, b = r.core.degree(v), r.demand[v]
+        k = sum(1 for eid in r.side_edges[v] if eid in m.matched_edge_ids)
+        n = normalize_gadget_matching(r, m, v)
+        ok, why = is_valid_matching(r.gprime, n)
+        assert ok, why
+        got = sum(1 for eid in r.gadget_bucket(v) if eid in n.matched_edge_ids)
+        want = d - 1 + (k >= b)
+        assert got == want, f"seed {seed - 1}: vertex {v} holds {got}, want {want}"
+        if b == 1:
+            assert n == m, f"seed {seed - 1}: a demand-1 gadget was changed"
+        assert (n.matched_edge_ids ^ m.matched_edge_ids) <= set(r.gadget_bucket(v))
+        by_demand[b, k >= b] += 1
+        verified += 1
+    assert all(by_demand.values()), by_demand
+    print(f"criterion 5 PASS: 200 + 200 normalization triples follow the case "
+          f"equation exactly ({counts}, peeled, by demand and heaviness {by_demand})")
 
 
 def test_criterion_6_matching_engines_vs_brute_force():

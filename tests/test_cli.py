@@ -93,6 +93,33 @@ class TestSolve:
         assert len(sidecar["connector"]) == 3
         assert len(sidecar["edge_owner"]) == gp.m
         assert "conventions" in sidecar
+        assert sidecar["demand"] == [2, 2, 2]
+        assert sidecar["core_edge_to_input"] == [0, 1, 2]
+
+    def test_dump_reduction_maps_the_peeled_core(self, capsys, tmp_path):
+        # vertex 4 hangs off the triangle and vertex 5 is isolated: both
+        # peel, and vertex 3 keeps demand 1 inside the core
+        g = tmp_path / "g.graph"
+        g.write_text("5 4\n1 2\n2 3\n1 3\n3 4\n")
+        target = tmp_path / "gprime.graph"
+        rc, _, _ = run(capsys, "solve", g, "--dump-reduction", target)
+        assert rc == 0
+        sidecar = json.loads((tmp_path / "gprime.graph.json").read_text())
+        assert sidecar["core_to_input"] == [1, 2, 3]
+        assert sidecar["core_edge_to_input"] == [0, 1, 2]
+        assert sidecar["demand"] == [2, 2, 1]
+        assert sidecar["parity_edge"][2] == -1
+        gp = parse_graph(target.read_text())
+        assert (gp.n, gp.m) == (5 * 3 - 5, len(sidecar["edge_owner"]))
+
+    def test_huge_vertex_count_rejected(self, capsys, tmp_path):
+        # rejected at the header, before any per-vertex allocation
+        g = tmp_path / "huge.graph"
+        g.write_text("1000000000 0\n")
+        rc, out, err = run(capsys, "solve", g)
+        assert rc == 2
+        assert out == ""
+        assert "limit of 1000000" in err
 
 
 class TestVerify:

@@ -18,6 +18,7 @@ from orientlight import (
     random_orientation,
     render_graph,
 )
+from orientlight.graph import MAX_VERTICES
 from conftest import complete_graph
 
 
@@ -67,6 +68,11 @@ class TestParseGraph:
     def test_comments_and_blank_lines_ignored(self):
         g = parse_graph("# triangle\n\n3 3\n1 2\n# middle\n2 3\n1 3\n")
         assert g.m == 3
+
+    def test_vertex_count_capped(self):
+        assert parse_graph(f"{MAX_VERTICES} 0\n").n == MAX_VERTICES
+        with pytest.raises(ValueError, match="line 2: .* exceed the limit"):
+            parse_graph(f"# big\n{MAX_VERTICES + 1} 0\n")
 
     def test_self_loop_reports_line(self):
         with pytest.raises(ValueError, match="line 2.*self-loop"):

@@ -19,19 +19,18 @@ from orientlight import (
     VertexWeights,
     brute_force_max_matching,
     build_gprime,
-    eliminate_degree_one,
     extend_to_maximal,
     is_valid_matching,
     max_cardinality_matching,
     max_weight_matching,
     random_graph,
-    strip_isolated,
 )
 
 
 def pendant_heavy_graph(n: int, chords: int, seed: int) -> Graph:
-    """A random tree on n vertices plus chords: many leaves, each of which
-    becomes a 4-cycle before the gadget is built."""
+    """A random tree on n vertices plus chords: many leaves, which the peel
+    removes before the gadget is built, leaving demand-1 vertices where
+    they hung."""
     rng = SplitMix64(seed)
     edges = {(rng.next_below(v), v) for v in range(1, n)}
     while len(edges) < n - 1 + chords:
@@ -43,14 +42,11 @@ def pendant_heavy_graph(n: int, chords: int, seed: int) -> Graph:
     return g
 
 
-def benchmark_like_costs(n: int, top: int, seed: int) -> VertexWeights:
-    """Costs in hundredths: a tenth of them zero, the rest 1..top units,
-    so a small top forces many ties."""
+def positive_costs(n: int, top: int, seed: int) -> VertexWeights:
+    """Costs in hundredths, 1..top units each, so a small top forces many
+    ties.  No cost is zero, so the peel keeps every vertex of a 2-core."""
     rng = SplitMix64(seed)
-    return VertexWeights(
-        tuple(0 if rng.next_below(10) == 0 else 1 + rng.next_below(top) for _ in range(n)),
-        100,
-    )
+    return VertexWeights(tuple(1 + rng.next_below(top) for _ in range(n)), 100)
 
 
 class TestMatchingType:
@@ -204,15 +200,16 @@ class TestMaxCardinality:
 
     @pytest.mark.parametrize("n, seed", [(100, 11), (150, 12), (180, 13)])
     def test_agrees_with_networkx_on_random_gadgets(self, n, seed):
-        # m ~ 3n cores give gadgets of 1300-2400 vertices, far above the
-        # brute-force caps
-        core = random_core(n, 6.0 / (n - 1), seed)
+        # 2-cores of m ~ 3.15n draws give gadgets of 1355-2473 vertices,
+        # far above the brute-force caps
+        core = random_core(n, 6.3 / (n - 1), seed)
         self._check_against_networkx(build_gprime(core).gprime)
 
     @pytest.mark.parametrize("seed", [21, 22])
     def test_agrees_with_networkx_on_pendant_heavy_gadgets(self, seed):
-        core, _ = strip_isolated(eliminate_degree_one(pendant_heavy_graph(200, 40, seed)).graph)
-        self._check_against_networkx(build_gprime(core).gprime)
+        # peeled to cores with 277 and 278 demand-1 vertices; gadgets of 1882
+        # and 1978 vertices
+        self._check_against_networkx(build_gprime(pendant_heavy_graph(1000, 275, seed)).gprime)
 
     @staticmethod
     def _check_against_networkx(g):
@@ -358,19 +355,25 @@ class TestMaxWeight:
 
     @pytest.mark.parametrize("n, seed, top", [(60, 31, 1000), (80, 32, 1000), (100, 33, 10)])
     def test_agrees_with_networkx_on_weighted_gadgets(self, n, seed, top):
-        # m ~ 3n cores with benchmark-like costs give gadgets of 800-1400
-        # vertices, far above the brute-force caps
-        core = random_core(n, 6.0 / (n - 1), seed)
-        self._check_against_networkx(build_gprime(core, benchmark_like_costs(core.n, top, seed)))
+        # 2-cores of m ~ 3.15n draws give gadgets of 850-1449 vertices, far
+        # above the brute-force caps
+        core = random_core(n, 6.3 / (n - 1), seed)
+        self._check_against_networkx(build_gprime(core, positive_costs(core.n, top, seed)), seed)
 
     def test_agrees_with_networkx_on_a_pendant_heavy_weighted_gadget(self):
-        core, _ = strip_isolated(eliminate_degree_one(pendant_heavy_graph(100, 20, 41)).graph)
-        self._check_against_networkx(build_gprime(core, benchmark_like_costs(core.n, 1000, 41)))
+        # a core with 128 demand-1 vertices; a gadget of 945 vertices
+        g = pendant_heavy_graph(400, 120, 41)
+        self._check_against_networkx(build_gprime(g, positive_costs(g.n, 1000, 41)), 41)
 
     @staticmethod
-    def _check_against_networkx(r):
+    def _check_against_networkx(r, seed):
+        # zero a tenth of the gadget's edge weights: zero costs would peel
+        # their vertices away, so zeros reach the engine only this way
         nx = pytest.importorskip("networkx")
-        g, wts = r.gprime, r.edge_weights
+        rng = SplitMix64(seed)
+        g = r.gprime
+        wts = tuple(0 if rng.next_below(10) == 0 else w for w in r.edge_weights)
+        assert 0 in wts
         m = max_weight_matching(g, wts)
         ok, why = is_valid_matching(g, m)
         assert ok, why

@@ -1,122 +1,180 @@
-"""Degree-1 preprocessing and the gadget-graph construction."""
+"""The peeling kernel and the gadget-graph construction."""
 
 import pytest
 
-from conftest import complete_graph, cycle_graph, petersen_graph, random_core
+from conftest import (
+    complete_graph,
+    cycle_graph,
+    petersen_graph,
+    random_core,
+    two_core,
+)
 from orientlight import (
     Graph,
-    Orientation,
     VertexWeights,
     build_gprime,
-    eliminate_degree_one,
-    out_degree,
-    quotient_Q,
     random_graph,
-    strip_isolated,
+    random_weights,
+    solve_min_light,
 )
 
 
+def size_formulas(r):
+    """|V'| and |E'| of the gadget graph from its core and demands."""
+    deg = [r.core.degree(c) for c in range(r.core.n)]
+    return (
+        5 * r.core.m - sum(r.demand),
+        sum(d * d - (b - 1) * d + (b == 2) for d, b in zip(deg, r.demand)),
+    )
+
+
 class TestEliminateDegreeOne:
+    """Degree-1 vertices never reach the gadget: the peel removes them."""
+
     def test_single_edge(self, p2):
-        aug = eliminate_degree_one(p2)
-        assert (aug.graph.n, aug.graph.m) == (8, 9)
-        assert len(aug.added_cycles) == 2
-        assert aug.original_vertex_count == 2
+        r = build_gprime(p2)
+        assert (r.core.n, r.core.m, r.gprime.n) == (0, 0, 0)
+        assert r.peeled_light == (0, 1)
+        assert r.peeled_tails == (0,)
 
     def test_star(self, star13):
-        aug = eliminate_degree_one(star13)
-        assert (aug.graph.n, aug.graph.m) == (13, 15)
+        # every leaf is spent; two leaf edges leave the centre heavy, and
+        # the third then points into it
+        r = build_gprime(star13)
+        assert (r.core.n, r.gprime.n) == (0, 0)
+        assert r.peeled_light == (1, 2, 3)
+        assert [r.peeled_tails.count(v) for v in range(4)] == [2, 1, 0, 0]
 
     def test_cycle_untouched(self, c4):
-        aug = eliminate_degree_one(c4)
-        assert aug.graph == c4
-        assert aug.added_cycles == ()
+        r = build_gprime(c4)
+        assert r.core == c4
+        assert r.demand == (2, 2, 2, 2)
+        assert r.peeled_light == ()
+        assert r.peeled_tails == (-1,) * 4
 
-    def test_min_degree_two_after(self):
+    def test_original_edges_preserved(self):
+        # every input edge is either a core edge or oriented by the peel,
+        # never both, and a peeled tail is an endpoint of its edge
         for seed in range(10):
-            g = random_graph(9, 0.25, seed)
-            aug = eliminate_degree_one(g)
-            for v in range(aug.graph.n):
-                assert aug.graph.degree(v) != 1
-
-    def test_cycles_are_4_cycles_of_degree_2_vertices(self, star13):
-        aug = eliminate_degree_one(star13)
-        g = aug.graph
-        for cyc in aug.added_cycles:
-            v, (r0, r1, r2) = cyc.anchor, cyc.ring
-            a, b, c, d = cyc.edge_ids
-            assert g.edges[a] == tuple(sorted((v, r0)))
-            assert g.edges[b] == tuple(sorted((r0, r1)))
-            assert g.edges[c] == tuple(sorted((r1, r2)))
-            assert g.edges[d] == tuple(sorted((v, r2)))
-            for r in (r0, r1, r2):
-                assert g.degree(r) == 2
-
-    def test_original_edges_preserved(self, star13):
-        aug = eliminate_degree_one(star13)
-        assert aug.original_edge_ids == (0, 1, 2)
-        assert aug.graph.edges[: star13.m] == star13.edges
+            g = random_graph(12, 0.25, seed)
+            r = build_gprime(g)
+            core_edges = set(r.core_edge_to_input)
+            for e, (u, v) in enumerate(g.edges):
+                if e in core_edges:
+                    assert r.peeled_tails[e] == -1
+                else:
+                    assert r.peeled_tails[e] in (u, v)
 
     def test_idempotent(self):
-        for seed in range(6):
-            g = random_graph(8, 0.3, seed)
-            aug = eliminate_degree_one(g)
-            again = eliminate_degree_one(aug.graph)
-            assert again.graph == aug.graph
-            assert again.added_cycles == ()
-
-    def test_isolated_pass_through(self):
-        g = Graph(3, ())
-        aug = eliminate_degree_one(g)
-        assert aug.graph == g
-
-    def test_block_never_has_three_heavy(self, p2):
-        # enumerate all 32 orientations of pendant edge + 4-cycle: among
-        # the anchor and its three ring vertices at most 2 can be heavy,
-        # and 2 is achievable with the pendant edge pointing either way
-        aug = eliminate_degree_one(p2)
-        g = aug.graph
-        cyc = aug.added_cycles[0]
-        block = (cyc.anchor,) + cyc.ring
-        edges = (0,) + cyc.edge_ids  # pendant edge of anchor 0 plus the cycle
-        best_by_pendant = {0: 4, 1: 4}
-        for mask in range(32):
-            tails = []
-            for e in range(g.m):
-                u, v = g.edges[e]
-                if e in edges:
-                    bit = (mask >> edges.index(e)) & 1
-                    tails.append(u if bit == 0 else v)
-                else:
-                    tails.append(u)
-            o = Orientation(tuple(tails))
-            heavy = sum(1 for v in block if out_degree(g, o, v) >= 2)
-            assert heavy <= 2
-            light = len(block) - heavy
-            best_by_pendant[mask & 1] = min(best_by_pendant[mask & 1], light)
-        assert best_by_pendant == {0: 2, 1: 2}
+        # a graph of minimum degree 2 peels to itself, so peeling its
+        # 2-core again changes nothing and keeps the paper's gadget
+        for seed in range(10):
+            core = two_core(random_graph(12, 0.3, seed))
+            r = build_gprime(core)
+            assert r.core == core
+            assert r.demand == (2,) * core.n
+            assert r.core_to_input == tuple(range(core.n))
+            assert r.peeled_light == ()
+            assert (r.gprime.n, r.gprime.m) == (
+                5 * core.m - 2 * core.n,
+                sum(core.degree(v) ** 2 - core.degree(v) + 1 for v in range(core.n)),
+            )
 
 
 class TestStripIsolated:
+    """Isolated vertices peel away light; the core is relabeled in order."""
+
     def test_removes_and_maps_back(self):
-        g = Graph(5, ((1, 3), (3, 4)))
-        core, kept = strip_isolated(g)
-        assert core.n == 3
-        assert kept == (1, 3, 4)
-        assert core.edges == ((0, 1), (1, 2))
+        g = Graph(6, ((1, 3), (1, 4), (3, 4)))
+        r = build_gprime(g)
+        assert r.core == complete_graph(3)
+        assert r.core_to_input == (1, 3, 4)
+        assert r.core_edge_to_input == (0, 1, 2)
+        assert r.peeled_light == (0, 2, 5)
 
     def test_noop_when_connected(self, k4):
-        core, kept = strip_isolated(k4)
-        assert core == k4
-        assert kept == (0, 1, 2, 3)
+        r = build_gprime(k4)
+        assert r.core == k4
+        assert r.core_to_input == (0, 1, 2, 3)
+        assert r.core_edge_to_input == tuple(range(k4.m))
 
     def test_edge_order_preserved(self):
-        for seed in range(6):
-            g = random_graph(9, 0.2, seed)
-            core, kept = strip_isolated(g)
-            assert core.m == g.m
-            for e in range(g.m):
-                assert tuple(kept[x] for x in core.edges[e]) == g.edges[e]
+        for seed in range(10):
+            g = random_graph(12, 0.3, seed)
+            r = build_gprime(g)
+            assert list(r.core_edge_to_input) == sorted(r.core_edge_to_input)
+            assert list(r.core_to_input) == sorted(r.core_to_input)
+            for f, e in enumerate(r.core_edge_to_input):
+                assert tuple(r.core_to_input[x] for x in r.core.edges[f]) == g.edges[e]
+
+
+class TestPeel:
+    def test_forest_peels_to_empty_core(self):
+        # two trees and two isolated vertices; every leaf and every
+        # isolated vertex stays light
+        g = Graph(11, ((0, 1), (1, 2), (1, 3), (3, 4), (5, 6), (6, 7), (6, 8)))
+        r = build_gprime(g)
+        assert (r.core.n, r.core.m, r.gprime.n) == (0, 0, 0)
+        assert set(r.peeled_light) >= {0, 2, 4, 5, 7, 8, 9, 10}
+        assert all(t != -1 for t in r.peeled_tails)
+
+    def test_zero_cost_chain_empties_cycle(self):
+        # the zero-cost vertices 4, 2, 0 of a 6-cycle are popped in turn;
+        # each pop fills a neighbour's demand, which is then popped heavy
+        g = cycle_graph(6)
+        r = build_gprime(g, VertexWeights((0, 5, 0, 5, 0, 5)))
+        assert (r.core.n, r.gprime.n) == (0, 0)
+        assert r.peeled_light == (0, 2, 4)
+        sol = solve_min_light(g, VertexWeights((0, 5, 0, 5, 0, 5)))
+        assert sol.objective == 0
+        assert sol.certificate.offset == 0
+
+    def test_core_degree_at_least_demand(self):
+        # every core vertex has demand 1 or 2, degree at least its demand
+        # and a positive cost; the demand is 2 minus the out-edges the
+        # peel already gave it
+        demands = set()
+        for seed in range(30):
+            g = random_graph(14, 0.2, seed)
+            w = random_weights(g.n, 4, seed + 1)
+            r = build_gprime(g, w)
+            fixed = [r.peeled_tails.count(v) for v in range(g.n)]
+            for c, v in enumerate(r.core_to_input):
+                b = r.demand[c]
+                assert b in (1, 2)
+                assert r.core.degree(c) >= b
+                assert w.unit(v) > 0
+                assert b == 2 - fixed[v]
+                demands.add(b)
+            assert (r.gprime.n, r.gprime.m) == size_formulas(r)
+        assert demands == {1, 2}
+
+    def test_peeled_light_is_fixed(self):
+        # a peeled light vertex stays light under any orientation of the
+        # core edges, and a peeled heavy one stays heavy
+        for seed in range(20):
+            g = random_graph(10, 0.25, seed)
+            r = build_gprime(g)
+            core = set(r.core_to_input)
+            for v in range(g.n):
+                if v in core:
+                    continue
+                fixed = sum(1 for e in g.adjacency[v] if r.peeled_tails[e] == v)
+                free = sum(1 for e in g.adjacency[v] if r.peeled_tails[e] == -1)
+                assert free == 0
+                assert (fixed <= 1) == (v in r.peeled_light)
+
+    def test_demand_one_gadget(self):
+        # a pendant vertex on a triangle leaves its anchor with demand 1:
+        # d ports, d - 1 inner vertices and no parity edge
+        g = Graph(4, ((0, 1), (0, 2), (1, 2), (2, 3)))
+        r = build_gprime(g)
+        assert r.core == complete_graph(3)
+        assert r.demand == (2, 2, 1)
+        assert len(r.inner[2]) == 1
+        assert r.parity_edge[2] == -1
+        assert len(r.gadget_bucket(2)) == 2 + 2
+        assert (r.gprime.n, r.gprime.m) == size_formulas(r) == (10, 10)
 
 
 class TestBuildGprime:
@@ -153,10 +211,6 @@ class TestBuildGprime:
                 core.degree(v) ** 2 - core.degree(v) + 1 for v in range(core.n)
             )
             built += 1
-
-    def test_rejects_low_degree(self, p2):
-        with pytest.raises(ValueError, match="degree"):
-            build_gprime(p2)
 
     def test_connectors_have_degree_two(self):
         r = build_gprime(petersen_graph())
@@ -231,18 +285,32 @@ class TestBuildGprime:
 
 
 class TestQuotientQ:
+    """Q, the certificate's constant: sum over core edges {u, v} of
+    c_u + c_v, which equals sum over core vertices of d(v) c_v."""
+
     def test_weighted_triangle(self, k3):
-        assert quotient_Q(k3, VertexWeights((5, 1, 1))) == 14
+        assert solve_min_light(k3, VertexWeights((5, 1, 1))).certificate.constant == 14
 
     def test_all_ones_gives_2m(self):
         g = complete_graph(5)
-        assert quotient_Q(g, VertexWeights.ones(5)) == 2 * g.m
+        assert solve_min_light(g, VertexWeights.ones(5)).certificate.constant == 2 * g.m
+        assert solve_min_light(g).certificate.constant == 2 * g.m
 
     def test_zero_weights(self, c4):
-        assert quotient_Q(c4, VertexWeights((0, 0, 0, 0))) == 0
+        # zero costs peel every vertex, so the core and Q are empty
+        sol = solve_min_light(c4, VertexWeights((0, 0, 0, 0)))
+        assert sol.certificate.constant == 0
+        assert sol.objective == 0
 
     def test_matches_edge_sum(self):
-        g = cycle_graph(6)
-        w = VertexWeights(tuple(range(6)))
-        by_edges = sum(w.unit(u) + w.unit(v) for u, v in g.edges)
-        assert quotient_Q(g, w) == by_edges
+        checked = 0
+        for seed in range(40):
+            g = random_graph(10, 0.35, seed)
+            w = random_weights(g.n, 9, seed + 1)
+            r = build_gprime(g, w)
+            cost = [w.unit(v) for v in r.core_to_input]
+            by_edges = sum(cost[u] + cost[v] for u, v in r.core.edges)
+            want = w.as_value(by_edges)
+            assert solve_min_light(g, w).certificate.constant == want
+            checked += by_edges > 0
+        assert checked >= 20

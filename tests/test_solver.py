@@ -12,9 +12,11 @@ from conftest import (
     random_maximal_matching,
 )
 from orientlight import (
+    Certificate,
     Graph,
     Matching,
     Orientation,
+    SplitMix64,
     VertexWeights,
     brute_force_min_light,
     build_gprime,
@@ -27,6 +29,7 @@ from orientlight import (
     parse_weights,
     random_graph,
     random_orientation,
+    random_weights,
     recover_orientation,
     solve_min_light,
     solve_with_stats,
@@ -273,14 +276,16 @@ class TestSolveFixedValues:
         assert sol.certificate.offset == 0
 
     def test_p2_offset(self, p2):
+        # both endpoints peel light; the core is empty
         sol = solve_min_light(p2)
-        assert sol.certificate.offset == -2
+        assert sol.certificate == Certificate(0, 0, 2)
         assert sol.objective == 2
 
     def test_star_offset(self, star13):
         sol = solve_min_light(star13)
-        assert sol.certificate.offset == -3
+        assert sol.certificate == Certificate(0, 0, 3)
         assert sol.objective == 3
+        assert sol.light_set == {1, 2, 3}
 
 
 class TestSolveProperties:
@@ -372,11 +377,62 @@ class TestSolveProperties:
         assert solve_min_light(g) == solve_min_light(g)
 
     def test_degree_one_chains_and_isolated_mix(self):
-        # a path with pendants and loose vertices stresses both offsets
+        # a tree with pendants plus loose vertices peels away entirely
         g = Graph(8, ((0, 1), (1, 2), (2, 3), (3, 4), (2, 5)))
         sol = solve_min_light(g)
         opt, _ = brute_force_min_light(g)
         assert sol.objective == opt
+
+    def test_stats_report_the_core(self):
+        # a triangle with a two-edge pendant path and two isolated
+        # vertices: the path's end and the isolated vertices peel, and the
+        # path's middle vertex stays in the core with demand 1
+        g = Graph(7, ((0, 1), (0, 2), (1, 2), (2, 3), (3, 4)))
+        sol, stats = solve_with_stats(g)
+        assert (stats.core_vertices, stats.core_edges) == (4, 4)
+        assert sol.objective == brute_force_min_light(g)[0]
+
+    def test_oracle_on_trees_forests_and_pendant_heavy_graphs(self):
+        # the shapes the peel removes wholly or in part; every other
+        # instance carries costs with zeros among them
+        rng = SplitMix64(77)
+
+        def tree(n, first=0):
+            return [(first + rng.next_below(i), first + i) for i in range(1, n)]
+
+        def one_tree():
+            n = 6 + rng.next_below(8)
+            return n, tree(n)
+
+        def forest():
+            # trees of 1-5 vertices: the one-vertex trees are isolated
+            edges, n = [], 0
+            for _ in range(2 + rng.next_below(3)):
+                size = 1 + rng.next_below(5)
+                edges += tree(size, n)
+                n += size
+            return n, edges
+
+        def pendant():
+            # a short cycle with pendant paths hung on it, plus isolated vertices
+            c = 3 + rng.next_below(3)
+            edges = [(i, (i + 1) % c) for i in range(c)]
+            n = c
+            for _ in range(4 + rng.next_below(9 - c)):
+                edges.append((rng.next_below(n), n))
+                n += 1
+            return n + 1 + rng.next_below(3), edges
+
+        for i in range(120):
+            n, edges = (one_tree, forest, pendant)[i % 3]()
+            g = Graph(n, tuple(edges))
+            w = random_weights(n, 3, i) if i % 2 else None
+            sol = solve_min_light(g, w)
+            opt, _ = brute_force_min_light(g, 1, w)
+            assert sol.objective == opt, f"instance {i}"
+            c = sol.certificate
+            assert sol.objective == c.constant - c.matching_value + c.offset
+            assert c.offset >= 0
 
     def test_weights_length_mismatch(self, k3):
         with pytest.raises(ValueError, match="weights cover"):
@@ -386,7 +442,7 @@ class TestSolveProperties:
         g = petersen_graph()
         sol, stats = solve_with_stats(g)
         assert (stats.n, stats.m) == (10, 15)
-        assert stats.degree_one == 0 and stats.isolated == 0
+        assert (stats.core_vertices, stats.core_edges) == (10, 15)
         assert stats.reduced_vertices == 5 * 15 - 2 * 10
         assert stats.reduced_edges == sum(
             g.degree(v) ** 2 - g.degree(v) + 1 for v in range(g.n)
