@@ -31,14 +31,18 @@ class ReducedGraph:
     input edge e, or -1 when e is a core edge.  peeled_light lists the
     peeled input vertices that are light whatever the core does.
 
-    Every core vertex has degree at least its demand and, when weights
-    are given, a positive cost; isolated vertices and whole forests peel
-    away.  The peel is sound: orienting a peeled vertex's remaining edges
-    into it only adds out-edges at its neighbours, which never makes a
-    neighbour worse, and the peeled vertex's own status is already fixed
-    (it is heavy, cannot become heavy, or costs nothing).  So an optimal
-    orientation of the input extends the peel, and its light total is
-    the peeled light total plus an optimum of the core.
+    Every core vertex has degree at least its demand; isolated vertices
+    and whole forests peel away.  The peel is sound: orienting a peeled
+    vertex's remaining edges into it only adds out-edges at its
+    neighbours, which never makes a neighbour worse, and the peeled
+    vertex's own status is already fixed (it is heavy or cannot become
+    heavy).  So an optimal orientation of the input extends the peel,
+    and its light total is the peeled light total plus an optimum of the
+    core.  Zero-cost vertices stay in the core, where their gadget edges
+    weigh 0.  Peeling them as well would be sound, but each popped
+    vertex can fill a neighbour's demand, so on sparse random graphs a
+    few zero costs either empty the core or leave nearly all of it, and
+    the solve time of similar inputs would differ a thousandfold.
 
     Vertex layout of gprime: for core edge e the port at the lower
     endpoint is 3e, the connector is 3e+1, and the port at the higher
@@ -92,33 +96,32 @@ class ReducedGraph:
 def build_gprime(g: Graph, weights: VertexWeights | None = None) -> ReducedGraph:
     """Peels the input graph to a core and builds the core's gadget graph.
 
-    A vertex is spent when its demand is 0, when its remaining degree is
-    below its demand, or when weights are given and its cost is 0.  Spent
-    vertices are popped from a stack seeded in vertex order; a popped
-    vertex has its remaining edges oriented into it, and each neighbour
-    loses one remaining degree and one demand (never below 0).  A popped
-    vertex whose demand is still positive stays light.  This is sound:
-    the extra out-edges never hurt a neighbour, and a spent vertex's
-    status is already fixed (see ReducedGraph).
+    A vertex is spent when its demand is 0 or its remaining degree is
+    below its demand.  Spent vertices are popped from a stack seeded in
+    vertex order; a popped vertex has its remaining edges oriented into
+    it, and each neighbour loses one remaining degree and one demand
+    (never below 0).  A popped vertex whose demand is still positive
+    stays light.  This is sound: the extra out-edges never hurt a
+    neighbour, and a spent vertex's status is already fixed (see
+    ReducedGraph).
 
     With m core edges the gadget graph has 5m - sum(demand) vertices and
     sum(d^2 - (b - 1) d + [b = 2]) edges over core vertices of degree d
-    and demand b; on a graph of minimum degree 2 with no zero cost
-    nothing peels, and these are the paper's 5m - 2n and
-    sum(d^2 - d + 1).  Either gadget holds d - 1 + [heavy] matched edges
-    of a normalized maximal matching, heavy meaning core out-degree at
-    least the demand, so the core's light count is 2m - |M| and its
-    light cost Q - w(M) with Q = sum(d(v) c_v).  With weights given,
-    every edge owned by core vertex v (its gadget edges and its side
-    connecting edges) carries v's cost in integer units; without weights
-    every edge weighs 1.
+    and demand b; on a graph of minimum degree 2 nothing peels, and
+    these are the paper's 5m - 2n and sum(d^2 - d + 1).  Either gadget
+    holds d - 1 + [heavy] matched edges of a normalized maximal matching,
+    heavy meaning core out-degree at least the demand, so the core's
+    light count is 2m - |M| and its light cost Q - w(M) with
+    Q = sum(d(v) c_v).  With weights given, every edge owned by core
+    vertex v (its gadget edges and its side connecting edges) carries
+    v's cost in integer units; without weights every edge weighs 1.
     """
     if weights is not None and len(weights) != g.n:
         raise ValueError(f"weights cover {len(weights)} vertices, graph has {g.n}")
     left = [g.degree(v) for v in range(g.n)]
     need = [2] * g.n
     tails = [-1] * g.m
-    spent = [left[v] < 2 or (weights is not None and weights.unit(v) == 0) for v in range(g.n)]
+    spent = [left[v] < 2 for v in range(g.n)]
     stack = [v for v in range(g.n) if spent[v]]
     light = []
     while stack:

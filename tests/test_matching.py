@@ -44,7 +44,7 @@ def pendant_heavy_graph(n: int, chords: int, seed: int) -> Graph:
 
 def positive_costs(n: int, top: int, seed: int) -> VertexWeights:
     """Costs in hundredths, 1..top units each, so a small top forces many
-    ties.  No cost is zero, so the peel keeps every vertex of a 2-core."""
+    ties.  The zero weights come from _check_against_networkx instead."""
     rng = SplitMix64(seed)
     return VertexWeights(tuple(1 + rng.next_below(top) for _ in range(n)), 100)
 
@@ -367,8 +367,8 @@ class TestMaxWeight:
 
     @staticmethod
     def _check_against_networkx(r, seed):
-        # zero a tenth of the gadget's edge weights: zero costs would peel
-        # their vertices away, so zeros reach the engine only this way
+        # zero a tenth of the gadget's edge weights, so zero weights reach
+        # the engine scattered over the gadget, not owned by whole vertices
         nx = pytest.importorskip("networkx")
         rng = SplitMix64(seed)
         g = r.gprime

@@ -118,21 +118,25 @@ class TestPeel:
         assert set(r.peeled_light) >= {0, 2, 4, 5, 7, 8, 9, 10}
         assert all(t != -1 for t in r.peeled_tails)
 
-    def test_zero_cost_chain_empties_cycle(self):
-        # the zero-cost vertices 4, 2, 0 of a 6-cycle are popped in turn;
-        # each pop fills a neighbour's demand, which is then popped heavy
+    def test_zero_cost_vertices_stay_in_core(self):
+        # zero costs do not peel: the 6-cycle is its own core, the edges
+        # its zero-cost vertices own weigh 0, and the matching still finds
+        # the orientation that makes every cost-5 vertex heavy
         g = cycle_graph(6)
-        r = build_gprime(g, VertexWeights((0, 5, 0, 5, 0, 5)))
-        assert (r.core.n, r.gprime.n) == (0, 0)
-        assert r.peeled_light == (0, 2, 4)
-        sol = solve_min_light(g, VertexWeights((0, 5, 0, 5, 0, 5)))
+        w = VertexWeights((0, 5, 0, 5, 0, 5))
+        r = build_gprime(g, w)
+        assert (r.core.n, r.core.m, r.gprime.n) == (6, 6, 18)
+        assert r.peeled_light == ()
+        assert {r.edge_weights[e] for e in r.gadget_bucket(0)} == {0}
+        sol = solve_min_light(g, w)
         assert sol.objective == 0
         assert sol.certificate.offset == 0
+        assert sol.certificate.constant == sol.certificate.matching_value == 30
 
     def test_core_degree_at_least_demand(self):
-        # every core vertex has demand 1 or 2, degree at least its demand
-        # and a positive cost; the demand is 2 minus the out-edges the
-        # peel already gave it
+        # every core vertex has demand 1 or 2 and degree at least its
+        # demand; the demand is 2 minus the out-edges the peel already
+        # gave it
         demands = set()
         for seed in range(30):
             g = random_graph(14, 0.2, seed)
@@ -143,7 +147,6 @@ class TestPeel:
                 b = r.demand[c]
                 assert b in (1, 2)
                 assert r.core.degree(c) >= b
-                assert w.unit(v) > 0
                 assert b == 2 - fixed[v]
                 demands.add(b)
             assert (r.gprime.n, r.gprime.m) == size_formulas(r)
@@ -297,7 +300,7 @@ class TestQuotientQ:
         assert solve_min_light(g).certificate.constant == 2 * g.m
 
     def test_zero_weights(self, c4):
-        # zero costs peel every vertex, so the core and Q are empty
+        # the whole cycle stays in the core, but every cost in Q is zero
         sol = solve_min_light(c4, VertexWeights((0, 0, 0, 0)))
         assert sol.certificate.constant == 0
         assert sol.objective == 0
