@@ -25,7 +25,7 @@ from .graph import (
     render_graph,
 )
 from .oracle import BudgetExceededError, brute_force_min_light
-from .reduction import build_gprime
+from .reduction import ReducedGraph
 from .solver import Certificate, Solution, solve_with_stats
 
 __all__ = ["RunReport", "main"]
@@ -33,10 +33,16 @@ __all__ = ["RunReport", "main"]
 
 @dataclass(frozen=True)
 class RunReport:
-    """One benchmark row: instance stats, reduced sizes, timings, result."""
+    """One benchmark row: instance stats, reduced sizes, timings, result.
+
+    peel_core_* is the core after the first peel, core_* the core left
+    after the flow kernel, gprime_* the gadget graph built on it.
+    """
 
     n: int
     m: int
+    peel_core_vertices: int
+    peel_core_edges: int
     core_vertices: int
     core_edges: int
     gprime_vertices: int
@@ -50,7 +56,8 @@ class RunReport:
     def row(self) -> str:
         c = self.certificate
         return (
-            f"n={self.n:>5}  m={self.m:>6}  core_n={self.core_vertices:>5}  "
+            f"n={self.n:>5}  m={self.m:>6}  peel_n={self.peel_core_vertices:>5}  "
+            f"peel_m={self.peel_core_edges:>6}  core_n={self.core_vertices:>5}  "
             f"core_m={self.core_edges:>6}  |V'|={self.gprime_vertices:>6}  "
             f"|E'|={self.gprime_edges:>7}  reduce={self.reduce_seconds:7.3f}s  "
             f"match={self.match_seconds:7.3f}s  recover={self.recover_seconds:7.3f}s  "
@@ -94,17 +101,18 @@ def _solution_to_json(g: Graph, sol: Solution) -> dict:
     }
 
 
-def _dump_reduction(g: Graph, weights: VertexWeights | None, path: str) -> None:
+def _dump_reduction(r: ReducedGraph, weights: VertexWeights | None, path: str) -> None:
     """Writes the gadget graph to path and its bookkeeping to path.json.
 
     The sidecar uses 1-based vertex labels (matching the graph file) and
     0-based edge indices into that file's edge list.
     """
-    r = build_gprime(g, weights)
     Path(path).write_text(render_graph(r.gprime), encoding="utf-8")
     sidecar = {
         "conventions": "vertex labels are 1-based; edge indices are 0-based "
         "positions in the edge list of the graph file",
+        "peel_core_vertices": r.peel_core_vertices,
+        "peel_core_edges": r.peel_core_edges,
         "core_vertices": r.core.n,
         "core_edges": r.core.m,
         "core_to_input": [v + 1 for v in r.core_to_input],
@@ -129,9 +137,9 @@ def _dump_reduction(g: Graph, weights: VertexWeights | None, path: str) -> None:
 def cmd_solve(args: argparse.Namespace) -> int:
     g = parse_graph(_read(args.graph))
     weights = parse_weights(_read(args.weights), g.n) if args.weights else None
+    sol, stats = solve_with_stats(g, weights)
     if args.dump_reduction:
-        _dump_reduction(g, weights, args.dump_reduction)
-    sol, _ = solve_with_stats(g, weights)
+        _dump_reduction(stats.reduction, weights, args.dump_reduction)
     if args.json:
         print(json.dumps(_solution_to_json(g, sol), indent=2))
         return 0
@@ -326,8 +334,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
         if sol.objective != cert.constant - cert.matching_value + cert.offset:
             print(f"bench: certificate identity violated on n={n} m={g.m}")
             return 1
-        # reduced sizes must satisfy the closed-form gadget-graph formulas
-        r = build_gprime(g, weights)
+        # the gadget the solve built must satisfy the closed-form formulas
+        r = stats.reduction
         want_v = 5 * r.core.m - sum(r.demand)
         want_e = sum(
             r.core.degree(c) ** 2 - (b - 1) * r.core.degree(c) + (b == 2)
@@ -339,6 +347,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
         report = RunReport(
             n=g.n,
             m=g.m,
+            peel_core_vertices=stats.peel_core_vertices,
+            peel_core_edges=stats.peel_core_edges,
             core_vertices=stats.core_vertices,
             core_edges=stats.core_edges,
             gprime_vertices=stats.reduced_vertices,

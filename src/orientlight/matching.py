@@ -9,7 +9,6 @@ scanned in index order.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 
 from .graph import Graph
@@ -481,16 +480,24 @@ def max_weight_matching(g: Graph, edge_weights) -> Matching:
                 best_edge[b] = k
 
     def expand_blossom(b, endstage: bool) -> None:
-        for s in b.children:
-            parent_of[s] = None
-            if isinstance(s, _Blossom):
-                if endstage and blossom_dual[s] == 0:
-                    expand_blossom(s, endstage)
+        # at the end of a stage, sub-blossoms with zero dual expand too;
+        # each expansion touches only its own children, so an explicit
+        # stack replaces the recursion
+        stack = [b]
+        while stack:
+            t = stack.pop()
+            for s in t.children:
+                parent_of[s] = None
+                if isinstance(s, _Blossom):
+                    if endstage and blossom_dual[s] == 0:
+                        stack.append(s)
+                    else:
+                        for v in s.vertices():
+                            in_blossom[v] = s
                 else:
-                    for v in s.vertices():
-                        in_blossom[v] = s
-            else:
-                in_blossom[s] = s
+                    in_blossom[s] = s
+            if t is not b:
+                forget_blossom(t)
         if (not endstage) and label.get(b) == 2:
             # mid-stage expansion of an inner blossom: walk from the child
             # through which b was reached around to the base, relabeling
@@ -541,6 +548,9 @@ def max_weight_matching(g: Graph, edge_weights) -> Matching:
                     label[mate[base_of[child]]] = None
                     assign_label(v, 2, label_edge[v][0])
                 j += jstep
+        forget_blossom(b)
+
+    def forget_blossom(b) -> None:
         label.pop(b, None)
         label_edge.pop(b, None)
         best_edge.pop(b, None)
@@ -550,37 +560,47 @@ def max_weight_matching(g: Graph, edge_weights) -> Matching:
 
     def augment_through(b, v) -> None:
         # flip matched edges inside b along the even path from v to the
-        # base, then rotate the cycle so v becomes the new base
-        t = v
-        while parent_of[t] != b:
-            t = parent_of[t]
-        if isinstance(t, _Blossom):
-            augment_through(t, v)
-        i = j = b.children.index(t)
-        if i & 1:
-            j -= len(b.children)
-            jstep = 1
-        else:
-            jstep = -1
-        while j != 0:
-            j += jstep
-            t = b.children[j]
-            if jstep == 1:
-                x, y = b.links[j]
+        # base, then rotate the cycle so v becomes the new base.  Nested
+        # blossoms on that path get the same treatment from an explicit
+        # stack: each one flips only its own vertices' mates, and every
+        # cycle is rotated after the blossoms inside it, so its new base
+        # is already v when it is read.
+        todo = [(b, v)]
+        rotations = []
+        while todo:
+            b, v = todo.pop()
+            t = v
+            while parent_of[t] != b:
+                t = parent_of[t]
+            if isinstance(t, _Blossom):
+                todo.append((t, v))
+            i = j = b.children.index(t)
+            if i & 1:
+                j -= len(b.children)
+                jstep = 1
             else:
-                y, x = b.links[j - 1]
-            if isinstance(t, _Blossom):
-                augment_through(t, x)
-            j += jstep
-            t = b.children[j]
-            if isinstance(t, _Blossom):
-                augment_through(t, y)
-            mate[x] = y
-            mate[y] = x
-        b.children = b.children[i:] + b.children[:i]
-        b.links = b.links[i:] + b.links[:i]
-        base_of[b] = base_of[b.children[0]]
-        assert base_of[b] == v
+                jstep = -1
+            while j != 0:
+                j += jstep
+                t = b.children[j]
+                if jstep == 1:
+                    x, y = b.links[j]
+                else:
+                    y, x = b.links[j - 1]
+                if isinstance(t, _Blossom):
+                    todo.append((t, x))
+                j += jstep
+                t = b.children[j]
+                if isinstance(t, _Blossom):
+                    todo.append((t, y))
+                mate[x] = y
+                mate[y] = x
+            rotations.append((b, v, i))
+        for b, v, i in reversed(rotations):
+            b.children = b.children[i:] + b.children[:i]
+            b.links = b.links[i:] + b.links[:i]
+            base_of[b] = base_of[b.children[0]]
+            assert base_of[b] == v
 
     def flip_path(s, t) -> None:
         # match outer vertex s to t (t None: leave s exposed) and flip the
@@ -649,166 +669,160 @@ def max_weight_matching(g: Graph, edge_weights) -> Matching:
                             f"edge {edge_id(i, j)} ({i}, {j}) is unmatched"
                         )
 
-    # expansion and augmentation recurse through nested blossoms
-    old_limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(old_limit, 2 * n + 200))
-    try:
-        while True:
-            # one stage per augmentation or retired root
-            label.clear()
-            label_edge.clear()
-            best_edge.clear()
-            for b in blossom_dual:
-                b.best_to_peers = None
-            allowed.clear()
-            queue[:] = []
-            for v in range(n):
-                if v not in mate and dual[v] > 0 and label.get(in_blossom[v]) is None:
-                    assign_label(v, 1, None)
-            if not queue:
-                # every exposed vertex has dual zero
-                break
-            stage_over = False
-            while not stage_over:
-                # one substage per dual adjustment
-                while queue and not stage_over:
-                    v = queue.pop()
-                    assert label[in_blossom[v]] == 1
-                    for w in adj[v]:
-                        bv = in_blossom[v]
-                        bw = in_blossom[w]
-                        if bv == bw:
-                            continue
-                        if (v, w) not in allowed:
-                            ks = slack(v, w)
-                            if ks <= 0:
-                                allowed[(v, w)] = allowed[(w, v)] = True
-                        if (v, w) in allowed:
-                            if label.get(bw) is None:
-                                if base_of[bw] in mate:
-                                    # free blossom: becomes inner, its base's
-                                    # mate becomes outer
-                                    assign_label(w, 2, v)
-                                else:
-                                    # free blossom whose base is exposed with
-                                    # dual zero: the path from v's root to
-                                    # that base augments
-                                    assert dual[base_of[bw]] == 0
-                                    flip_path(v, w)
-                                    if isinstance(bw, _Blossom):
-                                        augment_through(bw, w)
-                                    mate[w] = v
-                                    stage_over = True
-                                    break
-                            elif label.get(bw) == 1:
-                                # outer-outer edge: new blossom or augment
-                                bse = find_cycle_base(v, w)
-                                if bse is not None:
-                                    shrink_blossom(bse, v, w)
-                                else:
-                                    flip_path(v, w)
-                                    flip_path(w, v)
-                                    stage_over = True
-                                    break
-                            elif label.get(w) is None:
-                                # first reach of a vertex inside an inner
-                                # blossom; remember the entry edge for a
-                                # later mid-stage expansion
-                                assert label[bw] == 2
-                                label[w] = 2
-                                label_edge[w] = (v, w)
+    while True:
+        # one stage per augmentation or retired root
+        label.clear()
+        label_edge.clear()
+        best_edge.clear()
+        for b in blossom_dual:
+            b.best_to_peers = None
+        allowed.clear()
+        queue[:] = []
+        for v in range(n):
+            if v not in mate and dual[v] > 0 and label.get(in_blossom[v]) is None:
+                assign_label(v, 1, None)
+        if not queue:
+            # every exposed vertex has dual zero
+            break
+        stage_over = False
+        while not stage_over:
+            # one substage per dual adjustment
+            while queue and not stage_over:
+                v = queue.pop()
+                assert label[in_blossom[v]] == 1
+                for w in adj[v]:
+                    bv = in_blossom[v]
+                    bw = in_blossom[w]
+                    if bv == bw:
+                        continue
+                    if (v, w) not in allowed:
+                        ks = slack(v, w)
+                        if ks <= 0:
+                            allowed[(v, w)] = allowed[(w, v)] = True
+                    if (v, w) in allowed:
+                        if label.get(bw) is None:
+                            if base_of[bw] in mate:
+                                # free blossom: becomes inner, its base's
+                                # mate becomes outer
+                                assign_label(w, 2, v)
+                            else:
+                                # free blossom whose base is exposed with
+                                # dual zero: the path from v's root to
+                                # that base augments
+                                assert dual[base_of[bw]] == 0
+                                flip_path(v, w)
+                                if isinstance(bw, _Blossom):
+                                    augment_through(bw, w)
+                                mate[w] = v
+                                stage_over = True
+                                break
                         elif label.get(bw) == 1:
-                            if best_edge.get(bv) is None or ks < slack(*best_edge[bv]):
-                                best_edge[bv] = (v, w)
+                            # outer-outer edge: new blossom or augment
+                            bse = find_cycle_base(v, w)
+                            if bse is not None:
+                                shrink_blossom(bse, v, w)
+                            else:
+                                flip_path(v, w)
+                                flip_path(w, v)
+                                stage_over = True
+                                break
                         elif label.get(w) is None:
-                            if best_edge.get(w) is None or ks < slack(*best_edge[w]):
-                                best_edge[w] = (v, w)
-                if stage_over:
-                    break
+                            # first reach of a vertex inside an inner
+                            # blossom; remember the entry edge for a
+                            # later mid-stage expansion
+                            assert label[bw] == 2
+                            label[w] = 2
+                            label_edge[w] = (v, w)
+                    elif label.get(bw) == 1:
+                        if best_edge.get(bv) is None or ks < slack(*best_edge[bv]):
+                            best_edge[bv] = (v, w)
+                    elif label.get(w) is None:
+                        if best_edge.get(w) is None or ks < slack(*best_edge[w]):
+                            best_edge[w] = (v, w)
+            if stage_over:
+                break
 
-                # no augmenting path yet: squeeze slack out of the duals.
-                # delta candidates: 1 = smallest outer vertex dual, 2 =
-                # smallest slack to a free vertex, 3 = half the smallest
-                # outer-outer slack, 4 = smallest inner blossom dual
-                delta_type = 1
-                delta = delta_vertex = delta_edge = delta_blossom = None
-                d2 = d2_edge = None
-                for v in range(n):
-                    lbl = label.get(in_blossom[v])
-                    if lbl == 1:
-                        if delta is None or dual[v] < delta:
-                            delta = dual[v]
-                            delta_vertex = v
-                    elif lbl is None and best_edge.get(v) is not None:
-                        d = slack(*best_edge[v])
-                        if d2 is None or d < d2:
-                            d2 = d
-                            d2_edge = best_edge[v]
-                if d2 is not None and d2 < delta:
-                    delta = d2
-                    delta_type = 2
-                    delta_edge = d2_edge
-                for b in parent_of:
-                    if (
-                        parent_of[b] is None
-                        and label.get(b) == 1
-                        and best_edge.get(b) is not None
-                    ):
-                        ks = slack(*best_edge[b])
-                        if ks % 2 != 0:
-                            x, y = best_edge[b]
-                            raise internal_error(
-                                f"odd slack {ks} on outer-outer edge {edge_id(x, y)} ({x}, {y})"
-                            )
-                        d = ks // 2
-                        if d < delta:
-                            delta = d
-                            delta_type = 3
-                            delta_edge = best_edge[b]
-                for b in blossom_dual:
-                    if parent_of[b] is None and label.get(b) == 2 and blossom_dual[b] < delta:
-                        delta = blossom_dual[b]
-                        delta_type = 4
-                        delta_blossom = b
-                for v in range(n):
-                    lbl = label.get(in_blossom[v])
-                    if lbl == 1:
-                        dual[v] -= delta
-                    elif lbl == 2:
-                        dual[v] += delta
-                for b in blossom_dual:
-                    if parent_of[b] is None:
-                        if label.get(b) == 1:
-                            blossom_dual[b] += delta
-                        elif label.get(b) == 2:
-                            blossom_dual[b] -= delta
-                if delta_type == 1:
-                    # an outer dual hit zero: that vertex takes over as its
-                    # tree's exposed vertex and the root is matched (or
-                    # retired, when it is the root itself)
-                    flip_path(delta_vertex, None)
-                    stage_over = True
-                elif delta_type == 2:
-                    x, y = delta_edge
-                    assert label[in_blossom[x]] == 1
-                    allowed[(x, y)] = allowed[(y, x)] = True
-                    queue.append(x)
-                elif delta_type == 3:
-                    x, y = delta_edge
-                    allowed[(x, y)] = allowed[(y, x)] = True
-                    assert label[in_blossom[x]] == 1
-                    queue.append(x)
-                elif delta_type == 4:
-                    expand_blossom(delta_blossom, False)
-            # stage done: drop outer blossoms whose dual fell to zero
-            for b in list(blossom_dual.keys()):
-                if b not in blossom_dual:
-                    continue
-                if parent_of[b] is None and label.get(b) == 1 and blossom_dual[b] == 0:
-                    expand_blossom(b, True)
-        verify_optimum()
-    finally:
-        sys.setrecursionlimit(old_limit)
+            # no augmenting path yet: squeeze slack out of the duals.
+            # delta candidates: 1 = smallest outer vertex dual, 2 =
+            # smallest slack to a free vertex, 3 = half the smallest
+            # outer-outer slack, 4 = smallest inner blossom dual
+            delta_type = 1
+            delta = delta_vertex = delta_edge = delta_blossom = None
+            d2 = d2_edge = None
+            for v in range(n):
+                lbl = label.get(in_blossom[v])
+                if lbl == 1:
+                    if delta is None or dual[v] < delta:
+                        delta = dual[v]
+                        delta_vertex = v
+                elif lbl is None and best_edge.get(v) is not None:
+                    d = slack(*best_edge[v])
+                    if d2 is None or d < d2:
+                        d2 = d
+                        d2_edge = best_edge[v]
+            if d2 is not None and d2 < delta:
+                delta = d2
+                delta_type = 2
+                delta_edge = d2_edge
+            for b in parent_of:
+                if (
+                    parent_of[b] is None
+                    and label.get(b) == 1
+                    and best_edge.get(b) is not None
+                ):
+                    ks = slack(*best_edge[b])
+                    if ks % 2 != 0:
+                        x, y = best_edge[b]
+                        raise internal_error(
+                            f"odd slack {ks} on outer-outer edge {edge_id(x, y)} ({x}, {y})"
+                        )
+                    d = ks // 2
+                    if d < delta:
+                        delta = d
+                        delta_type = 3
+                        delta_edge = best_edge[b]
+            for b in blossom_dual:
+                if parent_of[b] is None and label.get(b) == 2 and blossom_dual[b] < delta:
+                    delta = blossom_dual[b]
+                    delta_type = 4
+                    delta_blossom = b
+            for v in range(n):
+                lbl = label.get(in_blossom[v])
+                if lbl == 1:
+                    dual[v] -= delta
+                elif lbl == 2:
+                    dual[v] += delta
+            for b in blossom_dual:
+                if parent_of[b] is None:
+                    if label.get(b) == 1:
+                        blossom_dual[b] += delta
+                    elif label.get(b) == 2:
+                        blossom_dual[b] -= delta
+            if delta_type == 1:
+                # an outer dual hit zero: that vertex takes over as its
+                # tree's exposed vertex and the root is matched (or
+                # retired, when it is the root itself)
+                flip_path(delta_vertex, None)
+                stage_over = True
+            elif delta_type == 2:
+                x, y = delta_edge
+                assert label[in_blossom[x]] == 1
+                allowed[(x, y)] = allowed[(y, x)] = True
+                queue.append(x)
+            elif delta_type == 3:
+                x, y = delta_edge
+                allowed[(x, y)] = allowed[(y, x)] = True
+                assert label[in_blossom[x]] == 1
+                queue.append(x)
+            elif delta_type == 4:
+                expand_blossom(delta_blossom, False)
+        # stage done: drop outer blossoms whose dual fell to zero
+        for b in list(blossom_dual.keys()):
+            if b not in blossom_dual:
+                continue
+            if parent_of[b] is None and label.get(b) == 1 and blossom_dual[b] == 0:
+                expand_blossom(b, True)
+    verify_optimum()
 
     mate_list = [-1] * n
     for v, w in mate.items():

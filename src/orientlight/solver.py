@@ -1,18 +1,22 @@
 """End-to-end pipeline from input graph to certified optimal orientation.
 
-The pipeline: peel the input to a core and build the core's gadget
-graph (build_gprime), compute one maximum matching, read the core
-orientation back off the matching, and map it onto the input edges next
-to the tails the peel fixed.  The matching value yields a certificate:
-on the core the optimal light count is 2m - |M| (unweighted) or
-Q - w(M) (weighted), and the peeled vertices that stay light contribute
-the offset.  Both identities are recounted on the final orientation; a
-mismatch raises an internal error instead of returning a wrong answer.
+The pipeline: shrink the input to a core and build the core's gadget
+graph (build_gprime: a peel, a flow that settles every vertex with no
+directed path to a vertex left short of its target, and a second peel
+on the rest), compute one maximum matching, read the core orientation
+back off the matching, and map it onto the input edges next to the
+tails the kernel fixed.  The matching value yields a certificate: on
+the core the optimal light count is 2m - |M| (unweighted) or Q - w(M)
+(weighted), and the vertices the kernel settled light contribute the
+offset.  The kernel is sound because some optimal orientation agrees
+with every tail it fixes (see ReducedGraph).  Both identities are
+recounted on the final orientation; a mismatch raises an internal error
+instead of returning a wrong answer.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from time import perf_counter
 
@@ -48,12 +52,14 @@ class Certificate:
     """Optimality certificate: objective = constant - matching_value + offset.
 
     constant is 2m (unweighted) or Q = sum(d(v) c_v) (weighted) over the
-    peeled core, and constant - matching_value is the core's optimal
-    light total.  offset is the count (or cost) of the peeled vertices
-    that stay light, so it is never negative.  The sum is the optimum of
-    the input because peeling is sound: the out-edges it gives a
-    neighbour never hurt it, and a peeled vertex's status is already
-    fixed when it is peeled.
+    core build_gprime leaves, and constant - matching_value is the
+    core's optimal light total.  offset is the count (or cost) of the
+    vertices outside that core that stay light: those the peels left
+    light, plus, in weighted mode, zero-cost vertices the flow settled
+    below out-degree 2, which add nothing.  It is never negative.  The
+    sum is the optimum of the input because the kernel is sound: some
+    optimal orientation agrees with every tail it fixes (ReducedGraph
+    gives the argument).
     """
 
     matching_value: int | Fraction
@@ -71,10 +77,17 @@ class Solution:
 
 @dataclass(frozen=True)
 class SolveStats:
-    """Instance and phase statistics for one solve."""
+    """Instance and phase statistics for one solve.
+
+    peel_core_* is the core after the first peel, core_* the core the
+    flow kernel leaves for the gadget, and reduced_* the gadget graph,
+    which reduction holds.
+    """
 
     n: int
     m: int
+    peel_core_vertices: int
+    peel_core_edges: int
     core_vertices: int
     core_edges: int
     reduced_vertices: int
@@ -82,6 +95,7 @@ class SolveStats:
     reduce_seconds: float
     match_seconds: float
     recover_seconds: float
+    reduction: ReducedGraph = field(repr=False, compare=False)
 
 
 def matching_from_orientation(r: ReducedGraph, o: Orientation) -> Matching:
@@ -123,8 +137,8 @@ def normalize_gadget_matching(r: ReducedGraph, m: Matching, v: int) -> Matching:
     Requires a maximal matching, as the counts above do not hold
     otherwise.  With every gadget normalized, the matching's size (or
     weight) is 2m (or Q) minus the core's light total; the vertices the
-    peel removed are already settled, since their extra out-edges never
-    hurt a core vertex and their own status was fixed when peeled.
+    kernel removed are already settled, since the tails it fixed never
+    hurt a core vertex and their own status was fixed when removed.
     """
     core = r.core
     if not 0 <= v < core.n:
@@ -236,7 +250,7 @@ def solve_with_stats(
         matching_units = matching.size
     t2 = perf_counter()
 
-    # map the core orientation onto the input edges next to the peeled tails
+    # map the core orientation onto the input edges next to the kernel's tails
     o_core = recover_orientation(r, matching)
     tails = list(r.peeled_tails)
     for f, e in enumerate(r.core_edge_to_input):
@@ -271,6 +285,8 @@ def solve_with_stats(
     stats = SolveStats(
         n=g.n,
         m=g.m,
+        peel_core_vertices=r.peel_core_vertices,
+        peel_core_edges=r.peel_core_edges,
         core_vertices=r.core.n,
         core_edges=r.core.m,
         reduced_vertices=r.gprime.n,
@@ -278,6 +294,7 @@ def solve_with_stats(
         reduce_seconds=t1 - t0,
         match_seconds=t2 - t1,
         recover_seconds=t3 - t2,
+        reduction=r,
     )
     solution = Solution(orientation, light, costs.as_value(objective_units), cert)
     return solution, stats

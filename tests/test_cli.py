@@ -89,6 +89,7 @@ class TestSolve:
         gp = parse_graph(target.read_text())
         assert (gp.n, gp.m) == (9, 9)
         sidecar = json.loads((tmp_path / "gprime.graph.json").read_text())
+        assert (sidecar["peel_core_vertices"], sidecar["peel_core_edges"]) == (3, 3)
         assert sidecar["core_vertices"] == 3
         assert len(sidecar["connector"]) == 3
         assert len(sidecar["edge_owner"]) == gp.m
@@ -111,6 +112,19 @@ class TestSolve:
         assert sidecar["parity_edge"][2] == -1
         gp = parse_graph(target.read_text())
         assert (gp.n, gp.m) == (5 * 3 - 5, len(sidecar["edge_owner"]))
+
+    def test_dump_reduction_reports_both_core_sizes(self, capsys, tmp_path):
+        # K5 is its own peeled core, and the flow settles all of it: a
+        # regular tournament gives every vertex out-degree 2
+        g = tmp_path / "k5.graph"
+        g.write_text("5 10\n" + "".join(f"{u} {v}\n" for u in range(1, 6) for v in range(u + 1, 6)))
+        target = tmp_path / "gprime.graph"
+        rc, _, _ = run(capsys, "solve", g, "--dump-reduction", target)
+        assert rc == 0
+        sidecar = json.loads((tmp_path / "gprime.graph.json").read_text())
+        assert (sidecar["peel_core_vertices"], sidecar["peel_core_edges"]) == (5, 10)
+        assert (sidecar["core_vertices"], sidecar["core_edges"]) == (0, 0)
+        assert parse_graph(target.read_text()).n == 0
 
     def test_huge_vertex_count_rejected(self, capsys, tmp_path):
         # rejected at the header, before any per-vertex allocation
@@ -252,6 +266,7 @@ class TestBench:
         rows = out.strip().splitlines()
         assert len(rows) == 2
         assert all("objective=" in row for row in rows)
+        assert all("peel_n=" in row and "core_n=" in row for row in rows)
 
     def test_deterministic(self, capsys):
         args = ("bench", "n=9,m=14", "--seed", "5")

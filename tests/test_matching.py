@@ -1,5 +1,7 @@
 """Both matching engines plus the matching utility types."""
 
+import sys
+
 import pytest
 
 from conftest import (
@@ -44,9 +46,45 @@ def pendant_heavy_graph(n: int, chords: int, seed: int) -> Graph:
 
 def positive_costs(n: int, top: int, seed: int) -> VertexWeights:
     """Costs in hundredths, 1..top units each, so a small top forces many
-    ties.  The zero weights come from _check_against_networkx instead."""
+    ties.  The zero weights come from zero_a_tenth instead."""
     rng = SplitMix64(seed)
     return VertexWeights(tuple(1 + rng.next_below(top) for _ in range(n)), 100)
+
+
+# (n, seed, top): 2-cores of 3n-vertex draws at average degree 3.2, which
+# the flow kernel keeps whole (positive costs give it the unweighted
+# targets), with costs 1..top: gadgets of 1000-1732 vertices.  The size
+# floors in weighted_gadget keep a kernel change from shrinking them.
+WEIGHTED_GADGETS = [(60, 31, 1000), (80, 32, 1000), (100, 33, 10)]
+
+
+def zero_a_tenth(r, seed: int) -> tuple[Graph, tuple[int, ...]]:
+    """The gadget graph with a tenth of its edge weights zeroed, so zero
+    weights reach the engine scattered over the gadget, not owned by
+    whole vertices."""
+    rng = SplitMix64(seed)
+    wts = tuple(0 if rng.next_below(10) == 0 else w for w in r.edge_weights)
+    assert 0 in wts
+    return r.gprime, wts
+
+
+def weighted_gadget(n: int, seed: int, top: int) -> tuple[Graph, tuple[int, ...]]:
+    core = random_core(3 * n, 3.2 / (3 * n - 1), seed)
+    assert core is not None
+    r = build_gprime(core, positive_costs(core.n, top, seed))
+    assert r.core == core
+    assert r.gprime.n >= {60: 850, 80: 1074, 100: 1449}[n]
+    return zero_a_tenth(r, seed)
+
+
+def pendant_heavy_weighted_gadget() -> tuple[Graph, tuple[int, ...]]:
+    # a core with 128 demand-1 vertices, kept whole; a gadget of 945
+    # vertices
+    g = pendant_heavy_graph(400, 120, 41)
+    r = build_gprime(g, positive_costs(g.n, 1000, 41))
+    assert r.core.n == r.peel_core_vertices
+    assert r.gprime.n >= 945
+    return zero_a_tenth(r, 41)
 
 
 class TestMatchingType:
@@ -200,16 +238,25 @@ class TestMaxCardinality:
 
     @pytest.mark.parametrize("n, seed", [(100, 11), (150, 12), (180, 13)])
     def test_agrees_with_networkx_on_random_gadgets(self, n, seed):
-        # 2-cores of m ~ 3.15n draws give gadgets of 1355-2473 vertices,
-        # far above the brute-force caps
-        core = random_core(n, 6.3 / (n - 1), seed)
-        self._check_against_networkx(build_gprime(core).gprime)
+        # 2-cores of 3n-vertex draws at average degree 3.2, which the flow
+        # kernel keeps whole: gadgets of 1636-2924 vertices, far above the
+        # brute-force caps; the floors keep a kernel change from shrinking
+        # them
+        core = random_core(3 * n, 3.2 / (3 * n - 1), seed)
+        assert core is not None
+        r = build_gprime(core)
+        assert r.core == core
+        assert r.gprime.n >= {100: 1355, 150: 1994, 180: 2473}[n]
+        self._check_against_networkx(r.gprime)
 
     @pytest.mark.parametrize("seed", [21, 22])
     def test_agrees_with_networkx_on_pendant_heavy_gadgets(self, seed):
-        # peeled to cores with 277 and 278 demand-1 vertices; gadgets of 1882
-        # and 1978 vertices
-        self._check_against_networkx(build_gprime(pendant_heavy_graph(1000, 275, seed)).gprime)
+        # peeled to cores with 277 and 278 demand-1 vertices, which the
+        # flow kernel keeps whole; gadgets of 1882 and 1978 vertices
+        r = build_gprime(pendant_heavy_graph(1000, 275, seed))
+        assert r.core.n == r.peel_core_vertices
+        assert r.gprime.n >= {21: 1882, 22: 1978}[seed]
+        self._check_against_networkx(r.gprime)
 
     @staticmethod
     def _check_against_networkx(g):
@@ -353,27 +400,44 @@ class TestMaxWeight:
         assert got.weight_units(wts) == brute_force_max_matching(g, wts).weight_units(wts)
         assert max_weight_matching(g, wts) == got
 
-    @pytest.mark.parametrize("n, seed, top", [(60, 31, 1000), (80, 32, 1000), (100, 33, 10)])
+    @pytest.mark.parametrize("n, seed, top", WEIGHTED_GADGETS)
     def test_agrees_with_networkx_on_weighted_gadgets(self, n, seed, top):
-        # 2-cores of m ~ 3.15n draws give gadgets of 850-1449 vertices, far
-        # above the brute-force caps
-        core = random_core(n, 6.3 / (n - 1), seed)
-        self._check_against_networkx(build_gprime(core, positive_costs(core.n, top, seed)), seed)
+        self._check_against_networkx(*weighted_gadget(n, seed, top))
 
     def test_agrees_with_networkx_on_a_pendant_heavy_weighted_gadget(self):
-        # a core with 128 demand-1 vertices; a gadget of 945 vertices
-        g = pendant_heavy_graph(400, 120, 41)
-        self._check_against_networkx(build_gprime(g, positive_costs(g.n, 1000, 41)), 41)
+        self._check_against_networkx(*pendant_heavy_weighted_gadget())
+
+    def test_leaves_the_recursion_limit_alone(self, monkeypatch):
+        # nested blossoms are walked with explicit stacks, so the engine
+        # never changes the interpreter-wide recursion limit
+        def refuse(limit):
+            raise AssertionError(f"the engine set the recursion limit to {limit}")
+
+        monkeypatch.setattr(sys, "setrecursionlimit", refuse)
+        gadgets = [weighted_gadget(*case) for case in WEIGHTED_GADGETS]
+        for g, wts in gadgets + [pendant_heavy_weighted_gadget()]:
+            m = max_weight_matching(g, wts)
+            ok, why = is_valid_matching(g, m)
+            assert ok, why
+
+    def test_nested_blossoms(self):
+        # found by a search with a copy of the engine that counts events:
+        # three blossoms form, two of them around an earlier blossom, an
+        # augmentation runs through two nested blossoms, and the end of a
+        # stage expands two zero-dual sub-blossoms
+        g = Graph(8, (
+            (0, 1), (1, 4), (1, 5), (1, 6), (1, 7), (2, 3), (2, 4),
+            (2, 7), (3, 4), (3, 6), (4, 5), (5, 6), (6, 7),
+        ))
+        wts = (11, 12, 9, 4, 12, 11, 11, 6, 2, 1, 3, 2, 1)
+        got = max_weight_matching(g, wts)
+        ok, why = is_valid_matching(g, got)
+        assert ok, why
+        assert got.weight_units(wts) == brute_force_max_matching(g, wts).weight_units(wts)
 
     @staticmethod
-    def _check_against_networkx(r, seed):
-        # zero a tenth of the gadget's edge weights, so zero weights reach
-        # the engine scattered over the gadget, not owned by whole vertices
+    def _check_against_networkx(g, wts):
         nx = pytest.importorskip("networkx")
-        rng = SplitMix64(seed)
-        g = r.gprime
-        wts = tuple(0 if rng.next_below(10) == 0 else w for w in r.edge_weights)
-        assert 0 in wts
         m = max_weight_matching(g, wts)
         ok, why = is_valid_matching(g, m)
         assert ok, why

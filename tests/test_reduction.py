@@ -7,16 +7,19 @@ from conftest import (
     cycle_graph,
     petersen_graph,
     random_core,
-    two_core,
+    wheel_graph,
 )
 from orientlight import (
+    Certificate,
     Graph,
     VertexWeights,
+    brute_force_min_light,
     build_gprime,
     random_graph,
     random_weights,
     solve_min_light,
 )
+from orientlight import reduction
 
 
 def size_formulas(r):
@@ -53,10 +56,10 @@ class TestEliminateDegreeOne:
         assert r.peeled_tails == (-1,) * 4
 
     def test_original_edges_preserved(self):
-        # every input edge is either a core edge or oriented by the peel,
-        # never both, and a peeled tail is an endpoint of its edge
+        # every input edge is either a core edge or oriented by the kernel,
+        # never both, and a fixed tail is an endpoint of its edge
         for seed in range(10):
-            g = random_graph(12, 0.25, seed)
+            g = random_graph(18, 2.8 / 17, seed)
             r = build_gprime(g)
             core_edges = set(r.core_edge_to_input)
             for e, (u, v) in enumerate(g.edges):
@@ -67,11 +70,18 @@ class TestEliminateDegreeOne:
 
     def test_idempotent(self):
         # a graph of minimum degree 2 peels to itself, so peeling its
-        # 2-core again changes nothing and keeps the paper's gadget
-        for seed in range(10):
-            core = two_core(random_graph(12, 0.3, seed))
+        # 2-core again changes nothing and keeps the paper's gadget; the
+        # draws are sparse 2-cores the flow kernel keeps whole
+        built = seed = 0
+        while built < 10:
+            core = random_core(16, 3.0 / 15, seed)
+            seed += 1
+            if core is None:
+                continue
+            built += 1
             r = build_gprime(core)
             assert r.core == core
+            assert r.peel_core_vertices == core.n
             assert r.demand == (2,) * core.n
             assert r.core_to_input == tuple(range(core.n))
             assert r.peeled_light == ()
@@ -100,7 +110,7 @@ class TestStripIsolated:
 
     def test_edge_order_preserved(self):
         for seed in range(10):
-            g = random_graph(12, 0.3, seed)
+            g = random_graph(18, 2.8 / 17, seed)
             r = build_gprime(g)
             assert list(r.core_edge_to_input) == sorted(r.core_edge_to_input)
             assert list(r.core_to_input) == sorted(r.core_to_input)
@@ -118,29 +128,29 @@ class TestPeel:
         assert set(r.peeled_light) >= {0, 2, 4, 5, 7, 8, 9, 10}
         assert all(t != -1 for t in r.peeled_tails)
 
-    def test_zero_cost_vertices_stay_in_core(self):
-        # zero costs do not peel: the 6-cycle is its own core, the edges
-        # its zero-cost vertices own weigh 0, and the matching still finds
-        # the orientation that makes every cost-5 vertex heavy
+    def test_zero_cost_cycle_empties_core(self):
+        # zero-cost vertices have target 0, so the flow can give each
+        # cost-5 vertex both its edges: the 6-cycle is settled whole,
+        # its zero-cost vertices are the light ones, and they cost 0
         g = cycle_graph(6)
         w = VertexWeights((0, 5, 0, 5, 0, 5))
         r = build_gprime(g, w)
-        assert (r.core.n, r.core.m, r.gprime.n) == (6, 6, 18)
-        assert r.peeled_light == ()
-        assert {r.edge_weights[e] for e in r.gadget_bucket(0)} == {0}
+        assert (r.peel_core_vertices, r.peel_core_edges) == (6, 6)
+        assert (r.core.n, r.core.m, r.gprime.n) == (0, 0, 0)
+        assert r.peeled_light == (0, 2, 4)
         sol = solve_min_light(g, w)
         assert sol.objective == 0
-        assert sol.certificate.offset == 0
-        assert sol.certificate.constant == sol.certificate.matching_value == 30
+        assert sol.light_set == {0, 2, 4}
+        assert sol.certificate == Certificate(0, 0, 0)
 
     def test_core_degree_at_least_demand(self):
         # every core vertex has demand 1 or 2 and degree at least its
-        # demand; the demand is 2 minus the out-edges the peel already
-        # gave it
+        # demand; the demand is 2 minus the out-edges the kernel already
+        # gave it.  Every other draw carries costs with zeros among them.
         demands = set()
         for seed in range(30):
-            g = random_graph(14, 0.2, seed)
-            w = random_weights(g.n, 4, seed + 1)
+            g = random_graph(28, 2.8 / 27, seed)
+            w = random_weights(g.n, 4, seed + 1) if seed % 2 else None
             r = build_gprime(g, w)
             fixed = [r.peeled_tails.count(v) for v in range(g.n)]
             for c, v in enumerate(r.core_to_input):
@@ -153,8 +163,8 @@ class TestPeel:
         assert demands == {1, 2}
 
     def test_peeled_light_is_fixed(self):
-        # a peeled light vertex stays light under any orientation of the
-        # core edges, and a peeled heavy one stays heavy
+        # a light vertex outside the core stays light under any
+        # orientation of the core edges, and a heavy one stays heavy
         for seed in range(20):
             g = random_graph(10, 0.25, seed)
             r = build_gprime(g)
@@ -235,9 +245,10 @@ class TestBuildGprime:
             assert set(r.gprime.edges[r.parity_edge[v]]) == want
 
     def test_buckets_partition_all_edges(self):
-        core = random_core(9, 0.4, 17)
+        core = random_core(12, 3.0 / 11, 14)
         assert core is not None
         r = build_gprime(core)
+        assert r.core == core
         seen = {}
         for v in range(core.n):
             for eid in r.gadget_bucket(v):
@@ -295,12 +306,15 @@ class TestQuotientQ:
         assert solve_min_light(k3, VertexWeights((5, 1, 1))).certificate.constant == 14
 
     def test_all_ones_gives_2m(self):
-        g = complete_graph(5)
-        assert solve_min_light(g, VertexWeights.ones(5)).certificate.constant == 2 * g.m
+        # a wheel with 6 spokes has 12 edges on 7 vertices, too few for
+        # the flow to settle anything, so the whole wheel is the core
+        g = wheel_graph(6)
+        assert build_gprime(g).core == g
+        assert solve_min_light(g, VertexWeights.ones(7)).certificate.constant == 2 * g.m
         assert solve_min_light(g).certificate.constant == 2 * g.m
 
     def test_zero_weights(self, c4):
-        # the whole cycle stays in the core, but every cost in Q is zero
+        # every vertex has target 0, so the flow settles the whole cycle
         sol = solve_min_light(c4, VertexWeights((0, 0, 0, 0)))
         assert sol.certificate.constant == 0
         assert sol.objective == 0
@@ -308,7 +322,7 @@ class TestQuotientQ:
     def test_matches_edge_sum(self):
         checked = 0
         for seed in range(40):
-            g = random_graph(10, 0.35, seed)
+            g = random_graph(40, 2.6 / 39, seed)
             w = random_weights(g.n, 9, seed + 1)
             r = build_gprime(g, w)
             cost = [w.unit(v) for v in r.core_to_input]
@@ -317,3 +331,80 @@ class TestQuotientQ:
             assert solve_min_light(g, w).certificate.constant == want
             checked += by_edges > 0
         assert checked >= 20
+
+
+class TestFlowKernel:
+    """The flow step of build_gprime: settle what can meet its target."""
+
+    def test_matches_the_oracle_where_a_core_is_left(self):
+        # both modes, every other instance with costs 0..3; the lemma does
+        # real work where the flow settles part of the peeled core and
+        # leaves the rest to the matching
+        checked = left = partial = 0
+        seed = 70_000
+        while checked < 300:
+            n = 5 + checked % 7
+            g = random_graph(n, 0.45, seed)
+            w = random_weights(n, 3, seed + 1) if checked % 2 else None
+            seed += 2
+            if g.m > 14:
+                continue
+            r = build_gprime(g, w)
+            sol = solve_min_light(g, w)
+            want, _ = brute_force_min_light(g, 1, w)
+            assert sol.objective == want, f"seed {seed - 2}"
+            c = sol.certificate
+            assert sol.objective == c.constant - c.matching_value + c.offset
+            checked += 1
+            left += r.core.n > 0
+            partial += 0 < r.core.n < r.peel_core_vertices
+        assert left >= 150, left
+        assert partial >= 30, partial
+
+    def test_outside_the_core_everything_is_settled(self):
+        # every vertex outside the final core is light in peeled_light or
+        # has out-degree 2 from the fixed tails alone, and every fixed
+        # edge between the core and the rest leaves the core
+        for seed in range(40):
+            g = random_graph(30, (2.0 + seed % 5) / 29, seed)
+            w = random_weights(g.n, 3, seed + 1) if seed % 2 else None
+            r = build_gprime(g, w)
+            core = set(r.core_to_input)
+            light = set(r.peeled_light)
+            fixed_out = [0] * g.n
+            for t in r.peeled_tails:
+                if t != -1:
+                    fixed_out[t] += 1
+            for v in range(g.n):
+                if v not in core:
+                    assert (v in light) != (fixed_out[v] >= 2), f"seed {seed}, vertex {v}"
+            for e, (u, v) in enumerate(g.edges):
+                t = r.peeled_tails[e]
+                if (u in core) != (v in core):
+                    assert t in core, f"seed {seed}: edge {e} enters the core"
+                else:
+                    assert (t == -1) == (u in core), f"seed {seed}, edge {e}"
+
+    @pytest.mark.parametrize("weights_max", [None, 10])
+    def test_shrinks_dense_random_graphs(self, weights_max):
+        # at m ~ 3n almost every vertex can be made heavy: the kernel
+        # must leave at most a few percent of the input to the matching
+        g = random_graph(1000, 6 / 999, 1)
+        w = random_weights(g.n, weights_max, 2) if weights_max else None
+        r = build_gprime(g, w)
+        assert r.peel_core_vertices > 900
+        assert r.core.n <= 30, f"{r.core.n} core vertices left"
+
+    def test_flow_edge_into_the_region_is_an_internal_error(self, monkeypatch):
+        # vertex 0 of K5 claimed as the whole deficient region: the flow
+        # points some edges into it, which the kernel must refuse
+        real = reduction._deficient_region
+
+        def claim_vertex_zero(g, tails, target):
+            flow, _ = real(g, tails, target)
+            return flow, [v == 0 for v in range(g.n)]
+
+        monkeypatch.setattr(reduction, "_deficient_region", claim_vertex_zero)
+        want = r"flow edge \d+ \(0, \d\) enters the deficient region \(n=5, m=10\)"
+        with pytest.raises(RuntimeError, match=want):
+            build_gprime(complete_graph(5))

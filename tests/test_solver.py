@@ -64,11 +64,12 @@ class TestMatchingFromOrientation:
         built = 0
         seed = 0
         while built < 20:
-            core = random_core(8, 0.4, seed)
+            core = random_core(12, 3.0 / 11, seed)
             seed += 1
             if core is None:
                 continue
             r = build_gprime(core)
+            assert r.core == core
             o = random_orientation(core, seed + 1000)
             m = matching_from_orientation(r, o)
             ok, why = is_valid_matching(r.gprime, m)
@@ -111,17 +112,21 @@ class TestNormalizeGadgetMatching:
         assert m.matched_edge_ids - n.matched_edge_ids <= set(r.gadget_bucket(0))
 
     def test_parity_swap_case_adds_one_edge(self):
-        # K5 vertex 0: parity matched plus two far-side connecting edges
-        # gives k=2; both inner vertices are exposed
-        k5 = complete_graph(5)
-        r = build_gprime(k5)
+        # vertex 0 joined to four vertices of an 8-cycle, too sparse for
+        # the flow kernel to settle: parity matched plus two far-side
+        # connecting edges gives k=2; both inner vertices are exposed
+        rim = tuple((i, i % 8 + 1) for i in range(1, 9))
+        g = Graph(9, ((0, 1), (0, 2), (0, 3), (0, 4)) + rim)
+        r = build_gprime(g)
+        assert r.core == g
+        assert r.gprime.n == 42
         sides = [r.side_edges[0][2], r.side_edges[0][3]]
         m = Matching.from_edge_ids(r.gprime, sides + [r.parity_edge[0]])
         assert side_count(r, m, 0) == 2
         n = normalize_gadget_matching(r, m, 0)
         assert n.size == m.size + 1
         assert r.parity_edge[0] not in n.matched_edge_ids
-        assert bucket_count(r, n, 0) == k5.degree(0)
+        assert bucket_count(r, n, 0) == g.degree(0)
         ok, why = is_valid_matching(r.gprime, n)
         assert ok, why
         # the freed parity ports are re-covered by the two inner vertices
@@ -162,11 +167,12 @@ class TestNormalizeGadgetMatching:
         seed = 500
         cases = {"k0_out": 0, "k0_in": 0, "k1": 0, "k2_in": 0, "k2_out": 0}
         while tried < 80:
-            core = random_core(9, 0.45, seed)
+            core = random_core(16, 3.0 / 15, seed)
             seed += 1
             if core is None:
                 continue
             r = build_gprime(core)
+            assert r.core == core
             m = random_maximal_matching(r.gprime, seed)
             v = tried % core.n
             d = core.degree(v)
@@ -224,11 +230,12 @@ class TestRecoverOrientation:
         built = 0
         seed = 4200
         while built < 15:
-            core = random_core(8, 0.45, seed)
+            core = random_core(12, 3.0 / 11, seed)
             seed += 1
             if core is None:
                 continue
             r = build_gprime(core)
+            assert r.core == core
             m = max_cardinality_matching(r.gprime)
             o = recover_orientation(r, m)
             for v in range(core.n):
@@ -240,11 +247,12 @@ class TestRecoverOrientation:
         built = 0
         seed = 8600
         while built < 15:
-            core = random_core(8, 0.45, seed)
+            core = random_core(12, 3.0 / 11, seed)
             seed += 1
             if core is None:
                 continue
             r = build_gprime(core)
+            assert r.core == core
             m = max_cardinality_matching(r.gprime)
             o = recover_orientation(r, m)
             assert len(light_vertices(core, o, 1)) <= 2 * core.m - m.size
@@ -373,7 +381,9 @@ class TestSolveProperties:
         assert isinstance(sol.objective, Fraction)
 
     def test_deterministic(self):
-        g = random_graph(12, 0.4, 9)
+        # sparse enough that the flow kernel leaves a core to match
+        g = random_graph(28, 2.8 / 27, 9)
+        assert solve_with_stats(g)[1].reduced_vertices > 0
         assert solve_min_light(g) == solve_min_light(g)
 
     def test_degree_one_chains_and_isolated_mix(self):
@@ -442,7 +452,9 @@ class TestSolveProperties:
         g = petersen_graph()
         sol, stats = solve_with_stats(g)
         assert (stats.n, stats.m) == (10, 15)
+        assert (stats.peel_core_vertices, stats.peel_core_edges) == (10, 15)
         assert (stats.core_vertices, stats.core_edges) == (10, 15)
+        assert stats.reduction.gprime.n == stats.reduced_vertices
         assert stats.reduced_vertices == 5 * 15 - 2 * 10
         assert stats.reduced_edges == sum(
             g.degree(v) ** 2 - g.degree(v) + 1 for v in range(g.n)
