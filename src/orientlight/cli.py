@@ -234,9 +234,15 @@ def _content_problems(
         )
     cert = claimed["certificate"]
     residual = cert["constant"] - cert["matching_value"] + cert["offset"]
-    if abs(float(claimed["objective"]) - float(residual)) > 1e-9 * max(
-        1.0, abs(float(residual))
-    ):
+    if isinstance(claimed["objective"], int) and isinstance(residual, int):
+        # all four are JSON integers: compare exactly, as the relative
+        # tolerance below lets large totals differ by whole units
+        broken = claimed["objective"] != residual
+    else:
+        broken = abs(float(claimed["objective"]) - float(residual)) > 1e-9 * max(
+            1.0, abs(float(residual))
+        )
+    if broken:
         out.append(
             "certificate identity fails: objective != constant - matching_value + offset"
         )

@@ -277,10 +277,25 @@ def out_degree(g: Graph, o: Orientation, v: int) -> int:
 
 
 def light_vertices(g: Graph, o: Orientation, k: int = 1) -> frozenset[int]:
-    """Vertices with out-degree at most k."""
+    """Vertices with out-degree at most k.
+
+    One O(n + m) pass over o.tails counts every vertex's out-degree and
+    checks each tail on the way.  Raises ValueError, as check_orientation
+    does, when o covers a different number of edges than g or a tail is
+    not an endpoint of its edge.
+    """
     if k < 0:
         raise ValueError("threshold must be nonnegative")
-    return frozenset(v for v in range(g.n) if out_degree(g, o, v) <= k)
+    tails, edges = o.tails, g.edges
+    if len(tails) != len(edges):
+        raise ValueError(f"orientation covers {len(tails)} edges, graph has {len(edges)}")
+    out = [0] * g.n
+    for e, t in enumerate(tails):
+        if t not in edges[e]:
+            u, v = edges[e]
+            raise ValueError(f"tail {t} of edge {e} is not one of its endpoints ({u}, {v})")
+        out[t] += 1
+    return frozenset([v for v, d in enumerate(out) if d <= k])
 
 
 def light_cost(g: Graph, o: Orientation, w: VertexWeights) -> int | Fraction:

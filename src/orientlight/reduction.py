@@ -14,6 +14,7 @@ whether the vertex meets its demand.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 
 from .graph import Graph, VertexWeights
 
@@ -127,7 +128,11 @@ def build_gprime(g: Graph, weights: VertexWeights | None = None) -> ReducedGraph
     remaining degree and one demand (never below 0).  A popped vertex
     whose demand is still positive stays light.  This is sound: the
     extra out-edges never hurt a neighbour, and a spent vertex's status
-    is already fixed (see ReducedGraph).
+    is already fixed (see ReducedGraph).  Every edge an unspent vertex
+    loses leaves it, so its remaining degree minus its demand stays
+    d - 2: the vertices of degree below 2 start spent, and any other
+    vertex is spent exactly when its demand, 2 minus its fixed
+    out-degree, reaches 0.
 
     Flow: every core vertex gets a target, its demand, or 0 for a
     zero-cost vertex in weighted mode, and _deficient_region orients the
@@ -137,6 +142,13 @@ def build_gprime(g: Graph, weights: VertexWeights | None = None) -> ReducedGraph
     edges keep the flow's direction (ReducedGraph gives the lemma) and
     each R vertex's demand drops by its crossing out-edges.  Peel again:
     the same peel runs on R under the lowered demands.
+
+    One flat list of tails is written in place by all three steps.  The
+    kernel makes two passes over the edges: the flow's greedy start, and
+    a final count of every vertex's out-degree, which yields the light
+    vertices outside the core and rechecks that the flow met every
+    target outside R.  Everything else touches only the edges of peeled
+    vertices, of the flow's searches and of R.
 
     With m core edges the gadget graph has 5m - sum(demand) vertices and
     sum(d^2 - (b - 1) d + [b = 2]) edges over core vertices of degree d
@@ -149,92 +161,88 @@ def build_gprime(g: Graph, weights: VertexWeights | None = None) -> ReducedGraph
     connecting edges) carries v's cost in integer units; without weights
     every edge weighs 1.
     """
-    if weights is not None and len(weights) != g.n:
-        raise ValueError(f"weights cover {len(weights)} vertices, graph has {g.n}")
-    left = [g.degree(v) for v in range(g.n)]
-    need = [2] * g.n
+    n = g.n
+    if weights is not None and len(weights) != n:
+        raise ValueError(f"weights cover {len(weights)} vertices, graph has {n}")
+    units = (1,) * n if weights is None else weights.units
+    edges = g.edges
+    adj = g.adjacency
     tails = [-1] * g.m
-    spent = [False] * g.n
+    out = [0] * n  # out-degree from the tails fixed so far
+    spent = [False] * n
 
-    def peel(candidates) -> None:
-        stack = []
-        for v in candidates:
-            if not spent[v] and (need[v] == 0 or left[v] < need[v]):
-                spent[v] = True
-                stack.append(v)
+    def peel(stack: list[int]) -> None:
+        for v in stack:
+            spent[v] = True
         while stack:
             v = stack.pop()
-            for e in g.adjacency[v]:
+            for e in adj[v]:
                 if tails[e] != -1:
                     continue
-                w = g.other_end(e, v)
+                a, b = edges[e]
+                w = a + b - v
                 tails[e] = w
-                left[w] -= 1
-                if need[w]:
-                    need[w] -= 1
-                if not spent[w] and (need[w] == 0 or left[w] < need[w]):
+                out[w] += 1
+                if out[w] >= 2 and not spent[w]:
                     spent[w] = True
                     stack.append(w)
 
-    peel(range(g.n))
+    peel([v for v in range(n) if len(adj[v]) < 2])
     peel_core_vertices, peel_core_edges = spent.count(False), tails.count(-1)
 
-    target = [
-        0 if spent[v] or (weights is not None and weights.unit(v) == 0) else need[v]
-        for v in range(g.n)
-    ]
-    flow_tails, in_region = _deficient_region(g, tails, target)
-    got = [0] * g.n
-    for e, (u, w) in enumerate(g.edges):
-        if tails[e] != -1 or (in_region[u] and in_region[w]):
-            continue
-        t = flow_tails[e]
-        if in_region[u] != in_region[w] and not in_region[t]:
-            raise RuntimeError(
-                f"internal error: flow edge {e} ({u}, {w}) enters the deficient "
-                f"region (n={g.n}, m={g.m})"
-            )
-        tails[e] = t
-        got[t] += 1
-        if in_region[t]:
-            left[t] -= 1
-            if need[t]:
-                need[t] -= 1
-    for v in range(g.n):
-        if not spent[v] and not in_region[v]:
-            if got[v] < target[v]:
+    target = [0 if s or c == 0 else 2 - o for s, o, c in zip(spent, out, units)]
+    tails, in_region = _deficient_region(g, tails, target)
+    region = list(compress(range(n), in_region))
+    for x in region:
+        for e in adj[x]:
+            a, b = edges[e]
+            w = a + b - x
+            if in_region[w]:
+                tails[e] = -1  # inside R: left to the second peel
+            elif tails[e] != x:
                 raise RuntimeError(
-                    f"internal error: vertex {v} outside the deficient region has "
-                    f"out-degree {got[v]} below its target {target[v]} (n={g.n}, m={g.m})"
+                    f"internal error: flow edge {e} ({a}, {b}) enters the deficient "
+                    f"region (n={n}, m={g.m})"
                 )
-            spent[v] = True
-    peel(v for v in range(g.n) if in_region[v])
+            elif not spent[w]:
+                out[x] += 1  # leaves R for a settled vertex: lowers x's demand
+    peel([v for v in region if out[v] >= 2])
 
-    out = [0] * g.n
+    # core edges keep tail -1 and count into the spare last slot
+    got = [0] * (n + 1)
     for t in tails:
-        if t != -1:
-            out[t] += 1
-    light = tuple(v for v in range(g.n) if spent[v] and out[v] < 2)
+        got[t] += 1
+    light = [v for v in range(n) if got[v] < 2 and (spent[v] or not in_region[v])]
+    for v in light:
+        if not spent[v] and target[v]:
+            raise RuntimeError(
+                f"internal error: vertex {v} outside the deficient region has "
+                f"out-degree {got[v]} below 2, its target {target[v]} unmet "
+                f"(n={n}, m={g.m})"
+            )
 
-    core_to_input = tuple(v for v in range(g.n) if not spent[v])
-    core_edge_to_input = tuple(e for e in range(g.m) if tails[e] == -1)
+    core_to_input = tuple(v for v in region if not spent[v])
+    core_edge_to_input = tuple(sorted(
+        e for v in core_to_input for e in adj[v] if tails[e] == -1 and edges[e][0] == v
+    ))
     new_id = {v: c for c, v in enumerate(core_to_input)}
     core = Graph(
         len(core_to_input),
-        tuple((new_id[g.edges[e][0]], new_id[g.edges[e][1]]) for e in core_edge_to_input),
+        tuple((new_id[edges[e][0]], new_id[edges[e][1]]) for e in core_edge_to_input),
     )
-    demand = tuple(need[v] for v in core_to_input)
+    demand = tuple(2 - out[v] for v in core_to_input)
+    unit = [units[v] for v in core_to_input]
     n, m = core.n, core.m
-    unit = [weights.unit(v) if weights is not None else 1 for v in core_to_input]
+    cadj = core.adjacency
 
     connector = tuple(3 * e + 1 for e in range(m))
     ports = tuple((3 * e, 3 * e + 2) for e in range(m))
     inner: list[tuple[int, ...]] = []
     nxt = 3 * m
     for v in range(n):
-        d = core.degree(v)
-        inner.append(tuple(range(nxt, nxt + d - demand[v])))
-        nxt += d - demand[v]
+        k = len(cadj[v]) - demand[v]
+        inner.append(tuple(range(nxt, nxt + k)))
+        nxt += k
 
     gp_edges: list[tuple[int, int]] = []
     wts: list[int] = []
@@ -250,7 +258,7 @@ def build_gprime(g: Graph, weights: VertexWeights | None = None) -> ReducedGraph
     gadget_edge_ids: list[tuple[int, ...]] = []
     parity: list[int] = []
     for v in range(n):
-        vports = [3 * e if core.edges[e][0] == v else 3 * e + 2 for e in core.adjacency[v]]
+        vports = [3 * e if core.edges[e][0] == v else 3 * e + 2 for e in cadj[v]]
         first = len(gp_edges)
         for i in inner[v]:
             gp_edges += [(i, p) for p in vports]
@@ -269,7 +277,7 @@ def build_gprime(g: Graph, weights: VertexWeights | None = None) -> ReducedGraph
         core_edge_to_input=core_edge_to_input,
         demand=demand,
         peeled_tails=tuple(tails),
-        peeled_light=light,
+        peeled_light=tuple(light),
         peel_core_vertices=peel_core_vertices,
         peel_core_edges=peel_core_edges,
         gprime=Graph(nxt, tuple(gp_edges)),
@@ -301,25 +309,30 @@ def _deficient_region(
     an edge leaving it, so the whole set retires and later searches skip
     it, as the Hungarian trees of max_cardinality_matching do.  Total
     work is one search per unit of deficit filled plus O(m) for the
-    failed ones.
+    failed ones.  The peel orients every settled edge at a core vertex
+    out of it, so the searches, which only follow in-edges of core
+    vertices, never meet one.
 
-    Returns the flow's tail per core edge (other entries copy tails) and
-    the retired vertices: exactly those with a directed path to a vertex
-    still below its target.
+    Writes the flow's tail into tails for every core edge and returns
+    tails and the retired vertices: exactly those with a directed path
+    to a vertex still below its target.
     """
-    flow = list(tails)
-    out = [0] * g.n
-    for e, (u, w) in enumerate(g.edges):
+    edges = g.edges
+    adj = g.adjacency
+    excess = [-t for t in target]  # out-degree over the core minus target
+    for e, (u, w) in enumerate(edges):
         if tails[e] == -1:
-            t = u if out[u] - target[u] <= out[w] - target[w] else w
-            flow[e] = t
-            out[t] += 1
-    retired = [False] * g.n
-    seen = [-1] * g.n
-    via = [-1] * g.n
+            t = u if excess[u] <= excess[w] else w
+            tails[e] = t
+            excess[t] += 1
+    n = g.n
+    retired = [False] * n
+    seen = [-1] * n
+    via = [-1] * n
     search = 0
-    for v in range(g.n):
-        while out[v] < target[v] and not retired[v]:
+    # a vertex at or above its target after the greedy start never drops below it
+    for v in [v for v in range(n) if excess[v] < 0]:
+        while excess[v] < 0 and not retired[v]:
             search += 1
             seen[v] = search
             reached = [v]
@@ -328,25 +341,26 @@ def _deficient_region(
             while found == -1 and i < len(reached):
                 x = reached[i]
                 i += 1
-                for e in g.adjacency[x]:
-                    u = flow[e]
-                    if tails[e] != -1 or u == x or seen[u] == search or retired[u]:
+                for e in adj[x]:
+                    u = tails[e]
+                    if u == x or seen[u] == search or retired[u]:
                         continue
                     seen[u] = search
                     via[u] = e
                     reached.append(u)
-                    if out[u] > target[u]:
+                    if excess[u] > 0:
                         found = u
                         break
             if found == -1:
                 for x in reached:
                     retired[x] = True
                 break
-            out[found] -= 1
-            out[v] += 1
+            excess[found] -= 1
+            excess[v] += 1
             x = found
             while x != v:
                 e = via[x]
-                x = g.other_end(e, x)
-                flow[e] = x
-    return flow, retired
+                a, b = edges[e]
+                x = a + b - x
+                tails[e] = x
+    return tails, retired

@@ -236,7 +236,8 @@ def solve_with_stats(
     weighted = weights is not None
     if weighted and any(u < 0 for u in weights.units):
         raise ValueError("negative vertex costs are not supported: that variant is NP-hard")
-    costs = weights if weighted else VertexWeights.ones(g.n)
+    # without weights every vertex costs one unit and a unit total is its value
+    units, as_value = (weights.units, weights.as_value) if weighted else ((1,) * g.n, int)
 
     t0 = perf_counter()
     r = build_gprime(g, weights)
@@ -252,34 +253,30 @@ def solve_with_stats(
 
     # map the core orientation onto the input edges next to the kernel's tails
     o_core = recover_orientation(r, matching)
+    core_to_input = r.core_to_input
     tails = list(r.peeled_tails)
-    for f, e in enumerate(r.core_edge_to_input):
-        tails[e] = r.core_to_input[o_core.tails[f]]
+    for e, t in zip(r.core_edge_to_input, o_core.tails):
+        tails[e] = core_to_input[t]
     orientation = Orientation(tuple(tails))
     light = light_vertices(g, orientation, 1)
 
-    constant_units = sum(
-        r.core.degree(c) * costs.unit(v) for c, v in enumerate(r.core_to_input)
-    )
-    offset_units = sum(costs.unit(v) for v in r.peeled_light)
+    core_units = [units[v] for v in core_to_input]
+    constant_units = sum(len(a) * c for a, c in zip(r.core.adjacency, core_units))
+    offset_units = sum([units[v] for v in r.peeled_light])
     predicted_core = constant_units - matching_units
-    core_count = sum(costs.unit(v) for v in r.core_to_input if v in light)
+    core_count = sum([c for v, c in zip(core_to_input, core_units) if v in light])
     if core_count != predicted_core:
         raise RuntimeError(
             f"internal error: core recount {core_count} disagrees with "
             f"certificate value {predicted_core}"
         )
-    objective_units = sum(costs.unit(v) for v in light)
+    objective_units = sum([units[v] for v in light])
     if objective_units != predicted_core + offset_units:
         raise RuntimeError(
             f"internal error: objective recount {objective_units} disagrees with "
             f"certificate {predicted_core} plus offset {offset_units}"
         )
-    cert = Certificate(
-        costs.as_value(matching_units),
-        costs.as_value(constant_units),
-        costs.as_value(offset_units),
-    )
+    cert = Certificate(as_value(matching_units), as_value(constant_units), as_value(offset_units))
     t3 = perf_counter()
 
     stats = SolveStats(
@@ -296,5 +293,5 @@ def solve_with_stats(
         recover_seconds=t3 - t2,
         reduction=r,
     )
-    solution = Solution(orientation, light, costs.as_value(objective_units), cert)
+    solution = Solution(orientation, light, as_value(objective_units), cert)
     return solution, stats

@@ -209,6 +209,21 @@ class TestVerify:
         assert rc == 1
         assert "certificate identity" in out
 
+    def test_certificate_identity_is_exact_on_large_integers(self, capsys, tmp_path):
+        # objective 10**10: a relative tolerance of 1e-9 would forgive an offset 7 off
+        g, w = tmp_path / "p2.graph", tmp_path / "p2.costs"
+        g.write_text("2 1\n1 2\n")
+        w.write_text("1 5000000000\n2 5000000000\n")
+        rc, out, _ = run(capsys, "solve", g, "--weights", w, "--json")
+        assert rc == 0
+        doc = json.loads(out)
+        assert doc["objective"] == 10**10
+        assert run(capsys, "verify", g, self.write_solution(tmp_path, doc), "--weights", w)[0] == 0
+        doc["certificate"]["offset"] += 7
+        rc, out, _ = run(capsys, "verify", g, self.write_solution(tmp_path, doc), "--weights", w)
+        assert rc == 1
+        assert "certificate identity" in out
+
     def test_rejects_missing_keys(self, capsys, tmp_path, k3_file):
         sol = self.write_solution(tmp_path, {"objective": 2})
         rc, out, _ = run(capsys, "verify", k3_file, sol)

@@ -169,6 +169,26 @@ class TestLightVertices:
         with pytest.raises(ValueError):
             light_vertices(k3, Orientation((0, 0, 1)), -1)
 
+    def test_agrees_with_out_degree(self):
+        for seed in range(10):
+            g = random_graph(12, 0.3, seed)
+            o = random_orientation(g, seed + 100)
+            for k in range(3):
+                want = {v for v in range(g.n) if out_degree(g, o, v) <= k}
+                assert light_vertices(g, o, k) == want
+
+    def test_rejects_orientation_of_wrong_length(self, k3):
+        with pytest.raises(ValueError, match="covers 2 edges, graph has 3"):
+            light_vertices(k3, Orientation((0, 1)), 1)
+        with pytest.raises(ValueError, match="covers 4 edges"):
+            light_vertices(k3, Orientation((0, 1, 0, 1)), 1)
+
+    @pytest.mark.parametrize("tail", [-1, 2])
+    def test_rejects_tail_off_its_edge(self, k3, tail):
+        # edge 0 is (0, 1); a plain count would charge tail -1 to vertex 2
+        with pytest.raises(ValueError, match=rf"tail {tail} of edge 0 is not one of its endpoints"):
+            light_vertices(k3, Orientation((tail, 1, 0)), 1)
+
 
 class TestVertexWeights:
     def test_rejects_negative_with_hardness_note(self):

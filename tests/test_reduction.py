@@ -408,3 +408,18 @@ class TestFlowKernel:
         want = r"flow edge \d+ \(0, \d\) enters the deficient region \(n=5, m=10\)"
         with pytest.raises(RuntimeError, match=want):
             build_gprime(complete_graph(5))
+
+    def test_settled_vertex_short_of_its_target_is_an_internal_error(self, monkeypatch):
+        # K4 has 6 edges for targets summing to 8, so the flow leaves some
+        # vertex short; claiming an empty region settles it anyway
+        real = reduction._deficient_region
+
+        def claim_nothing(g, tails, target):
+            flow, region = real(g, tails, target)
+            assert any(region)
+            return flow, [False] * g.n
+
+        monkeypatch.setattr(reduction, "_deficient_region", claim_nothing)
+        want = r"vertex \d outside the deficient region has out-degree 1 below 2"
+        with pytest.raises(RuntimeError, match=want):
+            build_gprime(complete_graph(4))

@@ -1,5 +1,6 @@
 """Pipeline tests: construction directions, normalization, and solve."""
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -34,6 +35,7 @@ from orientlight import (
     solve_min_light,
     solve_with_stats,
 )
+from orientlight import solver
 
 
 def side_count(r, m, v):
@@ -294,6 +296,40 @@ class TestSolveFixedValues:
         assert sol.certificate == Certificate(0, 0, 3)
         assert sol.objective == 3
         assert sol.light_set == {1, 2, 3}
+
+
+class TestRecountChecks:
+    """The solver recounts both certificate identities; a wrong part must raise."""
+
+    @pytest.mark.parametrize("weights", [None, VertexWeights((3, 1, 4, 1, 5))])
+    def test_offset_off_by_a_vertex_fails_the_objective_recount(self, monkeypatch, weights):
+        real = solver.build_gprime
+
+        def one_more_light(g, w=None):
+            r = real(g, w)
+            extra = min(set(range(g.n)) - set(r.peeled_light))
+            return dataclasses.replace(r, peeled_light=r.peeled_light + (extra,))
+
+        monkeypatch.setattr(solver, "build_gprime", one_more_light)
+        with pytest.raises(RuntimeError, match="internal error: objective recount"):
+            solve_with_stats(complete_graph(5), weights)
+
+    @pytest.mark.parametrize("weights", [None, VertexWeights((2, 7, 3))])
+    def test_matching_short_of_an_edge_fails_the_core_recount(self, monkeypatch, k3, weights):
+        engine = "max_cardinality_matching" if weights is None else "max_weight_matching"
+        real = getattr(solver, engine)
+
+        def one_edge_short(gp, *args):
+            ids = sorted(real(gp, *args).matched_edge_ids)
+            # K3's core stays whole: edges 0..5 connect, 6..8 are parity edges,
+            # so dropping the last matched edge leaves the orientation alone
+            assert ids[-1] >= 6
+            return Matching.from_edge_ids(gp, ids[:-1])
+
+        assert solve_with_stats(k3, weights)[1].core_vertices == 3
+        monkeypatch.setattr(solver, engine, one_edge_short)
+        with pytest.raises(RuntimeError, match="internal error: core recount"):
+            solve_with_stats(k3, weights)
 
 
 class TestSolveProperties:
