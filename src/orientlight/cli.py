@@ -10,7 +10,6 @@ import argparse
 import functools
 import json
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
@@ -26,44 +25,9 @@ from .graph import (
 )
 from .oracle import BudgetExceededError, brute_force_min_light
 from .reduction import ReducedGraph
-from .solver import Certificate, Solution, solve_with_stats
+from .solver import Solution, solve_with_stats
 
-__all__ = ["RunReport", "main"]
-
-
-@dataclass(frozen=True)
-class RunReport:
-    """One benchmark row: instance stats, reduced sizes, timings, result.
-
-    peel_core_* is the core after the first peel, core_* the core left
-    after the flow kernel, gprime_* the gadget graph built on it.
-    """
-
-    n: int
-    m: int
-    peel_core_vertices: int
-    peel_core_edges: int
-    core_vertices: int
-    core_edges: int
-    gprime_vertices: int
-    gprime_edges: int
-    reduce_seconds: float
-    match_seconds: float
-    recover_seconds: float
-    objective: int | Fraction
-    certificate: Certificate
-
-    def row(self) -> str:
-        c = self.certificate
-        return (
-            f"n={self.n:>5}  m={self.m:>6}  peel_n={self.peel_core_vertices:>5}  "
-            f"peel_m={self.peel_core_edges:>6}  core_n={self.core_vertices:>5}  "
-            f"core_m={self.core_edges:>6}  |V'|={self.gprime_vertices:>6}  "
-            f"|E'|={self.gprime_edges:>7}  reduce={self.reduce_seconds:7.3f}s  "
-            f"match={self.match_seconds:7.3f}s  recover={self.recover_seconds:7.3f}s  "
-            f"objective={_num(self.objective)}  "
-            f"[{_num(c.constant)} - {_num(c.matching_value)} + {_num(c.offset)}]"
-        )
+__all__ = ["main"]
 
 
 def _read(path: str) -> str:
@@ -111,8 +75,6 @@ def _dump_reduction(r: ReducedGraph, weights: VertexWeights | None, path: str) -
     sidecar = {
         "conventions": "vertex labels are 1-based; edge indices are 0-based "
         "positions in the edge list of the graph file",
-        "peel_core_vertices": r.peel_core_vertices,
-        "peel_core_edges": r.peel_core_edges,
         "core_vertices": r.core.n,
         "core_edges": r.core.m,
         "core_to_input": [v + 1 for v in r.core_to_input],
@@ -252,7 +214,10 @@ def _content_problems(
 def cmd_verify(args: argparse.Namespace) -> int:
     g = parse_graph(_read(args.graph))
     weights = parse_weights(_read(args.weights), g.n) if args.weights else None
-    claimed = json.loads(_read(args.solution))
+    try:
+        claimed = json.loads(_read(args.solution))
+    except RecursionError:
+        raise ValueError(f"{args.solution}: solution JSON is nested too deeply") from None
     problems = _shape_problems(g, claimed)
     if not problems:
         problems = _content_problems(g, weights, claimed)
@@ -350,22 +315,14 @@ def cmd_bench(args: argparse.Namespace) -> int:
         if (r.gprime.n, r.gprime.m) != (want_v, want_e):
             print(f"bench: reduced sizes disagree with the formulas on n={n} m={g.m}")
             return 1
-        report = RunReport(
-            n=g.n,
-            m=g.m,
-            peel_core_vertices=stats.peel_core_vertices,
-            peel_core_edges=stats.peel_core_edges,
-            core_vertices=stats.core_vertices,
-            core_edges=stats.core_edges,
-            gprime_vertices=stats.reduced_vertices,
-            gprime_edges=stats.reduced_edges,
-            reduce_seconds=stats.reduce_seconds,
-            match_seconds=stats.match_seconds,
-            recover_seconds=stats.recover_seconds,
-            objective=sol.objective,
-            certificate=cert,
+        print(
+            f"n={g.n:>5}  m={g.m:>6}  core_n={stats.core_vertices:>5}  "
+            f"core_m={stats.core_edges:>6}  |V'|={stats.reduced_vertices:>6}  "
+            f"|E'|={stats.reduced_edges:>7}  reduce={stats.reduce_seconds:7.3f}s  "
+            f"match={stats.match_seconds:7.3f}s  recover={stats.recover_seconds:7.3f}s  "
+            f"objective={_num(sol.objective)}  "
+            f"[{_num(cert.constant)} - {_num(cert.matching_value)} + {_num(cert.offset)}]"
         )
-        print(report.row())
     return 0
 
 

@@ -7,7 +7,7 @@ Vertices are 0-based and contiguous internally; the text formats use
 from __future__ import annotations
 
 from dataclasses import dataclass
-from decimal import Decimal, InvalidOperation, localcontext
+from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 from functools import cached_property
 
@@ -28,6 +28,10 @@ __all__ = [
 # largest vertex count parse_graph accepts: the solver keeps a few
 # per-vertex lists, about 0.25 GB at this size
 MAX_VERTICES = 1_000_000
+
+# parse_weights rejects a cost with more decimal places than this, or
+# with this many integer digits, so every unit stays below 10**120
+_COST_DIGITS = 60
 
 
 @dataclass(frozen=True)
@@ -222,9 +226,12 @@ def parse_weights(text: str, n: int) -> VertexWeights:
     """Parses per-vertex costs: lines "v c", 1-based v, decimal c >= 0.
 
     Vertices not mentioned default to cost 1.  Costs are scaled by a
-    common power of ten so that all stored units are integers.
+    common power of ten so that all stored units are integers; the
+    scaling is exact integer arithmetic on each cost's digits.  A cost
+    with more than 60 decimal places or with 60 or more integer digits,
+    as written, is rejected.
     """
-    entries: dict[int, Decimal] = {}
+    entries: dict[int, tuple[int, int]] = {}  # coefficient, exponent
     first_line: dict[int, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -245,9 +252,7 @@ def parse_weights(text: str, n: int) -> VertexWeights:
             )
         first_line[v] = lineno
         try:
-            with localcontext() as ctx:
-                ctx.prec = 60
-                d = Decimal(parts[1])
+            d = Decimal(parts[1])
         except InvalidOperation:
             raise ValueError(f"line {lineno}: cost {parts[1]!r} is not a decimal number") from None
         if not d.is_finite():
@@ -257,16 +262,21 @@ def parse_weights(text: str, n: int) -> VertexWeights:
                 f"line {lineno}: negative cost for vertex {v}: minimizing with "
                 "negative costs is NP-hard and not supported"
             )
-        entries[v - 1] = d
-    places = 0
-    for d in entries.values():
-        places = max(places, -d.as_tuple().exponent, 0)
+        _, digits, exponent = d.as_tuple()
+        if -exponent > _COST_DIGITS:
+            raise ValueError(
+                f"line {lineno}: cost has more than {_COST_DIGITS} decimal places"
+            )
+        if len(digits) + exponent >= _COST_DIGITS:
+            raise ValueError(
+                f"line {lineno}: cost has {_COST_DIGITS} or more integer digits"
+            )
+        entries[v - 1] = (int("".join(map(str, digits))), exponent)
+    places = max([0] + [-e for _, e in entries.values()])
     scale = 10**places
     units = [scale] * n  # omitted vertices cost 1
-    with localcontext() as ctx:
-        ctx.prec = 60
-        for v, d in entries.items():
-            units[v] = int(d.scaleb(places))
+    for v, (c, e) in entries.items():
+        units[v] = c * 10 ** (e + places)
     return VertexWeights(tuple(units), scale)
 
 

@@ -1,14 +1,14 @@
 """The gadget construction that turns the orientation problem into matching.
 
-build_gprime first shrinks the input graph to a core: every vertex
-starts with demand 2, the out-degree it still needs to be heavy; a peel
-removes vertices whose status no longer depends on the rest of the
-graph, a flow settles every vertex that can meet its demand without the
-region that cannot, and a second peel runs on what is left.  It then
-expands the core into the gadget graph: every core edge becomes a
-two-edge path through a fresh connector vertex, and every core vertex
-becomes a gadget of port and inner vertices whose matchings encode
-whether the vertex meets its demand.
+build_gprime first shrinks the input graph to a core with one flow:
+every vertex gets a target out-degree, 2, or 0 when its status is fixed
+or free whatever happens, and a Hakimi orientation settles every vertex
+that can meet its target without the deficient region that cannot.
+That region is the core.  build_gprime then expands it into the gadget
+graph: every core edge becomes a two-edge path through a fresh
+connector vertex, and every core vertex becomes a gadget of port and
+inner vertices whose matchings encode whether the vertex meets its
+demand.
 """
 
 from __future__ import annotations
@@ -33,35 +33,33 @@ class ReducedGraph:
     for input edge e, or -1 when e is a core edge.  peeled_light lists
     the input vertices outside the core that are light whatever the core
     does: every other vertex outside the core has out-degree at least 2
-    from peeled_tails alone.  peel_core_vertices and peel_core_edges
-    give the size of the core after the first peel, before the flow.
+    from peeled_tails alone.
 
-    Every core vertex has degree at least its demand; isolated vertices
-    and whole forests peel away.  The peel is sound: orienting a peeled
-    vertex's remaining edges into it only adds out-edges at its
-    neighbours, which never makes a neighbour worse, and the peeled
-    vertex's own status is already fixed (it is heavy or cannot become
-    heavy).
+    The kernel is one flow.  Give every input vertex a target: 2, or 0
+    when its degree is below 2 (it is light whatever happens) or its
+    cost is 0 in weighted mode (its status costs nothing either way).
+    For any orientation let R be the vertices with a directed path to a
+    vertex below its target.  No edge enters R, since its tail would
+    have such a path too, so every vertex outside R meets its target
+    with edges outside R.  Any orientation can be changed to orient the
+    edges between R and the rest out of R, and the rest as the flow
+    does, without making any vertex worse: R's vertices only gain
+    out-edges, and every vertex outside R ends at its target.  So some
+    optimal orientation agrees with the flow outside R, and the optimum
+    is the count (or cost) of the vertices outside R that stay light
+    plus the optimum on R, each R vertex's demand lowered by its
+    out-edges leaving R.
 
-    The flow is sound by the same argument.  Give every vertex of the
-    peeled core a target: its demand, or 0 for a zero-cost vertex in
-    weighted mode, whose status costs nothing either way.  For any
-    orientation of the core let R be the vertices with a directed path
-    to a vertex below its target.  No edge enters R, since its tail
-    would have such a path too, so every vertex outside R meets its
-    target with edges outside R.  Any orientation can be changed to
-    orient the edges between R and the rest out of R, and the rest as
-    the flow does, without making any vertex worse: R's vertices only
-    gain out-edges, and every vertex outside R ends at its target.  So
-    some optimal orientation agrees with the flow outside R, and the
-    optimum is the count (or cost) of the vertices outside R that stay
-    light plus the optimum on R, each R vertex's demand lowered by its
-    out-edges leaving R.  The second peel then runs on R under those
-    demands.  The flow picks an orientation with a small R: one that
-    fills as much of the targets as any orientation can (Hakimi's
-    out-degree lower bounds).  On sparse random graphs with m ~ 3n
-    almost every vertex can meet its target, so R, and with it the
-    gadget, is small or empty.
+    The flow fills as much of the targets as any orientation can
+    (Hakimi's out-degree lower bounds), and R is the same for every such
+    orientation.  There every R vertex has out-degree at most its
+    target, or the path from it to a short vertex could be reversed, and
+    unless it is short itself at least one out-edge inside R.  So every
+    R vertex has target 2, fewer than 2 of its out-edges leave R, its
+    demand is 1 or 2, and its degree in the core, its degree less the
+    edges leaving R, is at least its demand.  On sparse random graphs
+    with m ~ 3n almost every vertex can meet its target, so R, and with
+    it the gadget, is small or empty.
 
     Altogether some optimal orientation of the input agrees with every
     tail in peeled_tails, and its light total is the total of
@@ -90,8 +88,6 @@ class ReducedGraph:
     demand: tuple[int, ...]
     peeled_tails: tuple[int, ...]
     peeled_light: tuple[int, ...]
-    peel_core_vertices: int
-    peel_core_edges: int
     gprime: Graph
     connector: tuple[int, ...]
     ports: tuple[tuple[int, int], ...]
@@ -121,34 +117,22 @@ class ReducedGraph:
 def build_gprime(g: Graph, weights: VertexWeights | None = None) -> ReducedGraph:
     """Shrinks the input graph to a core and builds the core's gadget graph.
 
-    The kernel has three steps.  Peel: a vertex is spent when its demand
-    is 0 or its remaining degree is below its demand.  Spent vertices are
-    popped from a stack seeded in vertex order; a popped vertex has its
-    remaining edges oriented into it, and each neighbour loses one
-    remaining degree and one demand (never below 0).  A popped vertex
-    whose demand is still positive stays light.  This is sound: the
-    extra out-edges never hurt a neighbour, and a spent vertex's status
-    is already fixed (see ReducedGraph).  Every edge an unspent vertex
-    loses leaves it, so its remaining degree minus its demand stays
-    d - 2: the vertices of degree below 2 start spent, and any other
-    vertex is spent exactly when its demand, 2 minus its fixed
-    out-degree, reaches 0.
+    The kernel is one flow.  Every vertex gets a target, 0 when its
+    degree is below 2 or its cost is 0 and 2 otherwise, and
+    _deficient_region orients every edge so that only a
+    predecessor-closed region R can fall short of its target.  R is the
+    core.  Every vertex outside R meets its target with edges outside R
+    and every edge between R and the rest leaves R, so those edges keep
+    the flow's direction (ReducedGraph gives the lemma) and each R
+    vertex's demand is 2 minus its out-edges leaving R.  A flow edge
+    entering R, an R vertex with 2 out-edges leaving R, or a vertex
+    outside R short of its target is an internal error.
 
-    Flow: every core vertex gets a target, its demand, or 0 for a
-    zero-cost vertex in weighted mode, and _deficient_region orients the
-    core so that only a predecessor-closed region R can fall short of
-    its target.  Every vertex outside R meets its target with edges
-    outside R and every edge between R and the rest leaves R, so those
-    edges keep the flow's direction (ReducedGraph gives the lemma) and
-    each R vertex's demand drops by its crossing out-edges.  Peel again:
-    the same peel runs on R under the lowered demands.
-
-    One flat list of tails is written in place by all three steps.  The
-    kernel makes two passes over the edges: the flow's greedy start, and
-    a final count of every vertex's out-degree, which yields the light
-    vertices outside the core and rechecks that the flow met every
-    target outside R.  Everything else touches only the edges of peeled
-    vertices, of the flow's searches and of R.
+    The kernel makes two passes over the edges: the flow's greedy start,
+    and a final count of every vertex's out-degree, which yields the
+    light vertices outside the core and rechecks that the flow met every
+    target outside R.  Everything else touches only the edges of the
+    flow's searches and of R.
 
     With m core edges the gadget graph has 5m - sum(demand) vertices and
     sum(d^2 - (b - 1) d + [b = 2]) edges over core vertices of degree d
@@ -167,61 +151,42 @@ def build_gprime(g: Graph, weights: VertexWeights | None = None) -> ReducedGraph
     units = (1,) * n if weights is None else weights.units
     edges = g.edges
     adj = g.adjacency
-    tails = [-1] * g.m
-    out = [0] * n  # out-degree from the tails fixed so far
-    spent = [False] * n
 
-    def peel(stack: list[int]) -> None:
-        for v in stack:
-            spent[v] = True
-        while stack:
-            v = stack.pop()
-            for e in adj[v]:
-                if tails[e] != -1:
-                    continue
-                a, b = edges[e]
-                w = a + b - v
-                tails[e] = w
-                out[w] += 1
-                if out[w] >= 2 and not spent[w]:
-                    spent[w] = True
-                    stack.append(w)
-
-    peel([v for v in range(n) if len(adj[v]) < 2])
-    peel_core_vertices, peel_core_edges = spent.count(False), tails.count(-1)
-
-    target = [0 if s or c == 0 else 2 - o for s, o, c in zip(spent, out, units)]
-    tails, in_region = _deficient_region(g, tails, target)
-    region = list(compress(range(n), in_region))
-    for x in region:
+    target = [0 if len(a) < 2 or c == 0 else 2 for a, c in zip(adj, units)]
+    tails, in_region = _deficient_region(g, target)
+    core_to_input = tuple(compress(range(n), in_region))  # R is the core
+    out = [0] * n  # out-edges leaving R, per vertex of R
+    for x in core_to_input:
         for e in adj[x]:
             a, b = edges[e]
-            w = a + b - x
-            if in_region[w]:
-                tails[e] = -1  # inside R: left to the second peel
+            if in_region[a + b - x]:
+                tails[e] = -1  # inside R: a core edge
             elif tails[e] != x:
                 raise RuntimeError(
                     f"internal error: flow edge {e} ({a}, {b}) enters the deficient "
                     f"region (n={n}, m={g.m})"
                 )
-            elif not spent[w]:
-                out[x] += 1  # leaves R for a settled vertex: lowers x's demand
-    peel([v for v in region if out[v] >= 2])
+            else:
+                out[x] += 1
+        if out[x] >= 2:
+            raise RuntimeError(
+                f"internal error: region vertex {x} has {out[x]} out-edges leaving "
+                f"the deficient region (n={n}, m={g.m})"
+            )
 
     # core edges keep tail -1 and count into the spare last slot
     got = [0] * (n + 1)
     for t in tails:
         got[t] += 1
-    light = [v for v in range(n) if got[v] < 2 and (spent[v] or not in_region[v])]
+    light = [v for v in range(n) if got[v] < 2 and not in_region[v]]
     for v in light:
-        if not spent[v] and target[v]:
+        if target[v]:
             raise RuntimeError(
                 f"internal error: vertex {v} outside the deficient region has "
                 f"out-degree {got[v]} below 2, its target {target[v]} unmet "
                 f"(n={n}, m={g.m})"
             )
 
-    core_to_input = tuple(v for v in region if not spent[v])
     core_edge_to_input = tuple(sorted(
         e for v in core_to_input for e in adj[v] if tails[e] == -1 and edges[e][0] == v
     ))
@@ -278,8 +243,6 @@ def build_gprime(g: Graph, weights: VertexWeights | None = None) -> ReducedGraph
         demand=demand,
         peeled_tails=tuple(tails),
         peeled_light=tuple(light),
-        peel_core_vertices=peel_core_vertices,
-        peel_core_edges=peel_core_edges,
         gprime=Graph(nxt, tuple(gp_edges)),
         connector=connector,
         ports=ports,
@@ -293,38 +256,33 @@ def build_gprime(g: Graph, weights: VertexWeights | None = None) -> ReducedGraph
     )
 
 
-def _deficient_region(
-    g: Graph, tails: list[int], target: list[int]
-) -> tuple[list[int], list[bool]]:
-    """Orients the unsettled edges so that few vertices miss their targets.
+def _deficient_region(g: Graph, target: list[int]) -> tuple[list[int], list[bool]]:
+    """Orients every edge so that few vertices miss their targets.
 
-    The edges e with tails[e] == -1 form the core.  Starting from a
-    greedy orientation that gives each edge to the endpoint further
-    below its target, every vertex v below its target searches backwards
-    over its in-edges for a vertex above its target and reverses that
-    path, which raises v's out-degree by one and changes no inner
-    vertex's (Hakimi's out-degree lower bound orientation).  A search
-    that fails reaches a set closed under predecessors with no vertex
-    above its target; no later reversal touches an edge of that set or
-    an edge leaving it, so the whole set retires and later searches skip
-    it, as the Hungarian trees of max_cardinality_matching do.  Total
-    work is one search per unit of deficit filled plus O(m) for the
-    failed ones.  The peel orients every settled edge at a core vertex
-    out of it, so the searches, which only follow in-edges of core
-    vertices, never meet one.
+    Starting from a greedy orientation that gives each edge to the
+    endpoint further below its target, every vertex v below its target
+    searches backwards over its in-edges for a vertex above its target
+    and reverses that path, which raises v's out-degree by one and
+    changes no inner vertex's (Hakimi's out-degree lower bound
+    orientation).  A search that fails reaches a set closed under
+    predecessors with no vertex above its target; no later reversal
+    touches an edge of that set or an edge leaving it, so the whole set
+    retires and later searches skip it, as the Hungarian trees of
+    max_cardinality_matching do.  Total work is one search per unit of
+    deficit filled plus O(m) for the failed ones.
 
-    Writes the flow's tail into tails for every core edge and returns
-    tails and the retired vertices: exactly those with a directed path
-    to a vertex still below its target.
+    Returns the flow's tail of every edge and the retired vertices:
+    exactly those with a directed path to a vertex still below its
+    target.
     """
     edges = g.edges
     adj = g.adjacency
-    excess = [-t for t in target]  # out-degree over the core minus target
-    for e, (u, w) in enumerate(edges):
-        if tails[e] == -1:
-            t = u if excess[u] <= excess[w] else w
-            tails[e] = t
-            excess[t] += 1
+    excess = [-t for t in target]  # out-degree minus target
+    tails = []
+    for u, w in edges:
+        t = u if excess[u] <= excess[w] else w
+        tails.append(t)
+        excess[t] += 1
     n = g.n
     retired = [False] * n
     seen = [-1] * n

@@ -1,17 +1,17 @@
 """End-to-end pipeline from input graph to certified optimal orientation.
 
 The pipeline: shrink the input to a core and build the core's gadget
-graph (build_gprime: a peel, a flow that settles every vertex with no
-directed path to a vertex left short of its target, and a second peel
-on the rest), compute one maximum matching, read the core orientation
-back off the matching, and map it onto the input edges next to the
-tails the kernel fixed.  The matching value yields a certificate: on
-the core the optimal light count is 2m - |M| (unweighted) or Q - w(M)
-(weighted), and the vertices the kernel settled light contribute the
-offset.  The kernel is sound because some optimal orientation agrees
-with every tail it fixes (see ReducedGraph).  Both identities are
-recounted on the final orientation; a mismatch raises an internal error
-instead of returning a wrong answer.
+graph (build_gprime: one flow that settles every vertex with no
+directed path to a vertex left short of its target and keeps the
+others as the core), compute one maximum matching, read the core
+orientation back off the matching, and map it onto the input edges
+next to the tails the kernel fixed.  The matching value yields a
+certificate: on the core the optimal light count is 2m - |M|
+(unweighted) or Q - w(M) (weighted), and the vertices the kernel
+settled light contribute the offset.  The kernel is sound because some
+optimal orientation agrees with every tail it fixes (see ReducedGraph).
+Both identities are recounted on the final orientation; a mismatch
+raises an internal error instead of returning a wrong answer.
 """
 
 from __future__ import annotations
@@ -54,8 +54,8 @@ class Certificate:
     constant is 2m (unweighted) or Q = sum(d(v) c_v) (weighted) over the
     core build_gprime leaves, and constant - matching_value is the
     core's optimal light total.  offset is the count (or cost) of the
-    vertices outside that core that stay light: those the peels left
-    light, plus, in weighted mode, zero-cost vertices the flow settled
+    vertices outside that core that stay light: the vertices of degree
+    below 2, plus, in weighted mode, zero-cost vertices the flow settled
     below out-degree 2, which add nothing.  It is never negative.  The
     sum is the optimum of the input because the kernel is sound: some
     optimal orientation agrees with every tail it fixes (ReducedGraph
@@ -79,15 +79,12 @@ class Solution:
 class SolveStats:
     """Instance and phase statistics for one solve.
 
-    peel_core_* is the core after the first peel, core_* the core the
-    flow kernel leaves for the gadget, and reduced_* the gadget graph,
-    which reduction holds.
+    core_* is the core the flow kernel leaves for the gadget, and
+    reduced_* the gadget graph, which reduction holds.
     """
 
     n: int
     m: int
-    peel_core_vertices: int
-    peel_core_edges: int
     core_vertices: int
     core_edges: int
     reduced_vertices: int
@@ -282,8 +279,6 @@ def solve_with_stats(
     stats = SolveStats(
         n=g.n,
         m=g.m,
-        peel_core_vertices=r.peel_core_vertices,
-        peel_core_edges=r.peel_core_edges,
         core_vertices=r.core.n,
         core_edges=r.core.m,
         reduced_vertices=r.gprime.n,

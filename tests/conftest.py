@@ -71,7 +71,7 @@ def two_core(g: Graph) -> Graph:
     """The largest subgraph of minimum degree 2, relabeled in vertex order.
 
     Edges keep their relative order.  Built independently of the
-    solver's peel, which keeps demand-1 vertices that this drops.
+    solver's kernel, which keeps demand-1 vertices that this drops.
     """
     alive = [True] * g.n
     deg = [g.degree(v) for v in range(g.n)]

@@ -82,6 +82,15 @@ class TestSolve:
         assert rc == 2
         assert "NP-hard" in err
 
+    @pytest.mark.parametrize("cost", ["1" + "0" * 65 + ".5", "1e-1000000", "1e5000"])
+    def test_hostile_costs_are_usage_errors(self, capsys, tmp_path, k3_file, cost):
+        w = tmp_path / "w.txt"
+        w.write_text(f"1 {cost}\n")
+        rc, out, err = run(capsys, "solve", k3_file, "--weights", w)
+        assert rc == 2
+        assert out == ""
+        assert err.startswith("error: line 1: cost has ")
+
     def test_dump_reduction(self, capsys, tmp_path, k3_file):
         target = tmp_path / "gprime.graph"
         rc, _, _ = run(capsys, "solve", k3_file, "--dump-reduction", target)
@@ -89,7 +98,6 @@ class TestSolve:
         gp = parse_graph(target.read_text())
         assert (gp.n, gp.m) == (9, 9)
         sidecar = json.loads((tmp_path / "gprime.graph.json").read_text())
-        assert (sidecar["peel_core_vertices"], sidecar["peel_core_edges"]) == (3, 3)
         assert sidecar["core_vertices"] == 3
         assert len(sidecar["connector"]) == 3
         assert len(sidecar["edge_owner"]) == gp.m
@@ -99,7 +107,7 @@ class TestSolve:
 
     def test_dump_reduction_maps_the_peeled_core(self, capsys, tmp_path):
         # vertex 4 hangs off the triangle and vertex 5 is isolated: both
-        # peel, and vertex 3 keeps demand 1 inside the core
+        # stay outside the core, and vertex 3 keeps demand 1 inside it
         g = tmp_path / "g.graph"
         g.write_text("5 4\n1 2\n2 3\n1 3\n3 4\n")
         target = tmp_path / "gprime.graph"
@@ -114,15 +122,14 @@ class TestSolve:
         assert (gp.n, gp.m) == (5 * 3 - 5, len(sidecar["edge_owner"]))
 
     def test_dump_reduction_reports_both_core_sizes(self, capsys, tmp_path):
-        # K5 is its own peeled core, and the flow settles all of it: a
-        # regular tournament gives every vertex out-degree 2
+        # the flow settles all of K5: a regular tournament gives every
+        # vertex out-degree 2
         g = tmp_path / "k5.graph"
         g.write_text("5 10\n" + "".join(f"{u} {v}\n" for u in range(1, 6) for v in range(u + 1, 6)))
         target = tmp_path / "gprime.graph"
         rc, _, _ = run(capsys, "solve", g, "--dump-reduction", target)
         assert rc == 0
         sidecar = json.loads((tmp_path / "gprime.graph.json").read_text())
-        assert (sidecar["peel_core_vertices"], sidecar["peel_core_edges"]) == (5, 10)
         assert (sidecar["core_vertices"], sidecar["core_edges"]) == (0, 0)
         assert parse_graph(target.read_text()).n == 0
 
@@ -236,6 +243,14 @@ class TestVerify:
         rc, _, err = run(capsys, "verify", k3_file, sol)
         assert rc == 2
 
+    def test_deeply_nested_json_is_usage_error(self, capsys, tmp_path, k3_file):
+        sol = tmp_path / "claim.json"
+        sol.write_text("[" * 100_000 + "]" * 100_000)
+        rc, out, err = run(capsys, "verify", k3_file, sol)
+        assert rc == 2
+        assert out == ""
+        assert err.startswith("error: ") and "nested too deeply" in err
+
 
 class TestGen:
     def test_stdout_p_zero(self, capsys):
@@ -281,7 +296,7 @@ class TestBench:
         rows = out.strip().splitlines()
         assert len(rows) == 2
         assert all("objective=" in row for row in rows)
-        assert all("peel_n=" in row and "core_n=" in row for row in rows)
+        assert all("core_n=" in row for row in rows)
 
     def test_deterministic(self, capsys):
         args = ("bench", "n=9,m=14", "--seed", "5")

@@ -239,6 +239,23 @@ class TestParseWeights:
         with pytest.raises(ValueError, match="finite"):
             parse_weights("1 Infinity\n", 2)
 
+    def test_exact_at_the_digit_bounds(self):
+        # 59 integer digits and 60 decimal places: 119 significant digits,
+        # every one kept
+        w = parse_weights("1 " + "7" * 59 + "." + "3" * 60 + "\n", 2)
+        assert w.scale == 10**60
+        assert w.units == (int("7" * 59 + "3" * 60), 10**60)
+
+    @pytest.mark.parametrize("cost", ["0." + "0" * 60 + "1", "1e-1000000"])
+    def test_more_than_sixty_places_rejected(self, cost):
+        with pytest.raises(ValueError, match="line 2: cost has more than 60 decimal places"):
+            parse_weights(f"1 1\n2 {cost}\n", 2)
+
+    @pytest.mark.parametrize("cost", ["1" + "0" * 59, "1" + "0" * 65 + ".5", "1e5000"])
+    def test_sixty_integer_digits_rejected(self, cost):
+        with pytest.raises(ValueError, match="line 2: cost has 60 or more integer digits"):
+            parse_weights(f"1 1\n2 {cost}\n", 2)
+
 
 class TestLightCost:
     def test_weighted_triangle(self, k3):

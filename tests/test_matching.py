@@ -30,9 +30,9 @@ from orientlight import (
 
 
 def pendant_heavy_graph(n: int, chords: int, seed: int) -> Graph:
-    """A random tree on n vertices plus chords: many leaves, which the peel
-    removes before the gadget is built, leaving demand-1 vertices where
-    they hung."""
+    """A random tree on n vertices plus chords: many leaves, which the flow
+    kernel settles before the gadget is built, leaving demand-1 vertices
+    where they hung."""
     rng = SplitMix64(seed)
     edges = {(rng.next_below(v), v) for v in range(1, n)}
     while len(edges) < n - 1 + chords:
@@ -82,7 +82,7 @@ def pendant_heavy_weighted_gadget() -> tuple[Graph, tuple[int, ...]]:
     # vertices
     g = pendant_heavy_graph(400, 120, 41)
     r = build_gprime(g, positive_costs(g.n, 1000, 41))
-    assert r.core.n == r.peel_core_vertices
+    assert r.core.n == 224
     assert r.gprime.n >= 945
     return zero_a_tenth(r, 41)
 
@@ -251,10 +251,10 @@ class TestMaxCardinality:
 
     @pytest.mark.parametrize("seed", [21, 22])
     def test_agrees_with_networkx_on_pendant_heavy_gadgets(self, seed):
-        # peeled to cores with 277 and 278 demand-1 vertices, which the
-        # flow kernel keeps whole; gadgets of 1882 and 1978 vertices
+        # cores of 485 and 480 vertices, with 277 and 278 demand-1
+        # vertices; gadgets of 1882 and 1978 vertices
         r = build_gprime(pendant_heavy_graph(1000, 275, seed))
-        assert r.core.n == r.peel_core_vertices
+        assert r.core.n == {21: 485, 22: 480}[seed]
         assert r.gprime.n >= {21: 1882, 22: 1978}[seed]
         self._check_against_networkx(r.gprime)
 

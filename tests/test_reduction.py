@@ -1,4 +1,4 @@
-"""The peeling kernel and the gadget-graph construction."""
+"""The flow kernel and the gadget-graph construction."""
 
 import pytest
 
@@ -7,6 +7,7 @@ from conftest import (
     cycle_graph,
     petersen_graph,
     random_core,
+    two_core,
     wheel_graph,
 )
 from orientlight import (
@@ -32,7 +33,7 @@ def size_formulas(r):
 
 
 class TestEliminateDegreeOne:
-    """Degree-1 vertices never reach the gadget: the peel removes them."""
+    """Degree-1 vertices never reach the gadget: the kernel settles them."""
 
     def test_single_edge(self, p2):
         r = build_gprime(p2)
@@ -41,12 +42,12 @@ class TestEliminateDegreeOne:
         assert r.peeled_tails == (0,)
 
     def test_star(self, star13):
-        # every leaf is spent; two leaf edges leave the centre heavy, and
-        # the third then points into it
+        # every leaf has target 0, so the flow gives the centre all three
+        # edges
         r = build_gprime(star13)
         assert (r.core.n, r.gprime.n) == (0, 0)
         assert r.peeled_light == (1, 2, 3)
-        assert [r.peeled_tails.count(v) for v in range(4)] == [2, 1, 0, 0]
+        assert [r.peeled_tails.count(v) for v in range(4)] == [3, 0, 0, 0]
 
     def test_cycle_untouched(self, c4):
         r = build_gprime(c4)
@@ -69,9 +70,8 @@ class TestEliminateDegreeOne:
                     assert r.peeled_tails[e] in (u, v)
 
     def test_idempotent(self):
-        # a graph of minimum degree 2 peels to itself, so peeling its
-        # 2-core again changes nothing and keeps the paper's gadget; the
-        # draws are sparse 2-cores the flow kernel keeps whole
+        # the draws are sparse 2-cores the flow kernel keeps whole, so
+        # the kernel changes nothing and keeps the paper's gadget
         built = seed = 0
         while built < 10:
             core = random_core(16, 3.0 / 15, seed)
@@ -81,7 +81,6 @@ class TestEliminateDegreeOne:
             built += 1
             r = build_gprime(core)
             assert r.core == core
-            assert r.peel_core_vertices == core.n
             assert r.demand == (2,) * core.n
             assert r.core_to_input == tuple(range(core.n))
             assert r.peeled_light == ()
@@ -92,7 +91,7 @@ class TestEliminateDegreeOne:
 
 
 class TestStripIsolated:
-    """Isolated vertices peel away light; the core is relabeled in order."""
+    """Isolated vertices stay light outside the core; it is relabeled in order."""
 
     def test_removes_and_maps_back(self):
         g = Graph(6, ((1, 3), (1, 4), (3, 4)))
@@ -135,7 +134,6 @@ class TestPeel:
         g = cycle_graph(6)
         w = VertexWeights((0, 5, 0, 5, 0, 5))
         r = build_gprime(g, w)
-        assert (r.peel_core_vertices, r.peel_core_edges) == (6, 6)
         assert (r.core.n, r.core.m, r.gprime.n) == (0, 0, 0)
         assert r.peeled_light == (0, 2, 4)
         sol = solve_min_light(g, w)
@@ -338,8 +336,8 @@ class TestFlowKernel:
 
     def test_matches_the_oracle_where_a_core_is_left(self):
         # both modes, every other instance with costs 0..3; the lemma does
-        # real work where the flow settles part of the peeled core and
-        # leaves the rest to the matching
+        # real work where the flow settles part of the 2-core and leaves
+        # the rest to the matching
         checked = left = partial = 0
         seed = 70_000
         while checked < 300:
@@ -357,7 +355,7 @@ class TestFlowKernel:
             assert sol.objective == c.constant - c.matching_value + c.offset
             checked += 1
             left += r.core.n > 0
-            partial += 0 < r.core.n < r.peel_core_vertices
+            partial += 0 < r.core.n < two_core(g).n
         assert left >= 150, left
         assert partial >= 30, partial
 
@@ -392,7 +390,7 @@ class TestFlowKernel:
         g = random_graph(1000, 6 / 999, 1)
         w = random_weights(g.n, weights_max, 2) if weights_max else None
         r = build_gprime(g, w)
-        assert r.peel_core_vertices > 900
+        assert two_core(g).n > 900
         assert r.core.n <= 30, f"{r.core.n} core vertices left"
 
     def test_flow_edge_into_the_region_is_an_internal_error(self, monkeypatch):
@@ -400,8 +398,8 @@ class TestFlowKernel:
         # points some edges into it, which the kernel must refuse
         real = reduction._deficient_region
 
-        def claim_vertex_zero(g, tails, target):
-            flow, _ = real(g, tails, target)
+        def claim_vertex_zero(g, target):
+            flow, _ = real(g, target)
             return flow, [v == 0 for v in range(g.n)]
 
         monkeypatch.setattr(reduction, "_deficient_region", claim_vertex_zero)
@@ -409,13 +407,28 @@ class TestFlowKernel:
         with pytest.raises(RuntimeError, match=want):
             build_gprime(complete_graph(5))
 
+    def test_region_vertex_with_two_edges_leaving_is_an_internal_error(self, monkeypatch):
+        # vertex 0 of K4 claimed as the whole deficient region with its
+        # three edges leaving it: its demand would fall below 1
+        def claim_vertex_zero(g, target):
+            tails = [0 if 0 in uv else uv[0] for uv in g.edges]
+            return tails, [v == 0 for v in range(g.n)]
+
+        monkeypatch.setattr(reduction, "_deficient_region", claim_vertex_zero)
+        want = (
+            r"region vertex 0 has 3 out-edges leaving the deficient region "
+            r"\(n=4, m=6\)"
+        )
+        with pytest.raises(RuntimeError, match=want):
+            build_gprime(complete_graph(4))
+
     def test_settled_vertex_short_of_its_target_is_an_internal_error(self, monkeypatch):
         # K4 has 6 edges for targets summing to 8, so the flow leaves some
         # vertex short; claiming an empty region settles it anyway
         real = reduction._deficient_region
 
-        def claim_nothing(g, tails, target):
-            flow, region = real(g, tails, target)
+        def claim_nothing(g, target):
+            flow, region = real(g, target)
             assert any(region)
             return flow, [False] * g.n
 

@@ -286,7 +286,7 @@ class TestSolveFixedValues:
         assert sol.certificate.offset == 0
 
     def test_p2_offset(self, p2):
-        # both endpoints peel light; the core is empty
+        # both endpoints stay light outside the core, which is empty
         sol = solve_min_light(p2)
         assert sol.certificate == Certificate(0, 0, 2)
         assert sol.objective == 2
@@ -423,7 +423,7 @@ class TestSolveProperties:
         assert solve_min_light(g) == solve_min_light(g)
 
     def test_degree_one_chains_and_isolated_mix(self):
-        # a tree with pendants plus loose vertices peels away entirely
+        # a tree with pendants plus loose vertices leaves no core
         g = Graph(8, ((0, 1), (1, 2), (2, 3), (3, 4), (2, 5)))
         sol = solve_min_light(g)
         opt, _ = brute_force_min_light(g)
@@ -431,7 +431,7 @@ class TestSolveProperties:
 
     def test_stats_report_the_core(self):
         # a triangle with a two-edge pendant path and two isolated
-        # vertices: the path's end and the isolated vertices peel, and the
+        # vertices: the path's end and the isolated vertices settle, and the
         # path's middle vertex stays in the core with demand 1
         g = Graph(7, ((0, 1), (0, 2), (1, 2), (2, 3), (3, 4)))
         sol, stats = solve_with_stats(g)
@@ -439,7 +439,7 @@ class TestSolveProperties:
         assert sol.objective == brute_force_min_light(g)[0]
 
     def test_oracle_on_trees_forests_and_pendant_heavy_graphs(self):
-        # the shapes the peel removes wholly or in part; every other
+        # the shapes the kernel settles wholly or in part; every other
         # instance carries costs with zeros among them
         rng = SplitMix64(77)
 
@@ -488,7 +488,6 @@ class TestSolveProperties:
         g = petersen_graph()
         sol, stats = solve_with_stats(g)
         assert (stats.n, stats.m) == (10, 15)
-        assert (stats.peel_core_vertices, stats.peel_core_edges) == (10, 15)
         assert (stats.core_vertices, stats.core_edges) == (10, 15)
         assert stats.reduction.gprime.n == stats.reduced_vertices
         assert stats.reduced_vertices == 5 * 15 - 2 * 10
