@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -34,18 +35,37 @@ def _read(path: str) -> str:
     return Path(path).read_text(encoding="utf-8")
 
 
+# the relative tolerance of a comparison that involves a float
+_TOLERANCE = Fraction(1e-9)
+
+
 def _num(x: int | Fraction) -> int | float:
     """JSON-friendly number: exact for ints, float otherwise."""
     return x if isinstance(x, int) else float(x)
 
 
+def _is_number(x: object) -> bool:
+    """A finite JSON number: json.loads also yields NaN and Infinity."""
+    if isinstance(x, bool):
+        return False
+    return isinstance(x, int) or isinstance(x, float) and math.isfinite(x)
+
+
+def _near(claimed: int | float | Fraction, exact: int | Fraction) -> bool:
+    """Within 1e-9 relative of exact, in exact arithmetic: a float
+    claim has made a round trip through JSON.  Fractions never overflow
+    as float() does on a huge integer."""
+    exact = Fraction(exact)
+    return abs(Fraction(claimed) - exact) <= _TOLERANCE * max(1, abs(exact))
+
+
 def _close(claimed: object, exact: int | Fraction) -> bool:
     """Value comparison tolerant of the float round-trip through JSON."""
-    if not isinstance(claimed, (int, float)) or isinstance(claimed, bool):
+    if not _is_number(claimed):
         return False
     if isinstance(exact, int):
         return claimed == exact
-    return abs(float(claimed) - float(exact)) <= 1e-9 * max(1.0, abs(float(exact)))
+    return _near(claimed, exact)
 
 
 def _solution_to_json(g: Graph, sol: Solution) -> dict:
@@ -127,10 +147,8 @@ def _shape_problems(g: Graph, claimed: object) -> list[str]:
             out.append(f"missing key {key!r}")
     if out:
         return out
-    if not isinstance(claimed["objective"], (int, float)) or isinstance(
-        claimed["objective"], bool
-    ):
-        out.append("objective must be a number")
+    if not _is_number(claimed["objective"]):
+        out.append("objective must be a finite number")
     light = claimed["light"]
     if not isinstance(light, list) or not all(
         isinstance(v, int) and not isinstance(v, bool) for v in light
@@ -150,10 +168,9 @@ def _shape_problems(g: Graph, claimed: object) -> list[str]:
                 break
     cert = claimed["certificate"]
     if not isinstance(cert, dict) or not all(
-        k in cert and isinstance(cert[k], (int, float)) and not isinstance(cert[k], bool)
-        for k in ("matching_value", "constant", "offset")
+        k in cert and _is_number(cert[k]) for k in ("matching_value", "constant", "offset")
     ):
-        out.append("certificate must carry numeric matching_value, constant, offset")
+        out.append("certificate must carry finite numeric matching_value, constant, offset")
     return out
 
 
@@ -195,16 +212,15 @@ def _content_problems(
             f"value {_num(objective)}"
         )
     cert = claimed["certificate"]
-    residual = cert["constant"] - cert["matching_value"] + cert["offset"]
-    if isinstance(claimed["objective"], int) and isinstance(residual, int):
+    parts = (claimed["objective"], cert["constant"], cert["matching_value"], cert["offset"])
+    if all(isinstance(x, int) for x in parts):
         # all four are JSON integers: compare exactly, as the relative
-        # tolerance below lets large totals differ by whole units
-        broken = claimed["objective"] != residual
+        # tolerance lets large totals differ by whole units
+        holds = parts[0] == parts[1] - parts[2] + parts[3]
     else:
-        broken = abs(float(claimed["objective"]) - float(residual)) > 1e-9 * max(
-            1.0, abs(float(residual))
-        )
-    if broken:
+        claimed_objective, constant, matching_value, offset = map(Fraction, parts)
+        holds = _near(claimed_objective, constant - matching_value + offset)
+    if not holds:
         out.append(
             "certificate identity fails: objective != constant - matching_value + offset"
         )

@@ -6,10 +6,11 @@ Vertices are 0-based and contiguous internally; the text formats use
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 from functools import cached_property
+
+from ._record import record
 
 __all__ = [
     "MAX_VERTICES",
@@ -34,7 +35,7 @@ MAX_VERTICES = 1_000_000
 _COST_DIGITS = 60
 
 
-@dataclass(frozen=True)
+@record
 class Graph:
     """Simple undirected graph with an ordered edge list.
 
@@ -94,7 +95,7 @@ class Graph:
         raise ValueError(f"vertex {v} is not an endpoint of edge {e}")
 
 
-@dataclass(frozen=True)
+@record
 class Orientation:
     """Per-edge direction choice: tails[e] is the endpoint edge e leaves."""
 
@@ -114,7 +115,7 @@ def check_orientation(g: Graph, o: Orientation) -> None:
             raise ValueError(f"tail {t} of edge {e} is not one of its endpoints ({u}, {v})")
 
 
-@dataclass(frozen=True)
+@record
 class VertexWeights:
     """Exact nonnegative per-vertex costs.
 

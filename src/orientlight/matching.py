@@ -9,8 +9,7 @@ scanned in index order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._record import record
 from .graph import Graph
 
 __all__ = [
@@ -22,7 +21,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@record
 class Matching:
     """A set of pairwise vertex-disjoint edges.
 

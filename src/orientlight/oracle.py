@@ -9,9 +9,9 @@ size and overshooting one is an explicit error, never a silent skip.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._record import record
 from .graph import Graph, Orientation, VertexWeights
 from .matching import Matching
 
@@ -29,7 +29,7 @@ class BudgetExceededError(RuntimeError):
     """The instance is too large for exhaustive enumeration."""
 
 
-@dataclass(frozen=True)
+@record
 class OracleBudget:
     """Caps for the two enumerations.
 

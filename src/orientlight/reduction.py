@@ -13,15 +13,15 @@ demand.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import compress
 
+from ._record import record
 from .graph import Graph, VertexWeights
 
 __all__ = ["ReducedGraph", "build_gprime"]
 
 
-@dataclass(frozen=True)
+@record
 class ReducedGraph:
     """The kernel's core, its gadget graph, and the maps back to the input.
 

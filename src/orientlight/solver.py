@@ -16,10 +16,10 @@ raises an internal error instead of returning a wrong answer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from time import perf_counter
 
+from ._record import field, record
 from .graph import (
     Graph,
     Orientation,
@@ -47,7 +47,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@record
 class Certificate:
     """Optimality certificate: objective = constant - matching_value + offset.
 
@@ -67,7 +67,7 @@ class Certificate:
     offset: int | Fraction
 
 
-@dataclass(frozen=True)
+@record
 class Solution:
     orientation: Orientation
     light_set: frozenset[int]
@@ -75,7 +75,7 @@ class Solution:
     certificate: Certificate
 
 
-@dataclass(frozen=True)
+@record
 class SolveStats:
     """Instance and phase statistics for one solve.
 
@@ -189,7 +189,8 @@ def normalize_gadget_matching(r: ReducedGraph, m: Matching, v: int) -> Matching:
     got = sum(1 for eid in bucket if eid in out.matched_edge_ids)
     if got != expected:
         raise RuntimeError(
-            f"internal error: gadget of vertex {v} holds {got} matched edges, expected {expected}"
+            f"internal error: gadget of vertex {v} holds {got} matched edges, "
+            f"expected {expected} (n={core.n}, m={core.m})"
         )
     return out
 
@@ -265,13 +266,13 @@ def solve_with_stats(
     if core_count != predicted_core:
         raise RuntimeError(
             f"internal error: core recount {core_count} disagrees with "
-            f"certificate value {predicted_core}"
+            f"certificate value {predicted_core} (n={g.n}, m={g.m})"
         )
     objective_units = sum([units[v] for v in light])
     if objective_units != predicted_core + offset_units:
         raise RuntimeError(
             f"internal error: objective recount {objective_units} disagrees with "
-            f"certificate {predicted_core} plus offset {offset_units}"
+            f"certificate {predicted_core} plus offset {offset_units} (n={g.n}, m={g.m})"
         )
     cert = Certificate(as_value(matching_units), as_value(constant_units), as_value(offset_units))
     t3 = perf_counter()

@@ -231,6 +231,40 @@ class TestVerify:
         assert rc == 1
         assert "certificate identity" in out
 
+    HUGE = 10**400  # 401 digits: float() of it overflows
+
+    @pytest.mark.parametrize(
+        "costs, changes",
+        [
+            (None, {"offset": float("nan")}),
+            ("1 0.5\n", {"offset": float("nan")}),
+            ("1 0.5\n", {"constant": float("inf"), "matching_value": float("inf")}),
+            ("1 0.5\n", {"constant": HUGE}),
+            ("1 0.5\n", {"objective": HUGE}),
+            ("1 0.5\n", {"constant": HUGE, "matching_value": 3, "offset": 0.0}),
+        ],
+        ids=["nan-offset", "weighted-nan-offset", "infinite-certificate",
+             "huge-constant", "huge-objective", "huge-constant-and-float"],
+    )
+    def test_rejects_non_finite_and_huge_numbers(self, capsys, tmp_path, k3_file, costs, changes):
+        # json.loads reads NaN and Infinity; float() of a huge integer overflows
+        weights = []
+        if costs is not None:
+            w = tmp_path / "k3.costs"
+            w.write_text(costs)
+            weights = ["--weights", w]
+        rc, out, _ = run(capsys, "solve", k3_file, "--json", *weights)
+        assert rc == 0
+        doc = json.loads(out)
+        assert run(capsys, "verify", k3_file, self.write_solution(tmp_path, doc), *weights)[0] == 0
+        for key, value in changes.items():
+            target = doc if key == "objective" else doc["certificate"]
+            target[key] = value
+        rc, out, err = run(capsys, "verify", k3_file, self.write_solution(tmp_path, doc), *weights)
+        assert rc == 1
+        assert out.startswith("verify: FAIL: ")
+        assert "OK" not in out and err == ""
+
     def test_rejects_missing_keys(self, capsys, tmp_path, k3_file):
         sol = self.write_solution(tmp_path, {"objective": 2})
         rc, out, _ = run(capsys, "verify", k3_file, sol)

@@ -139,13 +139,30 @@ class TestMatchingOracle:
         assert brute_force_max_matching(g).size == 3
 
 
-def test_importing_the_package_does_not_load_numpy():
-    # only brute_force_min_light needs numpy, and it imports it itself
+@pytest.fixture(scope="module")
+def start_up_modules():
+    """Modules a fresh interpreter holds after importing the package and
+    the command line and solving K3, unweighted and weighted."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(orientlight.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
-    code = "import sys, orientlight, orientlight.cli; print('numpy' in sys.modules)"
+    code = (
+        "import sys, orientlight, orientlight.cli\n"
+        "g = orientlight.Graph(3, ((0, 1), (1, 2), (0, 2)))\n"
+        "orientlight.solve_min_light(g)\n"
+        "orientlight.solve_min_light(g, orientlight.VertexWeights((5, 10, 10), 10))\n"
+        "print(' '.join(sys.modules))\n"
+    )
     out = subprocess.run(
         [sys.executable, "-c", code],
         env=env, capture_output=True, text=True, check=True, timeout=60,
     )
-    assert out.stdout.strip() == "False"
+    return set(out.stdout.split())
+
+
+@pytest.mark.parametrize("module", ["numpy", "dataclasses", "inspect"])
+def test_importing_the_package_does_not_load(start_up_modules, module):
+    # only brute_force_min_light needs numpy, and it imports it itself;
+    # the value types are built by orientlight._record, not dataclasses,
+    # which would pull in inspect
+    assert "orientlight.cli" in start_up_modules
+    assert module not in start_up_modules

@@ -1,6 +1,5 @@
 """Pipeline tests: construction directions, normalization, and solve."""
 
-import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -36,6 +35,7 @@ from orientlight import (
     solve_with_stats,
 )
 from orientlight import solver
+from orientlight._record import replace
 
 
 def side_count(r, m, v):
@@ -135,6 +135,24 @@ class TestNormalizeGadgetMatching:
         pa, pb = r.gprime.edges[r.parity_edge[0]]
         assert n.mate[pa] in r.inner[0]
         assert n.mate[pb] in r.inner[0]
+
+    def test_gadget_count_check_names_the_core_sizes(self, monkeypatch, k4):
+        # the repack case of test_repack_case_adds_one_edge, with the
+        # repacked matching losing its parity edge
+        r = build_gprime(k4)
+        inner = r.inner[0][0]
+        port0 = r.port_at(0, 0)
+        e_inner = r.gprime.edge_ids[(min(inner, port0), max(inner, port0))]
+        other_sides = [r.connecting_edges[e][1] for e in (0, 1, 2)]
+        m = Matching.from_edge_ids(r.gprime, [e_inner] + other_sides)
+        real = Matching.from_edge_ids
+        drop = {r.parity_edge[0]}
+        monkeypatch.setattr(
+            Matching, "from_edge_ids", classmethod(lambda cls, g, ids: real(g, set(ids) - drop))
+        )
+        with pytest.raises(RuntimeError, match="internal error: gadget of vertex 0 holds") as ex:
+            normalize_gadget_matching(r, m, 0)
+        assert str(ex.value).endswith("(n=4, m=6)")
 
     def test_identity_case_k1(self, k3):
         r = build_gprime(k3)
@@ -308,11 +326,12 @@ class TestRecountChecks:
         def one_more_light(g, w=None):
             r = real(g, w)
             extra = min(set(range(g.n)) - set(r.peeled_light))
-            return dataclasses.replace(r, peeled_light=r.peeled_light + (extra,))
+            return replace(r, peeled_light=r.peeled_light + (extra,))
 
         monkeypatch.setattr(solver, "build_gprime", one_more_light)
-        with pytest.raises(RuntimeError, match="internal error: objective recount"):
+        with pytest.raises(RuntimeError, match="internal error: objective recount") as ex:
             solve_with_stats(complete_graph(5), weights)
+        assert str(ex.value).endswith("(n=5, m=10)")
 
     @pytest.mark.parametrize("weights", [None, VertexWeights((2, 7, 3))])
     def test_matching_short_of_an_edge_fails_the_core_recount(self, monkeypatch, k3, weights):
@@ -328,8 +347,9 @@ class TestRecountChecks:
 
         assert solve_with_stats(k3, weights)[1].core_vertices == 3
         monkeypatch.setattr(solver, engine, one_edge_short)
-        with pytest.raises(RuntimeError, match="internal error: core recount"):
+        with pytest.raises(RuntimeError, match="internal error: core recount") as ex:
             solve_with_stats(k3, weights)
+        assert str(ex.value).endswith("(n=3, m=3)")
 
 
 class TestSolveProperties:
