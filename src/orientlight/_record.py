@@ -4,10 +4,11 @@ record turns a class with annotated fields into an immutable value
 type: a generated __init__ (keyword or positional, with defaults, then
 the class's own __post_init__ when it has one), value equality and a
 matching hash over the compared fields, a Type(field=value, ...) repr,
-and attributes that cannot be assigned or deleted.  field marks a field
-without a default to leave out of the repr or of equality and hashing.
-replace copies a record with some fields changed, running __post_init__
-again.
+and attributes that cannot be assigned or deleted.  The fields are the
+names in the class's own annotations, in order; a decorated class with
+none is refused.  A field whose class-level value is field() has no
+default and is left out of the repr, equality and hashing.  replace
+copies a record with some fields changed, running __post_init__ again.
 
 The methods are compiled from source once per class, as dataclasses
 does, so constructing a record costs one plain function call.  The
@@ -21,40 +22,35 @@ from __future__ import annotations
 __all__ = ["field", "record", "replace"]
 
 _MISSING = object()
+_HIDDEN = object()
 
 
-class _Field:
-    __slots__ = ("repr", "compare")
-
-    def __init__(self, repr: bool, compare: bool) -> None:
-        self.repr = repr
-        self.compare = compare
-
-
-def field(*, repr: bool = True, compare: bool = True) -> _Field:
-    """Options for one record field without a default, given as its class-level value."""
-    return _Field(repr, compare)
+def field() -> object:
+    """Marks a record field without a default that repr, equality and hashing skip."""
+    return _HIDDEN
 
 
 def record(cls: type) -> type:
     """Class decorator: makes cls a frozen value record of its annotated fields."""
-    specs = []  # (name, default or _MISSING, options)
-    for name in cls.__dict__.get("__annotations__", {}):
+    # cls.__annotations__ is the class's own on 3.10+, never a base's
+    names = tuple(cls.__annotations__)
+    if not names:
+        raise TypeError(f"record {cls.__qualname__} has no annotated fields")
+    defaults = {}
+    shown = []
+    for name in names:
         default = cls.__dict__.get(name, _MISSING)
-        options = _Field(True, True)
-        if isinstance(default, _Field):
-            options, default = default, _MISSING
+        if default is _HIDDEN:
             delattr(cls, name)  # a field without a default leaves no class attribute
-        specs.append((name, default, options))
+        else:
+            shown.append(name)
+            if default is not _MISSING:
+                defaults[name] = default
 
-    names = tuple(name for name, _, _ in specs)
-    keys = [name for name, _, options in specs if options.compare]
-    mine = "".join(f"self.{name}," for name in keys)
-    theirs = "".join(f"other.{name}," for name in keys)
-    shown = ", ".join(f"{name}={{self.{name}!r}}" for name, _, options in specs if options.repr)
-    params = ", ".join(
-        name if default is _MISSING else f"{name}=_dflt_{name}" for name, default, _ in specs
-    )
+    mine = "".join(f"self.{name}," for name in shown)
+    theirs = "".join(f"other.{name}," for name in shown)
+    fields_repr = ", ".join(f"{name}={{self.{name}!r}}" for name in shown)
+    params = ", ".join(f"{name}=_dflt_{name}" if name in defaults else name for name in names)
     body = [f"    _set(self, {name!r}, {name})" for name in names]
     if "__post_init__" in cls.__dict__:
         body.append("    self.__post_init__()")
@@ -68,14 +64,14 @@ def record(cls: type) -> type:
         "def __hash__(self):",
         f"    return hash(({mine}))",
         "def __repr__(self):",
-        f'    return f"{{self.__class__.__qualname__}}({shown})"',
+        f'    return f"{{self.__class__.__qualname__}}({fields_repr})"',
         "def __setattr__(self, name, value):",
         '    raise AttributeError(f"cannot assign to field {name!r}")',
         "def __delattr__(self, name):",
         '    raise AttributeError(f"cannot delete field {name!r}")',
     ])
     namespace = {"_set": object.__setattr__}
-    namespace.update((f"_dflt_{name}", default) for name, default, _ in specs)
+    namespace.update((f"_dflt_{name}", default) for name, default in defaults.items())
     exec(compile(source, f"<record {cls.__qualname__}>", "exec"), namespace)
     for method in ("__init__", "__eq__", "__hash__", "__repr__", "__setattr__", "__delattr__"):
         fn = namespace[method]

@@ -212,13 +212,14 @@ def _content_problems(
             f"value {_num(objective)}"
         )
     cert = claimed["certificate"]
-    parts = (claimed["objective"], cert["constant"], cert["matching_value"], cert["offset"])
-    if all(isinstance(x, int) for x in parts):
+    terms = (claimed["objective"], cert["constant"], cert["matching_value"], cert["offset"])
+    if all(isinstance(x, int) for x in terms):
         # all four are JSON integers: compare exactly, as the relative
         # tolerance lets large totals differ by whole units
-        holds = parts[0] == parts[1] - parts[2] + parts[3]
+        claimed_objective, constant, matching_value, offset = terms
+        holds = claimed_objective == constant - matching_value + offset
     else:
-        claimed_objective, constant, matching_value, offset = map(Fraction, parts)
+        claimed_objective, constant, matching_value, offset = map(Fraction, terms)
         holds = _near(claimed_objective, constant - matching_value + offset)
     if not holds:
         out.append(

@@ -92,7 +92,7 @@ class SolveStats:
     reduce_seconds: float
     match_seconds: float
     recover_seconds: float
-    reduction: ReducedGraph = field(repr=False, compare=False)
+    reduction: ReducedGraph = field()
 
 
 def matching_from_orientation(r: ReducedGraph, o: Orientation) -> Matching:

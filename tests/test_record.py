@@ -125,11 +125,11 @@ class TestValueSemantics:
 
 
 class TestDecorator:
-    def test_field_options_and_defaults(self):
+    def test_hidden_fields_and_defaults(self):
         @record
         class Point:
             x: int
-            note: str = field(repr=False, compare=False)
+            note: str = field()
             y: int = 0
 
         assert Point(1, "a") == Point(1, "moved", 0)
@@ -137,6 +137,13 @@ class TestDecorator:
         assert Point(1, "a") != Point(1, "a", 2)
         assert repr(Point(1, "hidden", 2)).endswith(".<locals>.Point(x=1, y=2)")
         assert Point.__record_fields__ == ("x", "note", "y")
+
+    def test_a_class_without_annotated_fields_is_refused(self):
+        class Empty:
+            x = 1
+
+        with pytest.raises(TypeError, match="no annotated fields"):
+            record(Empty)
 
     def test_a_field_without_a_default_leaves_no_class_attribute(self):
         assert not hasattr(SolveStats, "reduction")
