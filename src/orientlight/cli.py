@@ -11,6 +11,7 @@ import functools
 import json
 import math
 import sys
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -123,7 +124,11 @@ def cmd_solve(args: argparse.Namespace) -> int:
     if args.dump_reduction:
         _dump_reduction(stats.reduction, weights, args.dump_reduction)
     if args.json:
-        print(json.dumps(_solution_to_json(g, sol), indent=2))
+        # one line per top-level key; json.dumps without indent runs the
+        # C encoder, which indent would replace with the Python one
+        doc = _solution_to_json(g, sol)
+        lines = [f"  {json.dumps(key)}: {json.dumps(value)}" for key, value in doc.items()]
+        print("{\n" + ",\n".join(lines) + "\n}")
         return 0
     cert = sol.certificate
     print(f"objective: {_num(sol.objective)}")
@@ -192,6 +197,9 @@ def _content_problems(
     o = Orientation(tuple(tails))
     light = light_vertices(g, o, 1)
     claimed_light = set(claimed["light"])
+    if len(claimed_light) != len(claimed["light"]):
+        twice = sorted(v for v, c in Counter(claimed["light"]).items() if c > 1)
+        out.append(f"light names a vertex more than once: {twice}")
     actual_light = {v + 1 for v in light}
     if claimed_light != actual_light:
         extra = sorted(claimed_light - actual_light)

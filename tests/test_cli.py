@@ -51,6 +51,15 @@ class TestSolve:
         assert rc == 0
         assert "OK" in out
 
+    def test_json_writes_one_line_per_key(self, capsys, k3_file):
+        rc, out, _ = run(capsys, "solve", k3_file, "--json")
+        assert rc == 0
+        doc = json.loads(out)
+        assert list(doc) == ["objective", "light", "orientation", "certificate"]
+        inner = ",\n".join(f"  {json.dumps(key)}: {json.dumps(doc[key])}" for key in doc)
+        assert out == "{\n" + inner + "\n}\n"
+        assert '  "orientation": [[1, 2], [2, 3], [1, 3]],\n' in out
+
     def test_fractional_weights_round_trip(self, capsys, tmp_path, k3_file):
         w = tmp_path / "w.txt"
         w.write_text("1 0.5\n2 0.25\n3 0.25\n")
@@ -264,6 +273,25 @@ class TestVerify:
         assert rc == 1
         assert out.startswith("verify: FAIL: ")
         assert "OK" not in out and err == ""
+
+    def test_rejects_light_vertex_listed_twice(self, capsys, tmp_path, k3_file):
+        rc, out, _ = run(capsys, "solve", k3_file, "--json")
+        doc = json.loads(out)
+        assert doc["light"] == [2, 3]
+        doc["light"] = [2, 2, 3]
+        rc, out, _ = run(capsys, "verify", k3_file, self.write_solution(tmp_path, doc))
+        assert rc == 1
+        assert out == "verify: FAIL: light names a vertex more than once: [2]\n"
+
+    def test_oracle_is_exact_on_costs_past_int64(self, capsys, tmp_path, k3_file):
+        w = tmp_path / "k3.costs"
+        w.write_text("1 100000000000000000000\n2 1\n3 1\n")
+        rc, out, _ = run(capsys, "solve", k3_file, "--json", "--weights", w)
+        assert rc == 0
+        sol = tmp_path / "sol.json"
+        sol.write_text(out)
+        rc, out, err = run(capsys, "verify", k3_file, sol, "--weights", w)
+        assert (rc, out, err) == (0, "verify: OK\n", "")
 
     def test_rejects_missing_keys(self, capsys, tmp_path, k3_file):
         sol = self.write_solution(tmp_path, {"objective": 2})

@@ -1,8 +1,12 @@
 """The exhaustive baselines and their budget guard."""
 
+import itertools
 import os
+import random
 import subprocess
 import sys
+from fractions import Fraction
+from time import perf_counter
 
 import pytest
 
@@ -12,6 +16,7 @@ from orientlight import (
     BudgetExceededError,
     Graph,
     OracleBudget,
+    Orientation,
     VertexWeights,
     brute_force_max_matching,
     brute_force_min_light,
@@ -111,6 +116,76 @@ class TestMinLightOracle:
     def test_rejects_negative_threshold(self, k3):
         with pytest.raises(ValueError):
             brute_force_min_light(k3, k=-1)
+
+    def test_costs_past_int64_stay_exact(self, k3):
+        # every vertex is swept and the costs sum past 2**63: the totals
+        # must be exact Python ints, and the objective an exact Fraction;
+        # the dearest vertex, 2, is the one both its edges leave
+        w = VertexWeights((10**20 + 1, 10**20 + 3, 10**20 + 7), 10)
+        obj, witness = brute_force_min_light(k3, 1, w)
+        assert obj == Fraction(2 * 10**20 + 4, 10)
+        assert isinstance(obj, Fraction)
+        assert witness.tails == (0, 2, 2)
+
+    def test_isolated_vertices_need_no_sweep(self):
+        edges = complete_graph(7).edges[:16]
+        want, witness = brute_force_min_light(Graph(7, edges))
+        t0 = perf_counter()
+        got, got_witness = brute_force_min_light(Graph(7 + 100_000, edges))
+        elapsed = perf_counter() - t0
+        assert got == want + 100_000
+        assert got_witness == witness
+        assert elapsed < 5, f"100000 isolated vertices took {elapsed:.1f}s"
+
+
+def plain_min_light(g, k, units):
+    """First minimum cost over itertools.product in lexicographic order,
+    with bit 0 orienting an edge from its lower endpoint."""
+    best = None
+    for bits in itertools.product((0, 1), repeat=g.m):
+        tails = tuple(w if b else u for (u, w), b in zip(g.edges, bits))
+        out = [0] * g.n
+        for t in tails:
+            out[t] += 1
+        cost = sum(units[v] for v in range(g.n) if out[v] <= k)
+        if best is None or cost < best[0]:
+            best = (cost, tails)
+    return best
+
+
+def seeded_instance(seed):
+    """Up to 10 edges on 2-7 vertices, 0-3 isolated vertices, labels
+    shuffled, and costs with zeros and the odd cost past 2**63."""
+    rng = random.Random(seed)
+    core = rng.randint(2, 7)
+    pairs = list(itertools.combinations(range(core), 2))
+    chosen = rng.sample(pairs, rng.randint(0, min(10, len(pairs))))
+    n = core + rng.randint(0, 3)
+    label = list(range(n))
+    rng.shuffle(label)
+    g = Graph(n, tuple((label[u], label[v]) for u, v in chosen))
+    units = tuple(rng.choice((0, 0, 1, 2, 3, 7, 10, 10**19)) for _ in range(n))
+    return g, VertexWeights(units, rng.choice((1, 100)))
+
+
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_matches_plain_enumeration(k):
+    # an enumeration written without bit masks or numpy agrees on the
+    # objective and on the witness, which is the first minimum
+    kinds = set()
+    for seed in range(300):
+        g, w = seeded_instance(seed)
+        degrees = [g.degree(v) for v in range(g.n)]
+        kinds.update(d for d in degrees if d < 2)
+        kinds.update("zero" for u in w.units if u == 0)
+        for weights in (None, w):
+            units = weights.units if weights is not None else (1,) * g.n
+            cost, tails = plain_min_light(g, k, units)
+            want = weights.as_value(cost) if weights is not None else cost
+            assert brute_force_min_light(g, k, weights) == (want, Orientation(tails)), (
+                f"seed {seed}, k {k}, {'weighted' if weights else 'unweighted'}"
+            )
+    assert kinds == {0, 1, "zero"}
 
 
 class TestMatchingOracle:
