@@ -2,6 +2,12 @@
 
 Exit codes: 0 success, 1 a verification or benchmark check failed, 2
 bad usage or unreadable/unparseable input.
+
+main hands an argument list that starts with a subcommand's name
+straight to that subcommand's parser, so each call runs one argparse
+pass; arguments it does not know go to the top-level parser's error, as
+argparse itself reports them.  Anything else (no arguments, --help, an
+unknown command) goes through the top-level parser.
 """
 
 from __future__ import annotations
@@ -13,7 +19,6 @@ import math
 import sys
 from collections import Counter
 from fractions import Fraction
-from pathlib import Path
 
 from .generate import random_graph, random_weights
 from .graph import (
@@ -33,10 +38,16 @@ __all__ = ["main"]
 
 
 def _read(path: str) -> str:
-    return Path(path).read_text(encoding="utf-8")
+    with open(path, encoding="utf-8") as f:
+        return f.read()
 
 
-# the relative tolerance of a comparison that involves a float
+def _write(path: str, text: str) -> None:
+    with open(path, "w", encoding="utf-8") as f:
+        f.write(text)
+
+
+# the relative tolerance of a certificate identity with a float term
 _TOLERANCE = Fraction(1e-9)
 
 
@@ -52,21 +63,18 @@ def _is_number(x: object) -> bool:
     return isinstance(x, int) or isinstance(x, float) and math.isfinite(x)
 
 
-def _near(claimed: int | float | Fraction, exact: int | Fraction) -> bool:
+def _near(claimed: Fraction, exact: Fraction) -> bool:
     """Within 1e-9 relative of exact, in exact arithmetic: a float
-    claim has made a round trip through JSON.  Fractions never overflow
+    term has made a round trip through JSON.  Fractions never overflow
     as float() does on a huge integer."""
-    exact = Fraction(exact)
-    return abs(Fraction(claimed) - exact) <= _TOLERANCE * max(1, abs(exact))
+    return abs(claimed - exact) <= _TOLERANCE * max(1, abs(exact))
 
 
-def _close(claimed: object, exact: int | Fraction) -> bool:
-    """Value comparison tolerant of the float round-trip through JSON."""
-    if not _is_number(claimed):
-        return False
-    if isinstance(exact, int):
-        return claimed == exact
-    return _near(claimed, exact)
+def _equals(claimed: object, exact: int | Fraction) -> bool:
+    """claimed is exactly the number solve --json writes for exact: the
+    integer itself, or float(exact), the correctly rounded value, which
+    survives the round trip through JSON unchanged."""
+    return _is_number(claimed) and claimed == _num(exact)
 
 
 def _solution_to_json(g: Graph, sol: Solution) -> dict:
@@ -92,7 +100,7 @@ def _dump_reduction(r: ReducedGraph, weights: VertexWeights | None, path: str) -
     The sidecar uses 1-based vertex labels (matching the graph file) and
     0-based edge indices into that file's edge list.
     """
-    Path(path).write_text(render_graph(r.gprime), encoding="utf-8")
+    _write(path, render_graph(r.gprime))
     sidecar = {
         "conventions": "vertex labels are 1-based; edge indices are 0-based "
         "positions in the edge list of the graph file",
@@ -112,9 +120,7 @@ def _dump_reduction(r: ReducedGraph, weights: VertexWeights | None, path: str) -
         "edge_weight_units": list(r.edge_weights),
         "weight_scale": weights.scale if weights is not None else 1,
     }
-    Path(path + ".json").write_text(
-        json.dumps(sidecar, indent=2) + "\n", encoding="utf-8"
-    )
+    _write(path + ".json", json.dumps(sidecar, indent=2) + "\n")
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
@@ -214,7 +220,7 @@ def _content_problems(
         objective: int | Fraction = len(light)
     else:
         objective = weights.as_value(sum(weights.unit(v) for v in light))
-    if not _close(claimed["objective"], objective):
+    if not _equals(claimed["objective"], objective):
         out.append(
             f"objective {claimed['objective']} disagrees with the recomputed "
             f"value {_num(objective)}"
@@ -256,7 +262,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         except BudgetExceededError as ex:
             print(f"verify: optimality not checked ({ex})")
         else:
-            if not _close(claimed["objective"], optimum):
+            if not _equals(claimed["objective"], optimum):
                 print(
                     f"verify: FAIL: objective {claimed['objective']} is not optimal "
                     f"(optimum is {_num(optimum)})"
@@ -272,17 +278,20 @@ def _render_weights(w: VertexWeights) -> str:
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
-    if args.weights_max is not None and not args.weights_out:
-        raise ValueError("--weights-max requires --weights-out")
+    if args.weights_max is not None:
+        if not args.weights_out:
+            raise ValueError("--weights-max requires --weights-out")
+        if args.weights_max < 0:
+            raise ValueError("--weights-max must be nonnegative")
     g = random_graph(args.n, args.p, args.seed)
     text = render_graph(g)
     if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
+        _write(args.out, text)
     else:
         sys.stdout.write(text)
     if args.weights_max is not None:
         w = random_weights(args.n, args.weights_max, args.seed + 1)
-        Path(args.weights_out).write_text(_render_weights(w), encoding="utf-8")
+        _write(args.weights_out, _render_weights(w))
     return 0
 
 
@@ -352,8 +361,11 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
 
 @functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    # built once per process: parse_args leaves the parser unchanged
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and each subcommand's parser, by name.
+
+    Built once per process: parsing leaves a parser unchanged.
+    """
     parser = argparse.ArgumentParser(
         prog="orientlight",
         description="Orient every edge of a graph so that as few vertices as "
@@ -361,8 +373,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "out-degree at most 1.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    commands = {}
 
-    p = sub.add_parser("solve", help="solve one instance")
+    p = commands["solve"] = sub.add_parser("solve", help="solve one instance")
     p.add_argument("graph", help="graph file: 'n m' header, then 'u v' lines, 1-based")
     p.add_argument("--weights", help="per-vertex cost file: 'v cost' lines, default 1")
     p.add_argument("--json", action="store_true", help="emit the solution as JSON")
@@ -373,7 +386,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(func=cmd_solve)
 
-    p = sub.add_parser("verify", help="check a solution document against its instance")
+    p = commands["verify"] = sub.add_parser(
+        "verify", help="check a solution document against its instance"
+    )
     p.add_argument("graph")
     p.add_argument("solution", help="solution JSON, as produced by solve --json")
     p.add_argument("--weights")
@@ -385,7 +400,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("gen", help="generate a reproducible random instance")
+    p = commands["gen"] = sub.add_parser("gen", help="generate a reproducible random instance")
     p.add_argument("n", type=int)
     p.add_argument("p", type=float, help="edge probability in [0, 1]")
     p.add_argument("--seed", type=int, default=0)
@@ -394,7 +409,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--weights-out", help="where to write the generated costs")
     p.set_defaults(func=cmd_gen)
 
-    p = sub.add_parser("bench", help="time the solver on random instances")
+    p = commands["bench"] = sub.add_parser("bench", help="time the solver on random instances")
     p.add_argument(
         "schedule",
         nargs="?",
@@ -410,13 +425,21 @@ def _build_parser() -> argparse.ArgumentParser:
         "and solve the weighted problem",
     )
     p.set_defaults(func=cmd_bench)
-    return parser
+    return parser, commands
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    parser, commands = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        command = commands.get(argv[0]) if argv else None
+        if command is None:
+            args = parser.parse_args(argv)
+        else:
+            args, extra = command.parse_known_args(argv[1:])
+            if extra:
+                parser.error(f"unrecognized arguments: {' '.join(extra)}")
     except SystemExit as ex:
         return ex.code if isinstance(ex.code, int) else 2
     try:

@@ -95,6 +95,18 @@ class Graph:
         raise ValueError(f"vertex {v} is not an endpoint of edge {e}")
 
 
+def _valid_graph(n: int, edges: tuple[tuple[int, int], ...]) -> Graph:
+    """The Graph Graph(n, edges) would build, without __post_init__'s checks.
+
+    For callers that build edges valid by construction: every (u, v)
+    has 0 <= u < v < n and no pair occurs twice.
+    """
+    g = object.__new__(Graph)
+    object.__setattr__(g, "n", n)
+    object.__setattr__(g, "edges", edges)
+    return g
+
+
 @record
 class Orientation:
     """Per-edge direction choice: tails[e] is the endpoint edge e leaves."""
@@ -213,7 +225,7 @@ def parse_graph(text: str) -> Graph:
     n, m = header
     if len(edges) != m:
         raise ValueError(f"header promises {m} edges, found {len(edges)}")
-    return Graph(n, tuple(edges))
+    return _valid_graph(n, tuple(edges))
 
 
 def render_graph(g: Graph) -> str:

@@ -16,7 +16,7 @@ from __future__ import annotations
 from itertools import compress
 
 from ._record import record
-from .graph import Graph, VertexWeights
+from .graph import Graph, VertexWeights, _valid_graph
 
 __all__ = ["ReducedGraph", "build_gprime"]
 
@@ -70,8 +70,8 @@ class ReducedGraph:
     endpoint is 3e+2; the inner vertices of each core vertex follow from
     3m onward, in vertex order.  Edge layout: the two connecting edges
     of core edge e are 2e (lower side) and 2e+1 (higher side); then per
-    core vertex its inner-to-port edges, inner-major, then its parity
-    edge if it has one.
+    core vertex its inner-to-port edges, inner-major and each stored as
+    (port, inner), then its parity edge if it has one.
 
     For core vertex v of degree d the gadget consists of the d ports of
     its incident edges and d - demand[v] inner vertices joined to every
@@ -191,7 +191,8 @@ def build_gprime(g: Graph, weights: VertexWeights | None = None) -> ReducedGraph
         e for v in core_to_input for e in adj[v] if tails[e] == -1 and edges[e][0] == v
     ))
     new_id = {v: c for c, v in enumerate(core_to_input)}
-    core = Graph(
+    # new_id keeps the input order, so every core edge stays (low, high)
+    core = _valid_graph(
         len(core_to_input),
         tuple((new_id[edges[e][0]], new_id[edges[e][1]]) for e in core_edge_to_input),
     )
@@ -226,7 +227,7 @@ def build_gprime(g: Graph, weights: VertexWeights | None = None) -> ReducedGraph
         vports = [3 * e if core.edges[e][0] == v else 3 * e + 2 for e in cadj[v]]
         first = len(gp_edges)
         for i in inner[v]:
-            gp_edges += [(i, p) for p in vports]
+            gp_edges += [(p, i) for p in vports]  # every port lies below every inner
         gadget_edge_ids.append(tuple(range(first, len(gp_edges))))
         if demand[v] == 2:
             # parity edge between the ports of the two smallest incident edge ids
@@ -243,7 +244,7 @@ def build_gprime(g: Graph, weights: VertexWeights | None = None) -> ReducedGraph
         demand=demand,
         peeled_tails=tuple(tails),
         peeled_light=tuple(light),
-        gprime=Graph(nxt, tuple(gp_edges)),
+        gprime=_valid_graph(nxt, tuple(gp_edges)),
         connector=connector,
         ports=ports,
         connecting_edges=connecting_edges,

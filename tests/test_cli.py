@@ -1,9 +1,14 @@
 """End-to-end CLI behavior through main()."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import orientlight
 from orientlight import parse_graph, parse_weights
 from orientlight.cli import main
 
@@ -240,6 +245,26 @@ class TestVerify:
         assert rc == 1
         assert "certificate identity" in out
 
+    def test_objective_is_exact_on_non_integers(self, capsys, tmp_path):
+        # objective 100000000.02: a relative tolerance of 1e-9 would forgive 0.01 more
+        g, w = tmp_path / "p2.graph", tmp_path / "p2.costs"
+        g.write_text("2 1\n1 2\n")
+        w.write_text("1 50000000.01\n2 50000000.01\n")
+        rc, out, _ = run(capsys, "solve", g, "--weights", w, "--json")
+        assert rc == 0
+        doc = json.loads(out)
+        assert doc["objective"] == 100000000.02
+        assert run(capsys, "verify", g, self.write_solution(tmp_path, doc), "--weights", w)[0] == 0
+        # the certificate identity still holds: only the objective is wrong
+        doc["objective"] += 0.01
+        doc["certificate"]["offset"] += 0.01
+        rc, out, _ = run(capsys, "verify", g, self.write_solution(tmp_path, doc), "--weights", w)
+        assert rc == 1
+        assert out == (
+            "verify: FAIL: objective 100000000.03 disagrees with the recomputed "
+            "value 100000000.02\n"
+        )
+
     HUGE = 10**400  # 401 digits: float() of it overflows
 
     @pytest.mark.parametrize(
@@ -346,6 +371,16 @@ class TestGen:
         assert rc == 2
         assert "--weights-out" in err
 
+    @pytest.mark.parametrize("to_file", [True, False], ids=["out", "stdout"])
+    def test_negative_weights_max_writes_nothing(self, capsys, tmp_path, monkeypatch, to_file):
+        monkeypatch.chdir(tmp_path)
+        argv = ["gen", "5", "0.5", "--weights-max", "-1", "--weights-out", "w.txt"]
+        if to_file:
+            argv += ["--out", "g.txt"]
+        rc, out, err = run(capsys, *argv)
+        assert (rc, out, err) == (2, "", "error: --weights-max must be nonnegative\n")
+        assert list(tmp_path.iterdir()) == []
+
     def test_invalid_probability(self, capsys):
         rc, _, err = run(capsys, "gen", "6", "1.7")
         assert rc == 2
@@ -404,9 +439,114 @@ class TestBench:
         assert "--weights-max" in err
 
 
+TOP_USAGE = "usage: orientlight [-h] {solve,verify,gen,bench} ...\n"
+SOLVE_USAGE = (
+    "usage: orientlight solve [-h] [--weights WEIGHTS] [--json]\n"
+    "                         [--dump-reduction PATH]\n"
+    "                         graph\n"
+)
+
+# exit code, stdout and stderr of main(argv.split()), argparse wrapping at 80 columns
+PINNED = {
+    "": (2, "", TOP_USAGE + "orientlight: error: the following arguments are required: command\n"),
+    "--help": (
+        0,
+        TOP_USAGE
+        + "\n"
+        "Orient every edge of a graph so that as few vertices as possible (or as little\n"
+        "total cost as possible) end up with out-degree at most 1.\n"
+        "\n"
+        "positional arguments:\n"
+        "  {solve,verify,gen,bench}\n"
+        "    solve               solve one instance\n"
+        "    verify              check a solution document against its instance\n"
+        "    gen                 generate a reproducible random instance\n"
+        "    bench               time the solver on random instances\n"
+        "\n"
+        "options:\n"
+        "  -h, --help            show this help message and exit\n",
+        "",
+    ),
+    "frobnicate": (
+        2,
+        "",
+        TOP_USAGE
+        + "orientlight: error: argument command: invalid choice: 'frobnicate' "
+        "(choose from 'solve', 'verify', 'gen', 'bench')\n",
+    ),
+    "solve": (
+        2,
+        "",
+        SOLVE_USAGE + "orientlight solve: error: the following arguments are required: graph\n",
+    ),
+    "solve g --bogus": (
+        2,
+        "",
+        TOP_USAGE + "orientlight: error: unrecognized arguments: --bogus\n",
+    ),
+    "solve --help": (
+        0,
+        SOLVE_USAGE
+        + "\n"
+        "positional arguments:\n"
+        "  graph                 graph file: 'n m' header, then 'u v' lines, 1-based\n"
+        "\n"
+        "options:\n"
+        "  -h, --help            show this help message and exit\n"
+        "  --weights WEIGHTS     per-vertex cost file: 'v cost' lines, default 1\n"
+        "  --json                emit the solution as JSON\n"
+        "  --dump-reduction PATH\n"
+        "                        also write the gadget graph to PATH and its\n"
+        "                        bookkeeping to PATH.json\n",
+        "",
+    ),
+    "verify g": (
+        2,
+        "",
+        "usage: orientlight verify [-h] [--weights WEIGHTS] [--no-oracle]\n"
+        "                          graph solution\n"
+        "orientlight verify: error: the following arguments are required: solution\n",
+    ),
+    "gen x 0.5": (
+        2,
+        "",
+        "usage: orientlight gen [-h] [--seed SEED] [--out OUT]\n"
+        "                       [--weights-max WEIGHTS_MAX] [--weights-out WEIGHTS_OUT]\n"
+        "                       n p\n"
+        "orientlight gen: error: argument n: invalid int value: 'x'\n",
+    ),
+}
+
+
 class TestMainPlumbing:
     def test_unknown_subcommand(self, capsys):
         assert run(capsys, "frobnicate")[0] == 2
+
+    @pytest.mark.parametrize("argv", PINNED, ids=[a or "no-arguments" for a in PINNED])
+    def test_pinned_messages(self, capsys, monkeypatch, argv):
+        monkeypatch.setenv("COLUMNS", "80")
+        assert run(capsys, *argv.split()) == PINNED[argv]
+
+    def test_module_entry_point(self, tmp_path, k3_file):
+        # python -m orientlight.cli: main() reads its arguments from sys.argv
+        src = str(Path(orientlight.__file__).parents[1])
+        env = dict(os.environ, COLUMNS="80")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+
+        def cli(*argv):
+            done = subprocess.run(
+                [sys.executable, "-m", "orientlight.cli", *map(str, argv)],
+                capture_output=True, text=True, env=env, timeout=60,
+            )
+            return done.returncode, done.stdout, done.stderr
+
+        code, out, err = cli("solve", k3_file, "--json")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["objective"] == 2
+        sol = tmp_path / "sol.json"
+        sol.write_text(out)
+        assert cli("verify", k3_file, sol) == (0, "verify: OK\n", "")
+        assert cli("frobnicate") == PINNED["frobnicate"]
 
     def test_repeated_calls_share_no_flags(self, capsys, tmp_path, k3_file):
         # one process, several main() calls: no flag or default of one

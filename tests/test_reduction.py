@@ -5,8 +5,10 @@ import pytest
 from conftest import (
     complete_graph,
     cycle_graph,
+    path_graph,
     petersen_graph,
     random_core,
+    star_graph,
     two_core,
     wheel_graph,
 )
@@ -16,6 +18,7 @@ from orientlight import (
     VertexWeights,
     brute_force_min_light,
     build_gprime,
+    parse_graph,
     random_graph,
     random_weights,
     solve_min_light,
@@ -222,6 +225,32 @@ class TestBuildGprime:
                 core.degree(v) ** 2 - core.degree(v) + 1 for v in range(core.n)
             )
             built += 1
+
+    def test_unchecked_graphs_equal_checked_ones(self):
+        # parse_graph and build_gprime skip Graph's checks and normalisation:
+        # each graph they build must be the one Graph(n, edges) would build
+        graphs = [complete_graph(k) for k in range(1, 7)]
+        graphs += [cycle_graph(5), path_graph(6), star_graph(4), wheel_graph(6), petersen_graph()]
+        graphs += [
+            random_graph(n, min(1.0, degree / (n - 1)), seed)
+            for n in (6, 12, 25, 60, 150)
+            for degree in (1.2, 1.6, 2.2, 3.0, 5.0)
+            for seed in range(3)
+        ]
+        core_sizes = set()
+        for i, g in enumerate(graphs):
+            # every other edge line names its higher endpoint first
+            lines = [f"{g.n} {g.m}"]
+            lines += [f"{v + 1} {u + 1}" if e % 2 else f"{u + 1} {v + 1}"
+                      for e, (u, v) in enumerate(g.edges)]
+            parsed = parse_graph("\n".join(lines))
+            assert Graph(parsed.n, parsed.edges) == parsed == g
+            for w in (None, random_weights(g.n, 3, i)):
+                r = build_gprime(g, w)
+                for built in (r.core, r.gprime):
+                    assert Graph(built.n, built.edges) == built, f"graph {i}, weights {w}"
+                core_sizes.add(r.core.n)
+        assert len(core_sizes) >= 30 and max(core_sizes) >= 100, sorted(core_sizes)
 
     def test_connectors_have_degree_two(self):
         r = build_gprime(petersen_graph())
