@@ -30,10 +30,10 @@ class ReducedGraph:
     so core edges keep their input order.  demand[c] is 1 or 2: the
     out-degree core vertex c needs inside the core to have out-degree at
     least 2 in the input.  peeled_tails[e] is the tail the kernel fixed
-    for input edge e, or -1 when e is a core edge.  peeled_light lists
-    the input vertices outside the core that are light whatever the core
-    does: every other vertex outside the core has out-degree at least 2
-    from peeled_tails alone.
+    for input edge e, or -1 when e is a core edge.  Outside the core
+    peeled_tails alone fixes every vertex's status: a vertex of degree
+    below 2 is light, a zero-cost vertex may be light at no cost, and
+    every other vertex has out-degree at least 2.
 
     The kernel is one flow.  Give every input vertex a target: 2, or 0
     when its degree is below 2 (it is light whatever happens) or its
@@ -62,8 +62,8 @@ class ReducedGraph:
     it the gadget, is small or empty.
 
     Altogether some optimal orientation of the input agrees with every
-    tail in peeled_tails, and its light total is the total of
-    peeled_light plus an optimum of the core.
+    tail in peeled_tails, and its light total is the count (or cost) of
+    the vertices of degree below 2 plus an optimum of the core.
 
     Vertex layout of gprime: for core edge e the port at the lower
     endpoint is 3e, the connector is 3e+1, and the port at the higher
@@ -87,7 +87,6 @@ class ReducedGraph:
     core_edge_to_input: tuple[int, ...]
     demand: tuple[int, ...]
     peeled_tails: tuple[int, ...]
-    peeled_light: tuple[int, ...]
     gprime: Graph
     connector: tuple[int, ...]
     ports: tuple[tuple[int, int], ...]
@@ -125,14 +124,13 @@ def build_gprime(g: Graph, weights: VertexWeights | None = None) -> ReducedGraph
     and every edge between R and the rest leaves R, so those edges keep
     the flow's direction (ReducedGraph gives the lemma) and each R
     vertex's demand is 2 minus its out-edges leaving R.  A flow edge
-    entering R, an R vertex with 2 out-edges leaving R, or a vertex
-    outside R short of its target is an internal error.
+    entering R or an R vertex with 2 out-edges leaving R is an internal
+    error.
 
-    The kernel makes two passes over the edges: the flow's greedy start,
-    and a final count of every vertex's out-degree, which yields the
-    light vertices outside the core and rechecks that the flow met every
-    target outside R.  Everything else touches only the edges of the
-    flow's searches and of R.
+    The kernel makes one pass over the edges, the flow's greedy start,
+    and counts no out-degrees; everything else touches only the edges of
+    the flow's searches and of R.  The solver's recount of the final
+    orientation checks that the flow met every target outside R.
 
     With m core edges the gadget graph has 5m - sum(demand) vertices and
     sum(d^2 - (b - 1) d + [b = 2]) edges over core vertices of degree d
@@ -156,11 +154,14 @@ def build_gprime(g: Graph, weights: VertexWeights | None = None) -> ReducedGraph
     tails, in_region = _deficient_region(g, target)
     core_to_input = tuple(compress(range(n), in_region))  # R is the core
     out = [0] * n  # out-edges leaving R, per vertex of R
+    core_edges = []
     for x in core_to_input:
         for e in adj[x]:
             a, b = edges[e]
             if in_region[a + b - x]:
-                tails[e] = -1  # inside R: a core edge
+                tails[e] = -1  # inside R: a core edge, listed from its lower end
+                if a == x:
+                    core_edges.append(e)
             elif tails[e] != x:
                 raise RuntimeError(
                     f"internal error: flow edge {e} ({a}, {b}) enters the deficient "
@@ -174,22 +175,7 @@ def build_gprime(g: Graph, weights: VertexWeights | None = None) -> ReducedGraph
                 f"the deficient region (n={n}, m={g.m})"
             )
 
-    # core edges keep tail -1 and count into the spare last slot
-    got = [0] * (n + 1)
-    for t in tails:
-        got[t] += 1
-    light = [v for v in range(n) if got[v] < 2 and not in_region[v]]
-    for v in light:
-        if target[v]:
-            raise RuntimeError(
-                f"internal error: vertex {v} outside the deficient region has "
-                f"out-degree {got[v]} below 2, its target {target[v]} unmet "
-                f"(n={n}, m={g.m})"
-            )
-
-    core_edge_to_input = tuple(sorted(
-        e for v in core_to_input for e in adj[v] if tails[e] == -1 and edges[e][0] == v
-    ))
+    core_edge_to_input = tuple(sorted(core_edges))
     new_id = {v: c for c, v in enumerate(core_to_input)}
     # new_id keeps the input order, so every core edge stays (low, high)
     core = _valid_graph(
@@ -243,7 +229,6 @@ def build_gprime(g: Graph, weights: VertexWeights | None = None) -> ReducedGraph
         core_edge_to_input=core_edge_to_input,
         demand=demand,
         peeled_tails=tuple(tails),
-        peeled_light=tuple(light),
         gprime=_valid_graph(nxt, tuple(gp_edges)),
         connector=connector,
         ports=ports,

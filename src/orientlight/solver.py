@@ -7,11 +7,11 @@ others as the core), compute one maximum matching, read the core
 orientation back off the matching, and map it onto the input edges
 next to the tails the kernel fixed.  The matching value yields a
 certificate: on the core the optimal light count is 2m - |M|
-(unweighted) or Q - w(M) (weighted), and the vertices the kernel
-settled light contribute the offset.  The kernel is sound because some
-optimal orientation agrees with every tail it fixes (see ReducedGraph).
-Both identities are recounted on the final orientation; a mismatch
-raises an internal error instead of returning a wrong answer.
+(unweighted) or Q - w(M) (weighted), and the vertices of degree below
+2 contribute the offset.  The kernel is sound because some optimal
+orientation agrees with every tail it fixes (see ReducedGraph).  Both
+identities are recounted on the final orientation; a mismatch, such as
+a costly vertex the kernel settled light, raises an internal error.
 """
 
 from __future__ import annotations
@@ -52,14 +52,14 @@ class Certificate:
     """Optimality certificate: objective = constant - matching_value + offset.
 
     constant is 2m (unweighted) or Q = sum(d(v) c_v) (weighted) over the
-    core build_gprime leaves, and constant - matching_value is the
-    core's optimal light total.  offset is the count (or cost) of the
-    vertices outside that core that stay light: the vertices of degree
-    below 2, plus, in weighted mode, zero-cost vertices the flow settled
-    below out-degree 2, which add nothing.  It is never negative.  The
-    sum is the optimum of the input because the kernel is sound: some
-    optimal orientation agrees with every tail it fixes (ReducedGraph
-    gives the argument).
+    core build_gprime leaves, the weight of the gadget's connecting
+    edges, and constant - matching_value is the core's optimal light
+    total.  offset is the count (or cost) of the input vertices of
+    degree below 2, light in every orientation; every other vertex
+    outside the core gets out-degree 2 from the kernel or costs nothing.
+    It is never negative.  The sum is the optimum of the input because
+    the kernel is sound: some optimal orientation agrees with every tail
+    it fixes (ReducedGraph gives the argument).
     """
 
     matching_value: int | Fraction
@@ -258,11 +258,11 @@ def solve_with_stats(
     orientation = Orientation(tuple(tails))
     light = light_vertices(g, orientation, 1)
 
-    core_units = [units[v] for v in core_to_input]
-    constant_units = sum(len(a) * c for a, c in zip(r.core.adjacency, core_units))
-    offset_units = sum([units[v] for v in r.peeled_light])
+    # Q is the connecting edges' weight; Certificate gives the offset rule
+    constant_units = sum(r.edge_weights[: 2 * r.core.m])
+    offset_units = sum([c for a, c in zip(g.adjacency, units) if len(a) < 2])
     predicted_core = constant_units - matching_units
-    core_count = sum([c for v, c in zip(core_to_input, core_units) if v in light])
+    core_count = sum([units[v] for v in core_to_input if v in light])
     if core_count != predicted_core:
         raise RuntimeError(
             f"internal error: core recount {core_count} disagrees with "

@@ -381,6 +381,28 @@ class TestGen:
         assert (rc, out, err) == (2, "", "error: --weights-max must be nonnegative\n")
         assert list(tmp_path.iterdir()) == []
 
+    def test_weights_out_requires_weights_max(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        rc, out, err = run(capsys, "gen", "5", "0.5", "--out", "g.txt", "--weights-out", "w.txt")
+        assert (rc, out, err) == (2, "", "error: --weights-out requires --weights-max\n")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "graph,costs",
+        [("nodir/g.txt", "w.txt"), ("g.txt", "nodir/w.txt"), (None, "nodir/w.txt")],
+        ids=["graph-fails", "costs-fail", "costs-fail-stdout"],
+    )
+    def test_unwritable_file_leaves_nothing(self, capsys, tmp_path, monkeypatch, graph, costs):
+        # one file that cannot be opened: gen writes neither file nor stdout
+        monkeypatch.chdir(tmp_path)
+        argv = ["gen", "5", "0.5", "--weights-max", "3", "--weights-out", costs]
+        if graph:
+            argv += ["--out", graph]
+        rc, out, err = run(capsys, *argv)
+        assert (rc, out) == (2, "")
+        assert err.startswith("error: [Errno 2] No such file or directory: 'nodir/")
+        assert list(tmp_path.iterdir()) == []
+
     def test_invalid_probability(self, capsys):
         rc, _, err = run(capsys, "gen", "6", "1.7")
         assert rc == 2

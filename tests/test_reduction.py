@@ -35,13 +35,24 @@ def size_formulas(r):
     )
 
 
+def settled_light(g, r):
+    """The vertices outside the core that the kernel's fixed tails leave
+    below out-degree 2, ascending: light whatever the core does."""
+    fixed = [0] * g.n
+    for t in r.peeled_tails:
+        if t != -1:
+            fixed[t] += 1
+    core = set(r.core_to_input)
+    return tuple(v for v in range(g.n) if fixed[v] < 2 and v not in core)
+
+
 class TestEliminateDegreeOne:
     """Degree-1 vertices never reach the gadget: the kernel settles them."""
 
     def test_single_edge(self, p2):
         r = build_gprime(p2)
         assert (r.core.n, r.core.m, r.gprime.n) == (0, 0, 0)
-        assert r.peeled_light == (0, 1)
+        assert settled_light(p2, r) == (0, 1)
         assert r.peeled_tails == (0,)
 
     def test_star(self, star13):
@@ -49,14 +60,14 @@ class TestEliminateDegreeOne:
         # edges
         r = build_gprime(star13)
         assert (r.core.n, r.gprime.n) == (0, 0)
-        assert r.peeled_light == (1, 2, 3)
+        assert settled_light(star13, r) == (1, 2, 3)
         assert [r.peeled_tails.count(v) for v in range(4)] == [3, 0, 0, 0]
 
     def test_cycle_untouched(self, c4):
         r = build_gprime(c4)
         assert r.core == c4
         assert r.demand == (2, 2, 2, 2)
-        assert r.peeled_light == ()
+        assert settled_light(c4, r) == ()
         assert r.peeled_tails == (-1,) * 4
 
     def test_original_edges_preserved(self):
@@ -86,7 +97,7 @@ class TestEliminateDegreeOne:
             assert r.core == core
             assert r.demand == (2,) * core.n
             assert r.core_to_input == tuple(range(core.n))
-            assert r.peeled_light == ()
+            assert settled_light(core, r) == ()
             assert (r.gprime.n, r.gprime.m) == (
                 5 * core.m - 2 * core.n,
                 sum(core.degree(v) ** 2 - core.degree(v) + 1 for v in range(core.n)),
@@ -102,7 +113,7 @@ class TestStripIsolated:
         assert r.core == complete_graph(3)
         assert r.core_to_input == (1, 3, 4)
         assert r.core_edge_to_input == (0, 1, 2)
-        assert r.peeled_light == (0, 2, 5)
+        assert settled_light(g, r) == (0, 2, 5)
 
     def test_noop_when_connected(self, k4):
         r = build_gprime(k4)
@@ -127,7 +138,7 @@ class TestPeel:
         g = Graph(11, ((0, 1), (1, 2), (1, 3), (3, 4), (5, 6), (6, 7), (6, 8)))
         r = build_gprime(g)
         assert (r.core.n, r.core.m, r.gprime.n) == (0, 0, 0)
-        assert set(r.peeled_light) >= {0, 2, 4, 5, 7, 8, 9, 10}
+        assert set(settled_light(g, r)) >= {0, 2, 4, 5, 7, 8, 9, 10}
         assert all(t != -1 for t in r.peeled_tails)
 
     def test_zero_cost_cycle_empties_core(self):
@@ -138,7 +149,7 @@ class TestPeel:
         w = VertexWeights((0, 5, 0, 5, 0, 5))
         r = build_gprime(g, w)
         assert (r.core.n, r.core.m, r.gprime.n) == (0, 0, 0)
-        assert r.peeled_light == (0, 2, 4)
+        assert settled_light(g, r) == (0, 2, 4)
         sol = solve_min_light(g, w)
         assert sol.objective == 0
         assert sol.light_set == {0, 2, 4}
@@ -165,10 +176,12 @@ class TestPeel:
 
     def test_peeled_light_is_fixed(self):
         # a light vertex outside the core stays light under any
-        # orientation of the core edges, and a heavy one stays heavy
+        # orientation of the core edges, and a heavy one stays heavy:
+        # the solver's orientation agrees with the fixed tails there
         for seed in range(20):
             g = random_graph(10, 0.25, seed)
             r = build_gprime(g)
+            light = solve_min_light(g).light_set
             core = set(r.core_to_input)
             for v in range(g.n):
                 if v in core:
@@ -176,7 +189,7 @@ class TestPeel:
                 fixed = sum(1 for e in g.adjacency[v] if r.peeled_tails[e] == v)
                 free = sum(1 for e in g.adjacency[v] if r.peeled_tails[e] == -1)
                 assert free == 0
-                assert (fixed <= 1) == (v in r.peeled_light)
+                assert (fixed <= 1) == (v in light)
 
     def test_demand_one_gadget(self):
         # a pendant vertex on a triangle leaves its anchor with demand 1:
@@ -389,22 +402,19 @@ class TestFlowKernel:
         assert partial >= 30, partial
 
     def test_outside_the_core_everything_is_settled(self):
-        # every vertex outside the final core is light in peeled_light or
-        # has out-degree 2 from the fixed tails alone, and every fixed
-        # edge between the core and the rest leaves the core
+        # every vertex outside the final core has out-degree 2 from the
+        # fixed tails alone unless its degree is below 2 (then it is
+        # light) or its cost is 0, and every fixed edge between the core
+        # and the rest leaves the core
         for seed in range(40):
             g = random_graph(30, (2.0 + seed % 5) / 29, seed)
             w = random_weights(g.n, 3, seed + 1) if seed % 2 else None
             r = build_gprime(g, w)
             core = set(r.core_to_input)
-            light = set(r.peeled_light)
-            fixed_out = [0] * g.n
-            for t in r.peeled_tails:
-                if t != -1:
-                    fixed_out[t] += 1
+            light = set(settled_light(g, r))
             for v in range(g.n):
-                if v not in core:
-                    assert (v in light) != (fixed_out[v] >= 2), f"seed {seed}, vertex {v}"
+                if v not in core and (g.degree(v) < 2 or w is None or w.unit(v) > 0):
+                    assert (v in light) == (g.degree(v) < 2), f"seed {seed}, vertex {v}"
             for e, (u, v) in enumerate(g.edges):
                 t = r.peeled_tails[e]
                 if (u in core) != (v in core):
@@ -448,20 +458,5 @@ class TestFlowKernel:
             r"region vertex 0 has 3 out-edges leaving the deficient region "
             r"\(n=4, m=6\)"
         )
-        with pytest.raises(RuntimeError, match=want):
-            build_gprime(complete_graph(4))
-
-    def test_settled_vertex_short_of_its_target_is_an_internal_error(self, monkeypatch):
-        # K4 has 6 edges for targets summing to 8, so the flow leaves some
-        # vertex short; claiming an empty region settles it anyway
-        real = reduction._deficient_region
-
-        def claim_nothing(g, target):
-            flow, region = real(g, target)
-            assert any(region)
-            return flow, [False] * g.n
-
-        monkeypatch.setattr(reduction, "_deficient_region", claim_nothing)
-        want = r"vertex \d outside the deficient region has out-degree 1 below 2"
         with pytest.raises(RuntimeError, match=want):
             build_gprime(complete_graph(4))

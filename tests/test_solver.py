@@ -34,7 +34,7 @@ from orientlight import (
     solve_min_light,
     solve_with_stats,
 )
-from orientlight import solver
+from orientlight import reduction, solver
 from orientlight._record import replace
 
 
@@ -315,18 +315,36 @@ class TestSolveFixedValues:
         assert sol.objective == 3
         assert sol.light_set == {1, 2, 3}
 
+    def test_zero_cost_light_vertices_stay_out_of_the_offset(self):
+        # a 6-cycle with cost-0 vertices at 0, 2 and 4 and a cost-7 leaf
+        # on vertex 1: the flow settles everything, leaves the cost-0
+        # vertices light and the offset is the leaf's cost alone
+        g = Graph(7, ((0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5), (1, 6)))
+        w = VertexWeights((0, 5, 0, 5, 0, 5, 7))
+        sol, stats = solve_with_stats(g, w)
+        assert stats.core_vertices == 0
+        assert sol.light_set == {0, 2, 4, 6}
+        assert sol.certificate == Certificate(0, 0, 7)
+        assert sol.objective == 7 == brute_force_min_light(g, 1, w)[0]
+
 
 class TestRecountChecks:
     """The solver recounts both certificate identities; a wrong part must raise."""
 
     @pytest.mark.parametrize("weights", [None, VertexWeights((3, 1, 4, 1, 5))])
     def test_offset_off_by_a_vertex_fails_the_objective_recount(self, monkeypatch, weights):
+        # K5's 10 edges meet every target, so the kernel settles it whole
+        # with every out-degree 2; reversing one fixed tail leaves a vertex
+        # of degree 4 light that the offset does not count
         real = solver.build_gprime
 
         def one_more_light(g, w=None):
             r = real(g, w)
-            extra = min(set(range(g.n)) - set(r.peeled_light))
-            return replace(r, peeled_light=r.peeled_light + (extra,))
+            assert r.core.n == 0
+            tails = list(r.peeled_tails)
+            u, v = g.edges[0]
+            tails[0] = u + v - tails[0]
+            return replace(r, peeled_tails=tuple(tails))
 
         monkeypatch.setattr(solver, "build_gprime", one_more_light)
         with pytest.raises(RuntimeError, match="internal error: objective recount") as ex:
@@ -350,6 +368,23 @@ class TestRecountChecks:
         with pytest.raises(RuntimeError, match="internal error: core recount") as ex:
             solve_with_stats(k3, weights)
         assert str(ex.value).endswith("(n=3, m=3)")
+
+    @pytest.mark.parametrize("weights", [None, VertexWeights((3, 1, 4, 1))])
+    def test_settled_vertex_short_of_its_target_is_an_internal_error(self, monkeypatch, weights):
+        # K4 has 6 edges for targets summing to 8, so the flow leaves some
+        # vertex short; claiming an empty region settles it anyway, and
+        # the objective recount counts the light vertex no term predicts
+        real = reduction._deficient_region
+
+        def claim_nothing(g, target):
+            flow, region = real(g, target)
+            assert any(region)
+            return flow, [False] * g.n
+
+        monkeypatch.setattr(reduction, "_deficient_region", claim_nothing)
+        want = r"internal error: objective recount .* \(n=4, m=6\)$"
+        with pytest.raises(RuntimeError, match=want):
+            solve_with_stats(complete_graph(4), weights)
 
 
 class TestSolveProperties:
@@ -499,6 +534,26 @@ class TestSolveProperties:
             c = sol.certificate
             assert sol.objective == c.constant - c.matching_value + c.offset
             assert c.offset >= 0
+
+    def test_zero_cost_vertices_settled_light_add_nothing(self):
+        # where the flow leaves a zero-cost vertex of degree 2 or more
+        # light outside the core, the offset is still the cost of the
+        # vertices of degree below 2, and the objective the optimum
+        seen = seed = 0
+        while seen < 20:
+            g = random_graph(9, 0.3, seed)
+            w = random_weights(g.n, 3, seed + 1)
+            seed += 1
+            sol, stats = solve_with_stats(g, w)
+            core = set(stats.reduction.core_to_input)
+            if not any(
+                w.unit(v) == 0 and g.degree(v) >= 2 and v not in core for v in sol.light_set
+            ):
+                continue
+            seen += 1
+            low = sum(w.unit(v) for v in range(g.n) if g.degree(v) < 2)
+            assert sol.certificate.offset == w.as_value(low), f"seed {seed - 1}"
+            assert sol.objective == brute_force_min_light(g, 1, w)[0], f"seed {seed - 1}"
 
     def test_weights_length_mismatch(self, k3):
         with pytest.raises(ValueError, match="weights cover"):
