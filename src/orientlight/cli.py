@@ -44,19 +44,28 @@ def _read(path: str) -> str:
 
 
 def _write_all(files: list[tuple[str, str]]) -> None:
-    """Writes each (path, text) pair in turn; on an OSError removes the
-    files this call created before raising it."""
-    created = []
+    """Writes each (path, text) pair to a temporary sibling of its path,
+    then moves them all into place; on an OSError removes those
+    temporary files before raising it, so no path is created or changed
+    unless every text was written.  A path that exists as anything but a
+    regular file, such as a device, is refused, as the rename would
+    replace it."""
+    for path, _ in files:
+        if os.path.exists(path) and not os.path.isfile(path):
+            raise ValueError(f"{path} exists and is not a regular file")
+    temps = []
     try:
         for path, text in files:
-            fresh = not os.path.exists(path)
-            with open(path, "w", encoding="utf-8") as f:
-                if fresh:
-                    created.append(path)
+            temp = f"{path}.{os.getpid()}.tmp"
+            with open(temp, "x", encoding="utf-8") as f:
+                temps.append(temp)
                 f.write(text)
+        for temp, (path, _) in zip(temps, files):
+            os.replace(temp, path)
     except OSError:
-        for path in created:
-            os.remove(path)
+        for temp in temps:
+            if os.path.lexists(temp):
+                os.remove(temp)
         raise
 
 
@@ -300,6 +309,9 @@ def cmd_gen(args: argparse.Namespace) -> int:
             raise ValueError("--weights-max must be nonnegative")
     elif args.weights_out:
         raise ValueError("--weights-out requires --weights-max")
+    if args.out and args.weights_out:
+        if os.path.realpath(args.out) == os.path.realpath(args.weights_out):
+            raise ValueError("--out and --weights-out name the same file")
     g = random_graph(args.n, args.p, args.seed)
     text = render_graph(g)
     files = [(args.out, text)] if args.out else []

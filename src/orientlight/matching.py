@@ -15,7 +15,6 @@ from .graph import Graph
 __all__ = [
     "Matching",
     "extend_to_maximal",
-    "is_valid_matching",
     "max_cardinality_matching",
     "max_weight_matching",
 ]
@@ -79,41 +78,13 @@ class Matching:
         return cls(frozenset(ids), mate)
 
 
-def is_valid_matching(g: Graph, m: Matching) -> tuple[bool, str | None]:
-    """Verdict plus a description of the first violation, if any."""
-    if len(m.mate) != g.n:
-        return False, f"mate covers {len(m.mate)} vertices, graph has {g.n}"
-    seen = [False] * g.n
-    for e in sorted(m.matched_edge_ids):
-        if not 0 <= e < g.m:
-            return False, f"unknown edge id {e}"
-        u, v = g.edges[e]
-        if seen[u]:
-            return False, f"vertex {u} is covered by two matched edges"
-        if seen[v]:
-            return False, f"vertex {v} is covered by two matched edges"
-        seen[u] = seen[v] = True
-        if m.mate[u] != v or m.mate[v] != u:
-            return False, f"mate disagrees with matched edge {e}"
-    for v, w in enumerate(m.mate):
-        if w != -1 and not seen[v]:
-            return False, f"mate pairs vertex {v} but no matched edge covers it"
-    return True, None
-
-
-def extend_to_maximal(g: Graph, m: Matching, candidate_edge_ids=None) -> Matching:
-    """Greedily adds edges (by ascending id) until the matching is maximal.
-
-    With candidate_edge_ids given, only those edges are considered; the
-    result is then maximal within that subset.
-    """
+def extend_to_maximal(g: Graph, m: Matching) -> Matching:
+    """Greedily adds edges (by ascending id) until the matching is maximal."""
     if len(m.mate) != g.n:
         raise ValueError(f"matching covers {len(m.mate)} vertices, graph has {g.n}")
     mate = list(m.mate)
     ids = set(m.matched_edge_ids)
-    pool = range(g.m) if candidate_edge_ids is None else sorted(candidate_edge_ids)
-    for e in pool:
-        u, v = g.edges[e]
+    for e, (u, v) in enumerate(g.edges):
         if mate[u] == -1 and mate[v] == -1:
             mate[u] = v
             mate[v] = u
@@ -310,6 +281,8 @@ def max_weight_matching(g: Graph, edge_weights) -> Matching:
         if w < 0:
             raise ValueError(f"negative edge weight at id {e}")
     if m == 0:
+        # the flow kernel often leaves no core; the set-up below would
+        # cost such a solve about a tenth of its time
         return Matching.empty(g)
 
     # doubled weights, and doubled vertex duals starting at each vertex's

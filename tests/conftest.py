@@ -4,7 +4,10 @@ from __future__ import annotations
 
 import pytest
 
-from orientlight import Graph, Matching, SplitMix64, build_gprime, random_graph
+from orientlight import Graph
+from orientlight.generate import SplitMix64, random_graph
+from orientlight.matching import Matching
+from orientlight.reduction import build_gprime
 
 
 def complete_graph(k: int) -> Graph:

@@ -403,6 +403,46 @@ class TestGen:
         assert err.startswith("error: [Errno 2] No such file or directory: 'nodir/")
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("costs", ["g.txt", "./g.txt"])
+    def test_one_file_for_graph_and_costs(self, capsys, tmp_path, monkeypatch, costs):
+        monkeypatch.chdir(tmp_path)
+        argv = ["gen", "5", "0.5", "--out", "g.txt", "--weights-max", "3", "--weights-out", costs]
+        rc, out, err = run(capsys, *argv)
+        assert (rc, out, err) == (2, "", "error: --out and --weights-out name the same file\n")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failed_write_keeps_existing_file(self, capsys, tmp_path, monkeypatch):
+        # the graph is written to a temporary file first; as the costs
+        # cannot be written, g.txt keeps its old text and no file is left
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "g.txt").write_text("old")
+        argv = ["gen", "5", "0.5", "--out", "g.txt", "--weights-max", "3"]
+        rc, out, err = run(capsys, *argv, "--weights-out", "nodir/w.txt")
+        assert (rc, out) == (2, "")
+        assert err.startswith("error: [Errno 2] No such file or directory: 'nodir/w.txt")
+        assert (tmp_path / "g.txt").read_text() == "old"
+        assert [p.name for p in tmp_path.iterdir()] == ["g.txt"]
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")
+    def test_refuses_a_path_that_is_not_a_regular_file(self, capsys, tmp_path, monkeypatch):
+        # renaming over a pipe or a device would replace it
+        monkeypatch.chdir(tmp_path)
+        os.mkfifo("pipe")
+        rc, out, err = run(capsys, "gen", "5", "0.5", "--out", "pipe")
+        assert (rc, out, err) == (2, "", "error: pipe exists and is not a regular file\n")
+        assert [p.name for p in tmp_path.iterdir()] == ["pipe"]
+        assert not (tmp_path / "pipe").is_file()
+
+    def test_replaces_existing_files(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "g.txt").write_text("old")
+        (tmp_path / "w.txt").write_text("old")
+        argv = ["gen", "5", "0.5", "--out", "g.txt", "--weights-max", "3", "--weights-out", "w.txt"]
+        assert run(capsys, *argv) == (0, "", "")
+        assert parse_graph((tmp_path / "g.txt").read_text()).n == 5
+        assert len(parse_weights((tmp_path / "w.txt").read_text(), 5)) == 5
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["g.txt", "w.txt"]
+
     def test_invalid_probability(self, capsys):
         rc, _, err = run(capsys, "gen", "6", "1.7")
         assert rc == 2

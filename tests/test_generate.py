@@ -2,14 +2,8 @@
 
 import pytest
 
-from orientlight import (
-    SplitMix64,
-    check_orientation,
-    random_graph,
-    random_orientation,
-    random_weights,
-    render_graph,
-)
+from orientlight.generate import SplitMix64, random_graph, random_orientation, random_weights
+from orientlight.graph import check_orientation, render_graph
 
 
 class TestSplitMix64:

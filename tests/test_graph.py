@@ -4,21 +4,16 @@ from fractions import Fraction
 
 import pytest
 
-from orientlight import (
-    Graph,
-    Orientation,
-    VertexWeights,
+from orientlight import Graph, Orientation, VertexWeights, parse_graph, parse_weights
+from orientlight.generate import random_graph, random_orientation
+from orientlight.graph import (
+    MAX_VERTICES,
     check_orientation,
     light_cost,
     light_vertices,
     out_degree,
-    parse_graph,
-    parse_weights,
-    random_graph,
-    random_orientation,
     render_graph,
 )
-from orientlight.graph import MAX_VERTICES
 from conftest import complete_graph
 
 

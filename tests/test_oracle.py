@@ -12,16 +12,14 @@ import pytest
 
 from conftest import complete_graph, path_graph
 import orientlight
-from orientlight import (
+from orientlight import Graph, Orientation, VertexWeights
+from orientlight.generate import random_graph
+from orientlight.graph import light_vertices
+from orientlight.oracle import (
     BudgetExceededError,
-    Graph,
     OracleBudget,
-    Orientation,
-    VertexWeights,
     brute_force_max_matching,
     brute_force_min_light,
-    light_vertices,
-    random_graph,
 )
 
 

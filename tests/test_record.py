@@ -5,14 +5,14 @@ import pytest
 from orientlight import (
     Certificate,
     Graph,
-    Matching,
-    OracleBudget,
     Orientation,
     SolveStats,
     VertexWeights,
-    build_gprime,
     solve_with_stats,
 )
+from orientlight.matching import Matching
+from orientlight.oracle import OracleBudget
+from orientlight.reduction import build_gprime
 from orientlight._record import field, record, replace
 
 K3 = Graph(3, ((0, 1), (1, 2), (0, 2)))

@@ -12,17 +12,10 @@ from conftest import (
     two_core,
     wheel_graph,
 )
-from orientlight import (
-    Certificate,
-    Graph,
-    VertexWeights,
-    brute_force_min_light,
-    build_gprime,
-    parse_graph,
-    random_graph,
-    random_weights,
-    solve_min_light,
-)
+from orientlight import Certificate, Graph, VertexWeights, parse_graph, solve_min_light
+from orientlight.generate import random_graph, random_weights
+from orientlight.oracle import brute_force_min_light
+from orientlight.reduction import build_gprime
 from orientlight import reduction
 
 

@@ -14,25 +14,21 @@ from conftest import (
 from orientlight import (
     Certificate,
     Graph,
-    Matching,
     Orientation,
-    SplitMix64,
     VertexWeights,
-    brute_force_min_light,
-    build_gprime,
-    is_valid_matching,
-    light_cost,
-    light_vertices,
-    matching_from_orientation,
-    max_cardinality_matching,
-    normalize_gadget_matching,
     parse_weights,
-    random_graph,
-    random_orientation,
-    random_weights,
-    recover_orientation,
     solve_min_light,
     solve_with_stats,
+)
+from orientlight.generate import SplitMix64, random_graph, random_orientation, random_weights
+from orientlight.graph import light_cost, light_vertices, out_degree
+from orientlight.matching import Matching, max_cardinality_matching
+from orientlight.oracle import brute_force_min_light
+from orientlight.reduction import build_gprime
+from orientlight.solver import (
+    matching_from_orientation,
+    normalize_gadget_matching,
+    recover_orientation,
 )
 from orientlight import reduction, solver
 from orientlight._record import replace
@@ -61,8 +57,6 @@ class TestMatchingFromOrientation:
         assert [side_count(r, m, v) for v in range(3)] == [1, 1, 1]
 
     def test_side_counts_equal_out_degrees(self):
-        from orientlight import out_degree
-
         built = 0
         seed = 0
         while built < 20:
@@ -74,8 +68,7 @@ class TestMatchingFromOrientation:
             assert r.core == core
             o = random_orientation(core, seed + 1000)
             m = matching_from_orientation(r, o)
-            ok, why = is_valid_matching(r.gprime, m)
-            assert ok, why
+            assert Matching.from_mate(r.gprime, m.mate) == m
             for v in range(core.n):
                 assert side_count(r, m, v) == out_degree(core, o, v)
             light = light_vertices(core, o, 1)
@@ -129,8 +122,7 @@ class TestNormalizeGadgetMatching:
         assert n.size == m.size + 1
         assert r.parity_edge[0] not in n.matched_edge_ids
         assert bucket_count(r, n, 0) == g.degree(0)
-        ok, why = is_valid_matching(r.gprime, n)
-        assert ok, why
+        assert Matching.from_mate(r.gprime, n.mate) == n
         # the freed parity ports are re-covered by the two inner vertices
         pa, pb = r.gprime.edges[r.parity_edge[0]]
         assert n.mate[pa] in r.inner[0]
@@ -203,8 +195,7 @@ class TestNormalizeGadgetMatching:
             assert n.size in (m.size, m.size + 1)
             diff = n.matched_edge_ids ^ m.matched_edge_ids
             assert diff <= set(r.gadget_bucket(v))
-            ok, why = is_valid_matching(r.gprime, n)
-            assert ok, why
+            assert Matching.from_mate(r.gprime, n.mate) == n
             if k == 0:
                 cases["k0_out" if not parity_in else "k0_in"] += 1
             elif k == 1:
@@ -245,8 +236,6 @@ class TestRecoverOrientation:
             recover_orientation(r, corrupt)
 
     def test_side_counts_bounded_by_out_degree(self):
-        from orientlight import out_degree
-
         built = 0
         seed = 4200
         while built < 15:
@@ -398,8 +387,6 @@ class TestSolveProperties:
             assert sol.objective == len(sol.light_set)
 
     def test_certificate_identity_weighted(self):
-        from orientlight import random_weights
-
         for seed in range(20):
             g = random_graph(8, 0.35, seed)
             w = random_weights(g.n, 6, seed + 1)
@@ -435,8 +422,6 @@ class TestSolveProperties:
             assert plain.objective == ones.objective
 
     def test_scale_invariance(self):
-        from orientlight import random_weights
-
         for seed in range(8):
             g = random_graph(7, 0.45, seed)
             w = random_weights(g.n, 5, seed + 3)
