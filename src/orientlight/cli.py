@@ -21,7 +21,6 @@ import sys
 from collections import Counter
 from fractions import Fraction
 
-from .generate import random_graph, random_weights
 from .graph import (
     Graph,
     Orientation,
@@ -31,7 +30,6 @@ from .graph import (
     parse_weights,
     render_graph,
 )
-from .oracle import BudgetExceededError, brute_force_min_light
 from .reduction import ReducedGraph
 from .solver import Solution, solve_with_stats
 
@@ -225,7 +223,7 @@ def _content_problems(
             return out
         tails.append(a - 1)
     o = Orientation(tuple(tails))
-    light = light_vertices(g, o, 1)
+    light = light_vertices(g, o)
     claimed_light = set(claimed["light"])
     if len(claimed_light) != len(claimed["light"]):
         twice = sorted(v for v, c in Counter(claimed["light"]).items() if c > 1)
@@ -281,8 +279,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
             print(f"verify: FAIL: {p}")
         return 1
     if not args.no_oracle:
+        from .oracle import BudgetExceededError, brute_force_min_light
+
         try:
-            optimum, _ = brute_force_min_light(g, 1, weights)
+            optimum, _ = brute_force_min_light(g, weights)
         except BudgetExceededError as ex:
             print(f"verify: optimality not checked ({ex})")
         else:
@@ -302,6 +302,8 @@ def _render_weights(w: VertexWeights) -> str:
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
+    from .generate import random_graph, random_weights
+
     if args.weights_max is not None:
         if not args.weights_out:
             raise ValueError("--weights-max requires --weights-out")
@@ -336,8 +338,11 @@ def _parse_schedule(text: str) -> list[tuple[int, int]]:
             if "=" not in item:
                 raise ValueError(f"schedule entry {part!r} must look like n=50,m=150")
             key, _, val = item.partition("=")
+            key = key.strip()
+            if key in fields:
+                raise ValueError(f"schedule entry {part!r} sets {key} twice")
             try:
-                fields[key.strip()] = int(val)
+                fields[key] = int(val)
             except ValueError:
                 raise ValueError(f"schedule value {val!r} is not an integer") from None
         if set(fields) != {"n", "m"}:
@@ -352,6 +357,8 @@ def _parse_schedule(text: str) -> list[tuple[int, int]]:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
+    from .generate import random_graph, random_weights
+
     entries = _parse_schedule(args.schedule)
     if args.weights_max is not None and args.weights_max < 0:
         raise ValueError("--weights-max must be nonnegative")

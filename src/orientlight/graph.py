@@ -156,9 +156,6 @@ class VertexWeights:
     def unit(self, v: int) -> int:
         return self.units[v]
 
-    def value(self, v: int) -> int | Fraction:
-        return self.as_value(self.units[v])
-
     def as_value(self, units: int) -> int | Fraction:
         """Converts a unit total back to an exact number (int when whole)."""
         f = Fraction(units, self.scale)
@@ -299,16 +296,14 @@ def out_degree(g: Graph, o: Orientation, v: int) -> int:
     return sum(1 for e in g.adjacency[v] if tails[e] == v)
 
 
-def light_vertices(g: Graph, o: Orientation, k: int = 1) -> frozenset[int]:
-    """Vertices with out-degree at most k.
+def light_vertices(g: Graph, o: Orientation) -> frozenset[int]:
+    """Vertices with out-degree at most 1.
 
     One O(n + m) pass over o.tails counts every vertex's out-degree and
     checks each tail on the way.  Raises ValueError, as check_orientation
     does, when o covers a different number of edges than g or a tail is
     not an endpoint of its edge.
     """
-    if k < 0:
-        raise ValueError("threshold must be nonnegative")
     tails, edges = o.tails, g.edges
     if len(tails) != len(edges):
         raise ValueError(f"orientation covers {len(tails)} edges, graph has {len(edges)}")
@@ -318,11 +313,11 @@ def light_vertices(g: Graph, o: Orientation, k: int = 1) -> frozenset[int]:
             u, v = edges[e]
             raise ValueError(f"tail {t} of edge {e} is not one of its endpoints ({u}, {v})")
         out[t] += 1
-    return frozenset([v for v, d in enumerate(out) if d <= k])
+    return frozenset([v for v, d in enumerate(out) if d <= 1])
 
 
 def light_cost(g: Graph, o: Orientation, w: VertexWeights) -> int | Fraction:
     """Total cost of the vertices with out-degree at most 1."""
     if len(w) != g.n:
         raise ValueError(f"weights cover {len(w)} vertices, graph has {g.n}")
-    return w.as_value(sum(w.unit(v) for v in light_vertices(g, o, 1)))
+    return w.as_value(sum(w.unit(v) for v in light_vertices(g, o)))

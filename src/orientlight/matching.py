@@ -36,9 +36,6 @@ class Matching:
     def size(self) -> int:
         return len(self.matched_edge_ids)
 
-    def exposed(self) -> tuple[int, ...]:
-        return tuple(v for v, w in enumerate(self.mate) if w == -1)
-
     def weight_units(self, edge_weights) -> int:
         return sum(edge_weights[e] for e in self.matched_edge_ids)
 
@@ -244,9 +241,10 @@ def max_weight_matching(g: Graph, edge_weights) -> Matching:
     Weights must be nonnegative integers (rational costs are scaled to
     integer units before they get here).  Internally every weight is
     doubled and vertex duals are stored doubled, so every dual adjustment
-    stays an integer.  Among optima the result is extended with
-    zero-weight edges until maximal, so callers get a maximal matching
-    without losing weight.  Runs in O(V^3).
+    stays an integer.  With every weight positive, as on the solve path
+    (the flow kernel keeps no zero-cost vertex in the core), the result
+    is maximal, since an addable edge would raise its weight; an edge of
+    weight zero may be left out.  Runs in O(V^3).
 
     The run starts from a feasible dual solution, not a uniform one: each
     vertex's dual is its heaviest incident (doubled) edge, which covers
@@ -799,13 +797,4 @@ def max_weight_matching(g: Graph, edge_weights) -> Matching:
     mate_list = [-1] * n
     for v, w in mate.items():
         mate_list[v] = w
-    result = Matching.from_mate(g, tuple(mate_list))
-    # among equal-weight optima, hand back a maximal one; anything still
-    # addable at the optimum necessarily weighs zero
-    extended = extend_to_maximal(g, result)
-    for e in extended.matched_edge_ids - result.matched_edge_ids:
-        if edge_weights[e] != 0:
-            raise internal_error(
-                f"edge {e} {g.edges[e]} of weight {edge_weights[e]} was addable at optimum"
-            )
-    return extended
+    return Matching.from_mate(g, tuple(mate_list))

@@ -8,7 +8,7 @@ size and overshooting one is an explicit error, never a silent skip.
 The orientation oracle holds all 2^m orientations as the integers
 0..2^m-1, one bit per edge, and counts each vertex's out-degree under
 all of them with one popcount over two bit masks (numpy 2.0's
-bitwise_count).  Vertices of degree at most k, light in every
+bitwise_count).  Vertices of degree at most 1, light in every
 orientation, and vertices of cost 0 add a constant and are not swept.
 """
 
@@ -73,11 +73,10 @@ class OracleBudget:
 
 def brute_force_min_light(
     g: Graph,
-    k: int = 1,
     weights: VertexWeights | None = None,
     budget: OracleBudget | None = None,
 ) -> tuple[int | Fraction, Orientation]:
-    """Exact minimum over all 2^m orientations, with a witness.
+    """Exact minimum light count (or cost) over all 2^m orientations, with a witness.
 
     Ties go to the first minimum in lexicographic direction order, where
     edge 0 is the most significant position and lower-to-higher precedes
@@ -87,8 +86,6 @@ def brute_force_min_light(
     m = g.m
     if m > budget.max_edges:
         raise BudgetExceededError(f"{m} edges exceeds the oracle cap of {budget.max_edges}")
-    if k < 0:
-        raise ValueError("threshold must be nonnegative")
     if weights is not None and len(weights) != g.n:
         raise ValueError(f"weights cover {len(weights)} vertices, graph has {g.n}")
     units = weights.units if weights is not None else (1,) * g.n
@@ -103,9 +100,9 @@ def brute_force_min_light(
         lower[u] = lower.get(u, 0) | bit
         span[u] = span.get(u, 0) | bit
         span[w] = span.get(w, 0) | bit
-    # a vertex of degree at most k is light in every orientation, and
+    # a vertex of degree at most 1 is light in every orientation, and
     # one of cost 0 never counts: neither needs a sweep
-    swept = [v for v, s in span.items() if s.bit_count() > k and units[v]]
+    swept = [v for v, s in span.items() if s.bit_count() > 1 and units[v]]
     swept_units = sum(units[v] for v in swept)
     constant = sum(units) - swept_units
     # imported here, past the budget checks, so that solving (which never
@@ -117,7 +114,7 @@ def brute_force_min_light(
     masks = np.arange(1 << m, dtype=np.uint64)
     for v in swept:
         od = np.bitwise_count((masks ^ lower.get(v, 0)) & span[v])
-        np.add(total, units[v], out=total, where=od <= k)
+        np.add(total, units[v], out=total, where=od <= 1)
     best = int(total.argmin())
     tails = []
     for e, (u, w) in enumerate(g.edges):

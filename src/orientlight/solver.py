@@ -232,8 +232,6 @@ def solve_with_stats(
 ) -> tuple[Solution, SolveStats]:
     """solve_min_light plus instance sizes and per-phase timings."""
     weighted = weights is not None
-    if weighted and any(u < 0 for u in weights.units):
-        raise ValueError("negative vertex costs are not supported: that variant is NP-hard")
     # without weights every vertex costs one unit and a unit total is its value
     units, as_value = (weights.units, weights.as_value) if weighted else ((1,) * g.n, int)
 
@@ -256,7 +254,7 @@ def solve_with_stats(
     for e, t in zip(r.core_edge_to_input, o_core.tails):
         tails[e] = core_to_input[t]
     orientation = Orientation(tuple(tails))
-    light = light_vertices(g, orientation, 1)
+    light = light_vertices(g, orientation)
 
     # Q is the connecting edges' weight; Certificate gives the offset rule
     constant_units = sum(r.edge_weights[: 2 * r.core.m])

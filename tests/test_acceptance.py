@@ -78,7 +78,7 @@ def test_criterion_2_weighted_oracle_equivalence():
         if g.m > ORACLE_EDGE_CAP:
             continue
         got = solve_min_light(g, w).objective
-        want, _ = brute_force_min_light(g, 1, w)
+        want, _ = brute_force_min_light(g, w)
         assert got == want, f"seed {seed - 2}: solver {got}, oracle {want}"
         verified += 1
     elapsed = perf_counter() - t0

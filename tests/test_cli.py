@@ -468,9 +468,11 @@ class TestBench:
         assert obj1 == obj2
 
     def test_bad_schedule(self, capsys):
-        rc, _, err = run(capsys, "bench", "n=10")
-        assert rc == 2
-        assert "schedule" in err
+        # a key set twice is refused, not overwritten by its last value
+        for schedule in ("n=10", "n=5,m=10,n=6"):
+            rc, _, err = run(capsys, "bench", schedule)
+            assert rc == 2, schedule
+            assert "schedule" in err
 
     def test_weighted_rows(self, capsys):
         rc, out, _ = run(capsys, "bench", "n=10,m=15;n=12,m=20;n=8,m=12", "--weights-max", "9")

@@ -148,41 +148,30 @@ class TestOutDegree:
 class TestLightVertices:
     def test_cyclic_triangle_all_light(self, k3):
         o = Orientation((0, 2, 1))
-        assert light_vertices(k3, o, 1) == {0, 1, 2}
+        assert light_vertices(k3, o) == {0, 1, 2}
 
     def test_source_orientation(self, k3):
         o = Orientation((0, 0, 1))
-        assert light_vertices(k3, o, 1) == {1, 2}
-
-    def test_monotone_in_threshold(self):
-        g = random_graph(8, 0.5, 3)
-        o = random_orientation(g, 9)
-        for k in range(4):
-            assert light_vertices(g, o, k) <= light_vertices(g, o, k + 1)
-
-    def test_rejects_negative_threshold(self, k3):
-        with pytest.raises(ValueError):
-            light_vertices(k3, Orientation((0, 0, 1)), -1)
+        assert light_vertices(k3, o) == {1, 2}
 
     def test_agrees_with_out_degree(self):
         for seed in range(10):
             g = random_graph(12, 0.3, seed)
             o = random_orientation(g, seed + 100)
-            for k in range(3):
-                want = {v for v in range(g.n) if out_degree(g, o, v) <= k}
-                assert light_vertices(g, o, k) == want
+            want = {v for v in range(g.n) if out_degree(g, o, v) <= 1}
+            assert light_vertices(g, o) == want
 
     def test_rejects_orientation_of_wrong_length(self, k3):
         with pytest.raises(ValueError, match="covers 2 edges, graph has 3"):
-            light_vertices(k3, Orientation((0, 1)), 1)
+            light_vertices(k3, Orientation((0, 1)))
         with pytest.raises(ValueError, match="covers 4 edges"):
-            light_vertices(k3, Orientation((0, 1, 0, 1)), 1)
+            light_vertices(k3, Orientation((0, 1, 0, 1)))
 
     @pytest.mark.parametrize("tail", [-1, 2])
     def test_rejects_tail_off_its_edge(self, k3, tail):
         # edge 0 is (0, 1); a plain count would charge tail -1 to vertex 2
         with pytest.raises(ValueError, match=rf"tail {tail} of edge 0 is not one of its endpoints"):
-            light_vertices(k3, Orientation((tail, 1, 0)), 1)
+            light_vertices(k3, Orientation((tail, 1, 0)))
 
 
 class TestVertexWeights:
@@ -208,7 +197,7 @@ class TestParseWeights:
         w = parse_weights("1 0.5\n2 2\n", 2)
         assert w.scale == 10
         assert w.units == (5, 20)
-        assert w.value(0) == Fraction(1, 2)
+        assert w.as_value(w.units[0]) == Fraction(1, 2)
 
     def test_omitted_vertices_default_to_one(self):
         w = parse_weights("2 3\n", 3)
@@ -268,7 +257,7 @@ class TestLightCost:
             g = random_graph(7, 0.5, seed)
             o = random_orientation(g, seed + 50)
             w = VertexWeights.ones(g.n)
-            assert light_cost(g, o, w) == len(light_vertices(g, o, 1))
+            assert light_cost(g, o, w) == len(light_vertices(g, o))
 
     def test_fractional_costs(self, k3):
         w = parse_weights("1 0.25\n2 0.25\n3 0.25\n", 3)

@@ -70,15 +70,7 @@ class TestMinLightOracle:
     def test_triangle(self, k3):
         obj, witness = brute_force_min_light(k3)
         assert obj == 2
-        assert len(light_vertices(k3, witness, 1)) == 2
-
-    def test_c4_threshold_zero(self, c4):
-        obj, _ = brute_force_min_light(c4, k=0)
-        assert obj == 0
-
-    def test_triangle_threshold_two(self, k3):
-        obj, _ = brute_force_min_light(k3, k=2)
-        assert obj == 3
+        assert len(light_vertices(k3, witness)) == 2
 
     def test_tie_break_is_first_lexicographic(self, k3):
         # mask 0 orients every edge low->high, and for K3 that already
@@ -90,19 +82,19 @@ class TestMinLightOracle:
         for seed in range(10):
             g = random_graph(7, 0.4, seed)
             obj, witness = brute_force_min_light(g)
-            assert len(light_vertices(g, witness, 1)) == obj
+            assert len(light_vertices(g, witness)) == obj
 
     def test_weighted_matches_manual_count(self, k3):
         w = VertexWeights((5, 1, 1))
-        obj, witness = brute_force_min_light(k3, 1, w)
+        obj, witness = brute_force_min_light(k3, w)
         assert obj == 2
-        assert sum(w.unit(v) for v in light_vertices(k3, witness, 1)) == 2
+        assert sum(w.unit(v) for v in light_vertices(k3, witness)) == 2
 
     def test_all_ones_equals_unweighted(self):
         for seed in range(8):
             g = random_graph(7, 0.45, seed)
             plain, _ = brute_force_min_light(g)
-            ones, _ = brute_force_min_light(g, 1, VertexWeights.ones(g.n))
+            ones, _ = brute_force_min_light(g, VertexWeights.ones(g.n))
             assert plain == ones
 
     def test_edgeless(self):
@@ -111,16 +103,12 @@ class TestMinLightOracle:
         assert obj == 3
         assert witness.tails == ()
 
-    def test_rejects_negative_threshold(self, k3):
-        with pytest.raises(ValueError):
-            brute_force_min_light(k3, k=-1)
-
     def test_costs_past_int64_stay_exact(self, k3):
         # every vertex is swept and the costs sum past 2**63: the totals
         # must be exact Python ints, and the objective an exact Fraction;
         # the dearest vertex, 2, is the one both its edges leave
         w = VertexWeights((10**20 + 1, 10**20 + 3, 10**20 + 7), 10)
-        obj, witness = brute_force_min_light(k3, 1, w)
+        obj, witness = brute_force_min_light(k3, w)
         assert obj == Fraction(2 * 10**20 + 4, 10)
         assert isinstance(obj, Fraction)
         assert witness.tails == (0, 2, 2)
@@ -136,7 +124,7 @@ class TestMinLightOracle:
         assert elapsed < 5, f"100000 isolated vertices took {elapsed:.1f}s"
 
 
-def plain_min_light(g, k, units):
+def plain_min_light(g, units):
     """First minimum cost over itertools.product in lexicographic order,
     with bit 0 orienting an edge from its lower endpoint."""
     best = None
@@ -145,7 +133,7 @@ def plain_min_light(g, k, units):
         out = [0] * g.n
         for t in tails:
             out[t] += 1
-        cost = sum(units[v] for v in range(g.n) if out[v] <= k)
+        cost = sum(units[v] for v in range(g.n) if out[v] <= 1)
         if best is None or cost < best[0]:
             best = (cost, tails)
     return best
@@ -166,8 +154,7 @@ def seeded_instance(seed):
     return g, VertexWeights(units, rng.choice((1, 100)))
 
 
-@pytest.mark.parametrize("k", [0, 1, 2])
-def test_matches_plain_enumeration(k):
+def test_matches_plain_enumeration():
     # an enumeration written without bit masks or numpy agrees on the
     # objective and on the witness, which is the first minimum
     kinds = set()
@@ -178,10 +165,10 @@ def test_matches_plain_enumeration(k):
         kinds.update("zero" for u in w.units if u == 0)
         for weights in (None, w):
             units = weights.units if weights is not None else (1,) * g.n
-            cost, tails = plain_min_light(g, k, units)
+            cost, tails = plain_min_light(g, units)
             want = weights.as_value(cost) if weights is not None else cost
-            assert brute_force_min_light(g, k, weights) == (want, Orientation(tails)), (
-                f"seed {seed}, k {k}, {'weighted' if weights else 'unweighted'}"
+            assert brute_force_min_light(g, weights) == (want, Orientation(tails)), (
+                f"seed {seed}, {'weighted' if weights else 'unweighted'}"
             )
     assert kinds == {0, 1, "zero"}
 
@@ -213,29 +200,41 @@ class TestMatchingOracle:
 
 
 @pytest.fixture(scope="module")
-def start_up_modules():
+def start_up_modules(tmp_path_factory):
     """Modules a fresh interpreter holds after importing the package and
-    the command line and solving K3, unweighted and weighted."""
+    the command line and solving K3, unweighted and weighted, through
+    the library and through `solve`."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(orientlight.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
+    tmp = tmp_path_factory.mktemp("start_up")
+    k3_file, w_file = tmp / "k3.txt", tmp / "k3.w"
+    k3_file.write_text("3 3\n1 2\n2 3\n1 3\n")
+    w_file.write_text("1 0.5\n2 1\n3 1\n")
     code = (
-        "import sys, orientlight, orientlight.cli\n"
+        "import io, sys, orientlight, orientlight.cli\n"
         "g = orientlight.Graph(3, ((0, 1), (1, 2), (0, 2)))\n"
         "orientlight.solve_min_light(g)\n"
         "orientlight.solve_min_light(g, orientlight.VertexWeights((5, 10, 10), 10))\n"
-        "print(' '.join(sys.modules))\n"
+        "k3_file, w_file = sys.argv[1:]\n"
+        "sys.stdout = io.StringIO()\n"
+        "assert orientlight.cli.main(['solve', k3_file]) == 0\n"
+        "assert orientlight.cli.main(['solve', k3_file, '--weights', w_file]) == 0\n"
+        "print(' '.join(sys.modules), file=sys.__stdout__)\n"
     )
     out = subprocess.run(
-        [sys.executable, "-c", code],
+        [sys.executable, "-c", code, str(k3_file), str(w_file)],
         env=env, capture_output=True, text=True, check=True, timeout=60,
     )
     return set(out.stdout.split())
 
 
-@pytest.mark.parametrize("module", ["numpy", "dataclasses", "inspect"])
+@pytest.mark.parametrize(
+    "module", ["numpy", "dataclasses", "inspect", "orientlight.oracle", "orientlight.generate"]
+)
 def test_importing_the_package_does_not_load(start_up_modules, module):
     # only brute_force_min_light needs numpy, and it imports it itself;
     # the value types are built by orientlight._record, not dataclasses,
-    # which would pull in inspect
+    # which would pull in inspect; solving calls neither the oracle nor
+    # the generator, so `solve` loads neither
     assert "orientlight.cli" in start_up_modules
     assert module not in start_up_modules

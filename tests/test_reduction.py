@@ -384,7 +384,7 @@ class TestFlowKernel:
                 continue
             r = build_gprime(g, w)
             sol = solve_min_light(g, w)
-            want, _ = brute_force_min_light(g, 1, w)
+            want, _ = brute_force_min_light(g, w)
             assert sol.objective == want, f"seed {seed - 2}"
             c = sol.certificate
             assert sol.objective == c.constant - c.matching_value + c.offset
@@ -414,6 +414,22 @@ class TestFlowKernel:
                     assert t in core, f"seed {seed}: edge {e} enters the core"
                 else:
                     assert (t == -1) == (u in core), f"seed {seed}, edge {e}"
+
+    def test_core_holds_no_zero_cost_vertex(self):
+        # a zero-cost vertex has target 0 and never enters the core, so
+        # every gadget edge weighs more than 0, which is what makes
+        # max_weight_matching's optimum maximal on the solve path.  Costs
+        # 0..2 make about a third zero
+        kept = 0
+        for seed in range(600):
+            n = 8 + seed % 23
+            g = random_graph(n, 3 / (n - 1), seed)
+            w = random_weights(n, 2, seed + 1)
+            r = build_gprime(g, w)
+            assert all(w.unit(v) > 0 for v in r.core_to_input), f"seed {seed}"
+            assert all(x > 0 for x in r.edge_weights), f"seed {seed}"
+            kept += r.core.n > 0
+        assert kept >= 150, kept
 
     @pytest.mark.parametrize("weights_max", [None, 10])
     def test_shrinks_dense_random_graphs(self, weights_max):

@@ -71,7 +71,7 @@ class TestMatchingFromOrientation:
             assert Matching.from_mate(r.gprime, m.mate) == m
             for v in range(core.n):
                 assert side_count(r, m, v) == out_degree(core, o, v)
-            light = light_vertices(core, o, 1)
+            light = light_vertices(core, o)
             assert m.size == 2 * core.m - len(light)
             built += 1
 
@@ -264,7 +264,7 @@ class TestRecoverOrientation:
             assert r.core == core
             m = max_cardinality_matching(r.gprime)
             o = recover_orientation(r, m)
-            assert len(light_vertices(core, o, 1)) <= 2 * core.m - m.size
+            assert len(light_vertices(core, o)) <= 2 * core.m - m.size
             built += 1
 
 
@@ -314,7 +314,7 @@ class TestSolveFixedValues:
         assert stats.core_vertices == 0
         assert sol.light_set == {0, 2, 4, 6}
         assert sol.certificate == Certificate(0, 0, 7)
-        assert sol.objective == 7 == brute_force_min_light(g, 1, w)[0]
+        assert sol.objective == 7 == brute_force_min_light(g, w)[0]
 
 
 class TestRecountChecks:
@@ -383,7 +383,7 @@ class TestSolveProperties:
             sol = solve_min_light(g)
             c = sol.certificate
             assert sol.objective == c.constant - c.matching_value + c.offset
-            assert sol.light_set == light_vertices(g, sol.orientation, 1)
+            assert sol.light_set == light_vertices(g, sol.orientation)
             assert sol.objective == len(sol.light_set)
 
     def test_certificate_identity_weighted(self):
@@ -452,7 +452,7 @@ class TestSolveProperties:
     def test_fractional_weights_exact(self, k3):
         w = parse_weights("1 0.5\n2 0.25\n3 0.25\n", 3)
         sol = solve_min_light(k3, w)
-        opt, _ = brute_force_min_light(k3, 1, w)
+        opt, _ = brute_force_min_light(k3, w)
         assert sol.objective == opt == Fraction(1, 2)
         assert isinstance(sol.objective, Fraction)
 
@@ -514,7 +514,7 @@ class TestSolveProperties:
             g = Graph(n, tuple(edges))
             w = random_weights(n, 3, i) if i % 2 else None
             sol = solve_min_light(g, w)
-            opt, _ = brute_force_min_light(g, 1, w)
+            opt, _ = brute_force_min_light(g, w)
             assert sol.objective == opt, f"instance {i}"
             c = sol.certificate
             assert sol.objective == c.constant - c.matching_value + c.offset
@@ -538,7 +538,7 @@ class TestSolveProperties:
             seen += 1
             low = sum(w.unit(v) for v in range(g.n) if g.degree(v) < 2)
             assert sol.certificate.offset == w.as_value(low), f"seed {seed - 1}"
-            assert sol.objective == brute_force_min_light(g, 1, w)[0], f"seed {seed - 1}"
+            assert sol.objective == brute_force_min_light(g, w)[0], f"seed {seed - 1}"
 
     def test_weights_length_mismatch(self, k3):
         with pytest.raises(ValueError, match="weights cover"):
