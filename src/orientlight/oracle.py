@@ -5,11 +5,13 @@ or every independent edge subset); there is no pruning, which is the
 point: their correctness is plain to see.  Budgets cap the instance
 size and overshooting one is an explicit error, never a silent skip.
 
-The orientation oracle holds all 2^m orientations as the integers
-0..2^m-1, one bit per edge, and counts each vertex's out-degree under
-all of them with one popcount over two bit masks (numpy 2.0's
-bitwise_count).  Vertices of degree at most 1, light in every
-orientation, and vertices of cost 0 add a constant and are not swept.
+The orientation oracle sweeps all 2^m orientations at once on Python
+ints used as 2^m-bit planes: bit k of a plane belongs to orientation k.
+Each vertex's light orientations come out as one such mask, and the
+costs add up in a bit-sliced sum, one plane per bit of the totals, so
+the sums are exact at any size.  Vertices of degree at most 1, light in
+every orientation, and vertices of cost 0 add a constant and are not
+swept.  The sweep needs no library beyond Python itself.
 """
 
 from __future__ import annotations
@@ -30,7 +32,9 @@ __all__ = [
 
 _ENV_VAR = "ORIENT_LIGHT_ORACLE_BUDGET"
 
-_INT64_MAX = 2**63 - 1
+# the sweep holds m + (bits of the total cost) + a few masks of 2^m bits
+# each: 2 MB apiece at 24 edges, 128 MB apiece at 30
+_MAX_EDGES_CEILING = 24
 
 
 class BudgetExceededError(RuntimeError):
@@ -44,7 +48,9 @@ class OracleBudget:
     max_edges bounds the 2^m orientation sweep, max_matching_edges the
     edge-subset sweep.  The ORIENT_LIGHT_ORACLE_BUDGET environment
     variable overrides the defaults: either one integer for both caps,
-    or "a,b" for (max_edges, max_matching_edges).
+    or "a,b" for (max_edges, max_matching_edges).  max_edges may not
+    exceed 24: the sweep's memory doubles with each edge, and at 24 it
+    is already about 100 MB.
     """
 
     max_edges: int = 20
@@ -53,22 +59,29 @@ class OracleBudget:
     def __post_init__(self) -> None:
         if self.max_edges < 1 or self.max_matching_edges < 1:
             raise ValueError("budget caps must be positive")
+        if self.max_edges > _MAX_EDGES_CEILING:
+            raise ValueError(
+                f"max_edges {self.max_edges} exceeds the orientation oracle's "
+                f"limit of {_MAX_EDGES_CEILING} edges"
+            )
 
     @classmethod
     def from_env(cls) -> "OracleBudget":
         raw = os.environ.get(_ENV_VAR, "").strip()
         if not raw:
             return cls()
-        parts = raw.split(",")
         try:
-            if len(parts) == 1:
-                cap = int(parts[0])
-                return cls(cap, cap)
-            if len(parts) == 2:
-                return cls(int(parts[0]), int(parts[1]))
+            caps = [int(part) for part in raw.split(",")]
         except ValueError:
-            pass
-        raise ValueError(f"{_ENV_VAR} must be 'cap' or 'max_edges,max_matching_edges', got {raw!r}")
+            caps = []
+        if len(caps) not in (1, 2):
+            raise ValueError(
+                f"{_ENV_VAR} must be 'cap' or 'max_edges,max_matching_edges', got {raw!r}"
+            )
+        try:
+            return cls(caps[0], caps[-1])
+        except ValueError as ex:
+            raise ValueError(f"{_ENV_VAR}={raw}: {ex}") from None
 
 
 def brute_force_min_light(
@@ -78,9 +91,11 @@ def brute_force_min_light(
 ) -> tuple[int | Fraction, Orientation]:
     """Exact minimum light count (or cost) over all 2^m orientations, with a witness.
 
-    Ties go to the first minimum in lexicographic direction order, where
-    edge 0 is the most significant position and lower-to-higher precedes
-    higher-to-lower.
+    Orientation k, for k in 0..2^m-1, orients edge e from its lower
+    endpoint to its higher one when bit m-1-e of k is 0.  Ties go to the
+    smallest such k: the first minimum in lexicographic direction order,
+    where edge 0 is the most significant position and lower-to-higher
+    precedes higher-to-lower.
     """
     budget = budget if budget is not None else OracleBudget.from_env()
     m = g.m
@@ -89,38 +104,73 @@ def brute_force_min_light(
     if weights is not None and len(weights) != g.n:
         raise ValueError(f"weights cover {len(weights)} vertices, graph has {g.n}")
     units = weights.units if weights is not None else (1,) * g.n
-    # each vertex's edges as bit masks: edge e is bit m-1-e of an
-    # orientation mask, and a 0 there orients it from its lower endpoint
-    # to its higher one, so e leaves v exactly where the mask's bit
-    # differs from e's bit in lower[v]
-    lower: dict[int, int] = {}
-    span: dict[int, int] = {}
+    # each vertex with an edge, and its edges as (column, whether the
+    # edge leaves it on the column): edge e is column j = m-1-e, the
+    # 2^m-bit mask whose bit k is bit j of k, and a 0 there orients e
+    # from its lower endpoint, so e leaves its higher endpoint on the
+    # column and its lower endpoint on the column's complement
+    incident: dict[int, list[tuple[int, bool]]] = {}
     for e, (u, w) in enumerate(g.edges):
-        bit = 1 << (m - 1 - e)
-        lower[u] = lower.get(u, 0) | bit
-        span[u] = span.get(u, 0) | bit
-        span[w] = span.get(w, 0) | bit
+        incident.setdefault(u, []).append((m - 1 - e, False))
+        incident.setdefault(w, []).append((m - 1 - e, True))
     # a vertex of degree at most 1 is light in every orientation, and
     # one of cost 0 never counts: neither needs a sweep
-    swept = [v for v, s in span.items() if s.bit_count() > 1 and units[v]]
-    swept_units = sum(units[v] for v in swept)
-    constant = sum(units) - swept_units
-    # imported here, past the budget checks, so that solving (which never
-    # calls the oracle) and over-budget calls do not load numpy
-    import numpy as np
-
-    # int64 while every sum fits in it, exact Python ints otherwise
-    total = np.zeros(1 << m, dtype=object if swept_units > _INT64_MAX else np.int64)
-    masks = np.arange(1 << m, dtype=np.uint64)
+    swept = [v for v, es in incident.items() if len(es) > 1 and units[v]]
+    constant = sum(units) - sum(units[v] for v in swept)
+    size = 1 << m
+    full = (1 << size) - 1
+    columns = []
+    for j in range(m):
+        # one period of column j, 2^j zeros then 2^j ones, doubled by
+        # shift-or until it spans 2^m bits
+        half = 1 << j
+        col = ((1 << half) - 1) << half
+        width = half << 1
+        while width < size:
+            col |= col << width
+            width <<= 1
+        columns.append(col)
+    # planes[i] holds bit i of every orientation's swept total
+    planes: list[int] = []
     for v in swept:
-        od = np.bitwise_count((masks ^ lower.get(v, 0)) & span[v])
-        np.add(total, units[v], out=total, where=od <= 1)
-    best = int(total.argmin())
+        ones = twos = 0
+        for j, on_column in incident[v]:
+            c = columns[j] if on_column else full ^ columns[j]
+            twos |= ones & c
+            ones |= c
+        light = full ^ twos
+        cost = units[v]
+        for i in range(cost.bit_length()):
+            if cost >> i & 1:
+                # ripple-carry add light into the sum, starting at plane i
+                while len(planes) < i:
+                    planes.append(0)
+                carry, k = light, i
+                while carry:
+                    if k == len(planes):
+                        planes.append(carry)
+                        break
+                    p = planes[k]
+                    planes[k] = p ^ carry
+                    carry &= p
+                    k += 1
+    # narrow the candidates from the top plane down, keeping those with a
+    # 0 wherever some candidate has one; the lowest survivor is the first
+    # minimum
+    candidates = full
+    total = 0
+    for i in reversed(range(len(planes))):
+        zero = candidates & ~planes[i]
+        if zero:
+            candidates = zero
+        else:
+            total |= 1 << i
+    best = (candidates & -candidates).bit_length() - 1
     tails = []
     for e, (u, w) in enumerate(g.edges):
         bit = (best >> (m - 1 - e)) & 1
         tails.append(u if bit == 0 else w)
-    value = constant + int(total[best])
+    value = constant + total
     objective = weights.as_value(value) if weights is not None else value
     return objective, Orientation(tuple(tails))
 

@@ -189,6 +189,15 @@ class TestVerify:
         assert rc == 0
         assert "optimality not checked" in out
 
+    def test_budget_above_the_ceiling_is_usage_error(self, capsys, tmp_path, k3_file, monkeypatch):
+        # 2^30-bit masks would take 128 MB apiece: refused, not attempted
+        monkeypatch.setenv("ORIENT_LIGHT_ORACLE_BUDGET", "30")
+        sol = self.write_solution(tmp_path, self.cyclic_suboptimal())
+        rc, out, err = run(capsys, "verify", k3_file, sol)
+        assert rc == 2
+        assert "limit of 24" in err
+        assert "verify: OK" not in out
+
     def test_rejects_wrong_light_set(self, capsys, tmp_path, k3_file):
         doc = self.cyclic_suboptimal()
         doc["light"] = [1]

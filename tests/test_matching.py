@@ -428,8 +428,8 @@ class TestMaxWeight:
         assert m.weight_units(wts) == want
 
     def test_dense_complete_graphs(self):
-        # K7 has 21 edges, past the default oracle cap, so raise it here
-        budget = OracleBudget(32, 32)
+        # K7 has 21 edges, past the default matching oracle cap, so raise it here
+        budget = OracleBudget(max_matching_edges=32)
         for k in (4, 5, 6, 7):
             g = complete_graph(k)
             rng = SplitMix64(k)

@@ -33,6 +33,16 @@ class TestBudget:
         with pytest.raises(ValueError):
             OracleBudget(0, 5)
 
+    def test_rejects_max_edges_above_the_ceiling(self):
+        assert OracleBudget(24, 5).max_edges == 24
+        with pytest.raises(ValueError, match="limit of 24"):
+            OracleBudget(25, 5)
+
+    def test_env_above_the_ceiling_rejected(self, monkeypatch):
+        monkeypatch.setenv("ORIENT_LIGHT_ORACLE_BUDGET", "30")
+        with pytest.raises(ValueError, match="ORIENT_LIGHT_ORACLE_BUDGET=30: .* limit of 24"):
+            OracleBudget.from_env()
+
     def test_env_single_value(self, monkeypatch):
         monkeypatch.setenv("ORIENT_LIGHT_ORACLE_BUDGET", "12")
         assert OracleBudget.from_env() == OracleBudget(12, 12)
@@ -155,7 +165,7 @@ def seeded_instance(seed):
 
 
 def test_matches_plain_enumeration():
-    # an enumeration written without bit masks or numpy agrees on the
+    # an enumeration written without bit masks agrees on the
     # objective and on the witness, which is the first minimum
     kinds = set()
     for seed in range(300):
@@ -171,6 +181,51 @@ def test_matches_plain_enumeration():
                 f"seed {seed}, {'weighted' if weights else 'unweighted'}"
             )
     assert kinds == {0, 1, "zero"}
+
+
+def assert_matches_plain(g, weights):
+    units = weights.units if weights is not None else (1,) * g.n
+    cost, tails = plain_min_light(g, units)
+    want = weights.as_value(cost) if weights is not None else cost
+    assert brute_force_min_light(g, weights) == (want, Orientation(tails))
+
+
+@pytest.mark.parametrize(
+    "g",
+    [Graph(0, ()), Graph(2, ()), Graph(2, ((0, 1),)), Graph(4, ((1, 3),))],
+    ids=["m0-empty", "m0", "m1", "m1-isolated"],
+)
+@pytest.mark.parametrize("weighted", [False, True], ids=["unweighted", "weighted"])
+def test_no_and_one_edge(g, weighted):
+    # a sweep over 2^0 or 2^1 orientations in which no vertex is swept
+    weights = VertexWeights(tuple(range(3, 3 + g.n)), 10) if weighted else None
+    assert_matches_plain(g, weights)
+
+
+@pytest.mark.parametrize("weighted", [False, True], ids=["unweighted", "weighted"])
+def test_fourteen_edges(weighted):
+    # past the 10 edges of seeded_instance, with costs past 2**63 and a
+    # zero, so the sum needs more planes than any int64 holds
+    edges = complete_graph(6).edges[:14]
+    g = Graph(7, tuple((u, v + 1 if v >= 3 else v) for u, v in edges))
+    assert g.m == 14
+    costs = (2**63, 2**64 + 5, 1, 0, 3 * 2**63 + 1, 7, 2)
+    assert_matches_plain(g, VertexWeights(costs, 100) if weighted else None)
+
+
+def test_equal_costs_tie_on_the_first_minimum():
+    # K4's six edges make at most three vertices heavy: pick the one left
+    # light and orient the other three as a cycle that also points at it,
+    # so eight orientations share the minimum; the witness is the first
+    g = complete_graph(4)
+    best = []
+    for bits in itertools.product((0, 1), repeat=g.m):
+        tails = tuple(w if b else u for (u, w), b in zip(g.edges, bits))
+        if len(light_vertices(g, Orientation(tails))) == 1:
+            best.append(tails)
+    assert len(best) == 8
+    assert brute_force_min_light(g, VertexWeights((5,) * 4)) == (5, Orientation(best[0]))
+    assert brute_force_min_light(g) == (1, Orientation(best[0]))
 
 
 class TestMatchingOracle:
@@ -199,17 +254,34 @@ class TestMatchingOracle:
         assert brute_force_max_matching(g).size == 3
 
 
-@pytest.fixture(scope="module")
-def start_up_modules(tmp_path_factory):
-    """Modules a fresh interpreter holds after importing the package and
-    the command line and solving K3, unweighted and weighted, through
-    the library and through `solve`."""
+def fresh_interpreter(code, *args):
+    """What a fresh interpreter running code with args prints, with the
+    package on its path and the oracle's budget at its default."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(orientlight.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
-    tmp = tmp_path_factory.mktemp("start_up")
+    env.pop("ORIENT_LIGHT_ORACLE_BUDGET", None)
+    out = subprocess.run(
+        [sys.executable, "-c", code, *map(str, args)],
+        env=env, capture_output=True, text=True, check=True, timeout=60,
+    )
+    return out.stdout
+
+
+@pytest.fixture(scope="module")
+def k3_files(tmp_path_factory):
+    """K3 and a cost file for it."""
+    tmp = tmp_path_factory.mktemp("k3")
     k3_file, w_file = tmp / "k3.txt", tmp / "k3.w"
     k3_file.write_text("3 3\n1 2\n2 3\n1 3\n")
     w_file.write_text("1 0.5\n2 1\n3 1\n")
+    return k3_file, w_file
+
+
+@pytest.fixture(scope="module")
+def start_up_modules(k3_files):
+    """Modules a fresh interpreter holds after importing the package and
+    the command line and solving K3, unweighted and weighted, through
+    the library and through `solve`."""
     code = (
         "import io, sys, orientlight, orientlight.cli\n"
         "g = orientlight.Graph(3, ((0, 1), (1, 2), (0, 2)))\n"
@@ -221,20 +293,43 @@ def start_up_modules(tmp_path_factory):
         "assert orientlight.cli.main(['solve', k3_file, '--weights', w_file]) == 0\n"
         "print(' '.join(sys.modules), file=sys.__stdout__)\n"
     )
-    out = subprocess.run(
-        [sys.executable, "-c", code, str(k3_file), str(w_file)],
-        env=env, capture_output=True, text=True, check=True, timeout=60,
-    )
-    return set(out.stdout.split())
+    return set(fresh_interpreter(code, *k3_files).split())
 
 
 @pytest.mark.parametrize(
     "module", ["numpy", "dataclasses", "inspect", "orientlight.oracle", "orientlight.generate"]
 )
 def test_importing_the_package_does_not_load(start_up_modules, module):
-    # only brute_force_min_light needs numpy, and it imports it itself;
     # the value types are built by orientlight._record, not dataclasses,
     # which would pull in inspect; solving calls neither the oracle nor
     # the generator, so `solve` loads neither
     assert "orientlight.cli" in start_up_modules
     assert module not in start_up_modules
+
+
+@pytest.mark.parametrize("block_numpy", [False, True], ids=["numpy-importable", "numpy-blocked"])
+def test_verify_runs_the_oracle_without_numpy(k3_files, tmp_path, block_numpy):
+    # `verify` runs the oracle on K3, unweighted and weighted, and loads
+    # no numpy; with every numpy import made to fail it still passes
+    code = (
+        "import io, sys\n"
+        "k3_file, w_file, out, block = sys.argv[1:]\n"
+        "if block == 'True':\n"
+        "    sys.modules['numpy'] = None\n"
+        "import orientlight.cli\n"
+        "for extra in ([], ['--weights', w_file]):\n"
+        "    sys.stdout = io.StringIO()\n"
+        "    assert orientlight.cli.main(['solve', k3_file, '--json', *extra]) == 0\n"
+        "    with open(out, 'w') as f:\n"
+        "        f.write(sys.stdout.getvalue())\n"
+        "    sys.stdout = sys.__stdout__\n"
+        "    assert orientlight.cli.main(['verify', k3_file, out, *extra]) == 0\n"
+        "print(' '.join(sys.modules))\n"
+    )
+    out = fresh_interpreter(code, *k3_files, tmp_path / "k3.json", block_numpy)
+    lines = out.splitlines()
+    assert lines[:2] == ["verify: OK", "verify: OK"]
+    modules = set(lines[2].split())
+    assert "orientlight.oracle" in modules
+    if not block_numpy:
+        assert "numpy" not in modules
