@@ -375,9 +375,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
         # the gadget the solve built must satisfy the closed-form formulas
         r = stats.reduction
         want_v = 5 * r.core.m - sum(r.demand)
-        want_e = sum(
-            r.core.degree(c) ** 2 - (b - 1) * r.core.degree(c) + (b == 2)
-            for c, b in enumerate(r.demand)
+        want_e = 2 * r.core.m + sum(
+            (b + 1) * (r.core.degree(c) - b) + (b == 2) for c, b in enumerate(r.demand)
         )
         if (r.gprime.n, r.gprime.m) != (want_v, want_e):
             print(f"bench: reduced sizes disagree with the formulas on n={n} m={g.m}")

@@ -14,7 +14,6 @@ from .graph import Graph
 
 __all__ = [
     "Matching",
-    "extend_to_maximal",
     "max_cardinality_matching",
     "max_weight_matching",
 ]
@@ -73,20 +72,6 @@ class Matching:
                     raise ValueError(f"matched pair ({v}, {w}) is not an edge")
                 ids.add(e)
         return cls(frozenset(ids), mate)
-
-
-def extend_to_maximal(g: Graph, m: Matching) -> Matching:
-    """Greedily adds edges (by ascending id) until the matching is maximal."""
-    if len(m.mate) != g.n:
-        raise ValueError(f"matching covers {len(m.mate)} vertices, graph has {g.n}")
-    mate = list(m.mate)
-    ids = set(m.matched_edge_ids)
-    for e, (u, v) in enumerate(g.edges):
-        if mate[u] == -1 and mate[v] == -1:
-            mate[u] = v
-            mate[v] = u
-            ids.add(e)
-    return Matching(frozenset(ids), tuple(mate))
 
 
 def max_cardinality_matching(g: Graph) -> Matching:

@@ -73,13 +73,22 @@ class ReducedGraph:
     core vertex its inner-to-port edges, inner-major and each stored as
     (port, inner), then its parity edge if it has one.
 
-    For core vertex v of degree d the gadget consists of the d ports of
-    its incident edges and d - demand[v] inner vertices joined to every
-    port.  A demand-2 vertex (the paper's gadget) also has one parity
-    edge joining the ports of its two smallest incident edge ids; a
-    demand-1 vertex has none and its parity_edge entry is -1.
+    For core vertex v of degree d and demand b the gadget consists of
+    the d ports of its incident edges, in adjacency order (ascending
+    core edge id), and d - b inner vertices; inner i is joined to ports
+    i..i+b only, so gadget_edge_ids[v][i*(b+1) + j - i] joins inner i
+    to port j.  A demand-2 vertex also has one parity edge joining ports
+    0 and 1; a demand-1 vertex has none and its parity_edge entry is -1.
     side_edges[v] lists the v-side connecting edges, one per incident
     core edge, in adjacency order.
+
+    The band keeps the paper's maximum matchings.  The paper joins every
+    inner vertex to every port (Tutte's f-factor gadget), d(d - b)
+    edges, and the band is a subgraph of that.  Sort any d - b of v's
+    ports as s_0 < s_1 < ...: then i <= s_i <= i + b, so s_i can take
+    inner i, and every smaller set of ports lies inside such a set.  So
+    the normalized matching of every orientation lies inside the band,
+    and the two graphs have the same maximum (weight) matching value.
     """
 
     core: Graph
@@ -133,15 +142,14 @@ def build_gprime(g: Graph, weights: VertexWeights | None = None) -> ReducedGraph
     orientation checks that the flow met every target outside R.
 
     With m core edges the gadget graph has 5m - sum(demand) vertices and
-    sum(d^2 - (b - 1) d + [b = 2]) edges over core vertices of degree d
-    and demand b; with every demand 2 these are the paper's 5m - 2n and
-    sum(d^2 - d + 1).  Either gadget holds d - 1 + [heavy] matched edges of
-    a normalized maximal matching, heavy meaning core out-degree at
-    least the demand, so the core's light count is 2m - |M| and its
-    light cost Q - w(M) with Q = sum(d(v) c_v).  With weights given,
-    every edge owned by core vertex v (its gadget edges and its side
-    connecting edges) carries v's cost in integer units; without weights
-    every edge weighs 1.
+    2m + sum((b + 1)(d - b) + [b = 2]) edges over core vertices of
+    degree d and demand b, the paper's count wherever d <= b + 1.  Every
+    gadget holds d - 1 + [heavy] matched edges of a normalized matching,
+    heavy meaning core out-degree at least the demand, so the core's
+    light count is 2m - |M| and its light cost Q - w(M) with
+    Q = sum(d(v) c_v).  With weights given, every edge owned by core
+    vertex v (its gadget edges and its side connecting edges) carries
+    v's cost in integer units; without weights every edge weighs 1.
     """
     n = g.n
     if weights is not None and len(weights) != n:
@@ -211,11 +219,13 @@ def build_gprime(g: Graph, weights: VertexWeights | None = None) -> ReducedGraph
     parity: list[int] = []
     for v in range(n):
         vports = [3 * e if core.edges[e][0] == v else 3 * e + 2 for e in cadj[v]]
+        b = demand[v]
         first = len(gp_edges)
-        for i in inner[v]:
-            gp_edges += [(p, i) for p in vports]  # every port lies below every inner
+        for i, x in enumerate(inner[v]):
+            # the band: inner i takes ports i..i+b, each below every inner
+            gp_edges += [(p, x) for p in vports[i : i + b + 1]]
         gadget_edge_ids.append(tuple(range(first, len(gp_edges))))
-        if demand[v] == 2:
+        if b == 2:
             # parity edge between the ports of the two smallest incident edge ids
             parity.append(len(gp_edges))
             gp_edges.append((vports[0], vports[1]))

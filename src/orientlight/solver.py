@@ -27,12 +27,7 @@ from .graph import (
     check_orientation,
     light_vertices,
 )
-from .matching import (
-    Matching,
-    extend_to_maximal,
-    max_cardinality_matching,
-    max_weight_matching,
-)
+from .matching import Matching, max_cardinality_matching, max_weight_matching
 from .reduction import ReducedGraph, build_gprime
 
 __all__ = [
@@ -96,25 +91,58 @@ class SolveStats:
 
 
 def matching_from_orientation(r: ReducedGraph, o: Orientation) -> Matching:
-    """The maximal matching of the gadget graph that mirrors an orientation.
+    """The normalized matching of the gadget graph that mirrors an orientation.
 
-    Chooses the tail-side connecting edge of every core edge, extends
-    greedily to a maximal matching (every connector is already covered,
-    so only gadget edges can still fit), then normalizes every gadget.
-    The result matches exactly out_degree(v) of v's side edges, and its
-    size is 2m minus the number of core vertices whose out-degree is
-    below their demand.
+    Chooses the tail-side connecting edge of every core edge and fills
+    every gadget from the ports of its in-edges (_gadget_fill).  The
+    result is maximal, matches exactly out_degree(v) of v's side edges,
+    and its size is 2m minus the number of core vertices whose
+    out-degree is below their demand.
     """
     core = r.core
     check_orientation(core, o)
     ids = []
-    for e, (u, _) in enumerate(core.edges):
+    free: list[list[int]] = [[] for _ in range(core.n)]
+    seen = [0] * core.n  # v's ports so far: edges arrive in adjacency order
+    for e, (u, w) in enumerate(core.edges):
         lo, hi = r.connecting_edges[e]
-        ids.append(lo if o.tails[e] == u else hi)
-    m = extend_to_maximal(r.gprime, Matching.from_edge_ids(r.gprime, ids))
+        tail = o.tails[e]
+        ids.append(lo if tail == u else hi)
+        head = u + w - tail
+        free[head].append(seen[head])
+        seen[u] += 1
+        seen[w] += 1
     for v in range(core.n):
-        m = normalize_gadget_matching(r, m, v)
-    return m
+        ids += _gadget_fill(r, v, free[v])
+    return Matching.from_edge_ids(r.gprime, ids)
+
+
+def _gadget_fill(r: ReducedGraph, v: int, free: list[int]) -> list[int]:
+    """The gadget and parity edges of v's normalized internal matching.
+
+    free lists, ascending, the positions of v's ports whose side edge is
+    unmatched; k = d - len(free) side edges are matched.  With k = 0 at
+    demand 2 the parity edge covers ports 0 and 1.  Every other free
+    port j in turn takes the lowest unused inner vertex i >= j - b, which
+    the band joins to j, until the d - b inner vertices run out.  With
+    k >= b every free port is covered, and otherwise every inner vertex
+    is, so the gadget holds d - 1 + [k >= b] matched edges with its side
+    edges.
+    """
+    d, b = r.core.degree(v), r.demand[v]
+    ids = r.gadget_edge_ids[v]
+    fill = []
+    if b == 2 and len(free) == d:
+        fill.append(r.parity_edge[v])
+        free = free[2:]
+    i = 0
+    for j in free:
+        i = max(i, j - b)
+        if i == d - b:
+            break
+        fill.append(ids[i * (b + 1) + j - i])
+        i += 1
+    return fill
 
 
 def normalize_gadget_matching(r: ReducedGraph, m: Matching, v: int) -> Matching:
@@ -124,18 +152,14 @@ def normalize_gadget_matching(r: ReducedGraph, m: Matching, v: int) -> Matching:
     the result holds exactly d - 1 + [k >= b] matched edges among v's
     gadget and side edges: v meets its demand in the core orientation
     read off the matching exactly when its gadget holds d edges.  A
-    demand-1 gadget needs no work, since a maximal matching already
-    covers all its d - 1 inner vertices and, when k >= 1, all its
-    remaining ports.  A demand-2 gadget needs work in two situations: no
-    side edge and no parity edge matched (the gadget is repacked into a
-    perfect matching of its vertices, one edge larger than before), and
-    two or more side edges with the parity edge matched (the parity edge
-    is swapped for two inner-to-port edges, again one edge larger).
-    Requires a maximal matching, as the counts above do not hold
-    otherwise.  With every gadget normalized, the matching's size (or
-    weight) is 2m (or Q) minus the core's light total; the vertices the
-    kernel removed are already settled, since the tails it fixed never
-    hurt a core vertex and their own status was fixed when removed.
+    gadget that already holds that many is returned unchanged, as a
+    maximum matching's always is; otherwise v's gadget and parity edges
+    are swapped for _gadget_fill's, which keeps every side edge.
+    Requires a maximal matching.  With every gadget normalized, the
+    matching's size (or weight) is 2m (or Q) minus the core's light
+    total; the vertices the kernel removed are already settled, since
+    the tails it fixed never hurt a core vertex and their own status was
+    fixed when removed.
     """
     core = r.core
     if not 0 <= v < core.n:
@@ -151,41 +175,14 @@ def normalize_gadget_matching(r: ReducedGraph, m: Matching, v: int) -> Matching:
                 f"matching is not maximal: edge {eid} near vertex {v} could be added"
             )
     matched = m.matched_edge_ids
-    d = core.degree(v)
-    k = sum(1 for eid in r.side_edges[v] if eid in matched)
-    parity_in = r.parity_edge[v] in matched
-
-    if r.demand[v] == 1:
-        out = m
-    elif k == 0 and not parity_in:
-        # repack: parity edge covers the two designated ports, and each
-        # inner vertex pairs with one of the remaining ports in order
-        keep = set(matched)
-        keep.difference_update(r.gadget_edge_ids[v])
-        keep.add(r.parity_edge[v])
-        for i in range(d - 2):
-            keep.add(r.gadget_edge_ids[v][i * d + (2 + i)])
-        out = Matching.from_edge_ids(r.gprime, keep)
-    elif k >= 2 and parity_in:
-        exposed_inner = [i for i in r.inner[v] if mate[i] == -1]
-        if len(exposed_inner) < 2:
-            raise ValueError(
-                f"matching is not maximal around vertex {v}: expected at least two "
-                "exposed inner vertices"
-            )
-        pa, pb = r.gprime.edges[r.parity_edge[v]]
-        i0, i1 = exposed_inner[0], exposed_inner[1]
-        e0 = r.gprime.edge_ids[(min(i0, pa), max(i0, pa))]
-        e1 = r.gprime.edge_ids[(min(i1, pb), max(i1, pb))]
-        keep = set(matched)
-        keep.remove(r.parity_edge[v])
-        keep.add(e0)
-        keep.add(e1)
-        out = Matching.from_edge_ids(r.gprime, keep)
-    else:
-        out = m
-
-    expected = d - 1 + (k >= r.demand[v])
+    free = [j for j, eid in enumerate(r.side_edges[v]) if eid not in matched]
+    expected = core.degree(v) - 1 + (core.degree(v) - len(free) >= r.demand[v])
+    out = m
+    if sum(1 for eid in bucket if eid in matched) != expected:
+        internal = set(bucket).difference(r.side_edges[v])
+        out = Matching.from_edge_ids(
+            r.gprime, (matched - internal).union(_gadget_fill(r, v, free))
+        )
     got = sum(1 for eid in bucket if eid in out.matched_edge_ids)
     if got != expected:
         raise RuntimeError(

@@ -113,6 +113,15 @@ def random_core(n: int, p: float, seed: int) -> Graph | None:
     return core
 
 
+def size_formulas(r) -> tuple[int, int]:
+    """|V'| and |E'| of the banded gadget graph from its core and demands."""
+    deg = [r.core.degree(c) for c in range(r.core.n)]
+    return (
+        5 * r.core.m - sum(r.demand),
+        2 * r.core.m + sum((b + 1) * (d - b) + (b == 2) for d, b in zip(deg, r.demand)),
+    )
+
+
 def random_maximal_matching(g: Graph, seed: int) -> Matching:
     """Greedy matching over a seeded shuffle of the edge ids."""
     order = list(range(g.m))

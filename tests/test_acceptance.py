@@ -104,15 +104,14 @@ def test_criterion_3_gadget_graph_size_formulas():
         gadget_vertices += r.gprime.n
         n, m = core.n, core.m
         assert r.gprime.n == 5 * m - 2 * n, f"seed {seed - 1}"
-        want_edges = sum(
-            core.degree(v) ** 2 - core.degree(v) + 1 for v in range(n)
-        )
+        # demand 2: d side edges, 3(d - 2) band edges and the parity edge
+        want_edges = sum(4 * core.degree(v) - 5 for v in range(n))
         assert r.gprime.m == want_edges, f"seed {seed - 1}"
         verified += 1
     assert gadget_vertices >= 6159
 
     # the general formulas on peeled random graphs, which keep demand-1
-    # vertices: |V'| = 5m - sum(b) and |E'| = sum(d^2 - (b - 1) d + [b = 2])
+    # vertices: |V'| = 5m - sum(b) and |E'| = 2m + sum((b + 1)(d - b) + [b = 2])
     peeled = demand_one = peeled_vertices = 0
     seed = 21_000
     while peeled < 100:
@@ -125,9 +124,8 @@ def test_criterion_3_gadget_graph_size_formulas():
             continue
         peeled_vertices += r.gprime.n
         assert r.gprime.n == 5 * core.m - sum(r.demand), f"seed {seed - 1}"
-        want_edges = sum(
-            core.degree(c) ** 2 - (b - 1) * core.degree(c) + (b == 2)
-            for c, b in enumerate(r.demand)
+        want_edges = 2 * core.m + sum(
+            (b + 1) * (core.degree(c) - b) + (b == 2) for c, b in enumerate(r.demand)
         )
         assert r.gprime.m == want_edges, f"seed {seed - 1}"
         demand_one += r.demand.count(1)
@@ -202,16 +200,20 @@ def test_criterion_5_normalization_lemma_conformance():
         v = verified % core.n
         d = core.degree(v)
         k = sum(1 for eid in r.side_edges[v] if eid in m.matched_edge_ids)
+        before = sum(1 for eid in r.gadget_bucket(v) if eid in m.matched_edge_ids)
         n = normalize_gadget_matching(r, m, v)
         assert Matching.from_mate(r.gprime, n.mate) == n
         got = sum(1 for eid in r.gadget_bucket(v) if eid in n.matched_edge_ids)
         want = d - 1 if k <= 1 else d
         assert got == want, f"seed {seed - 1}: vertex {v} holds {got}, want {want}"
-        assert n.size in (m.size, m.size + 1)
+        # unchanged exactly when the gadget already held its share
+        if before == want:
+            assert n == m, f"seed {seed - 1}: a normalized gadget was changed"
+        else:
+            assert n.size - m.size == want - before, f"seed {seed - 1}"
+            counts["grew"] += 1
         assert (n.matched_edge_ids ^ m.matched_edge_ids) <= set(r.gadget_bucket(v))
         counts["d-1" if want == d - 1 else "d"] += 1
-        if n.size == m.size + 1:
-            counts["grew"] += 1
         verified += 1
     assert counts["d-1"] > 0 and counts["d"] > 0
     assert gadget_vertices >= 11484
@@ -234,20 +236,44 @@ def test_criterion_5_normalization_lemma_conformance():
         v = ones[verified % len(ones)] if ones and verified % 2 else verified % r.core.n
         d, b = r.core.degree(v), r.demand[v]
         k = sum(1 for eid in r.side_edges[v] if eid in m.matched_edge_ids)
+        before = sum(1 for eid in r.gadget_bucket(v) if eid in m.matched_edge_ids)
         n = normalize_gadget_matching(r, m, v)
         assert Matching.from_mate(r.gprime, n.mate) == n
         got = sum(1 for eid in r.gadget_bucket(v) if eid in n.matched_edge_ids)
         want = d - 1 + (k >= b)
         assert got == want, f"seed {seed - 1}: vertex {v} holds {got}, want {want}"
-        if b == 1:
-            assert n == m, f"seed {seed - 1}: a demand-1 gadget was changed"
+        if before == want:
+            assert n == m, f"seed {seed - 1}: a normalized gadget was changed"
+        else:
+            assert n.size - m.size == want - before, f"seed {seed - 1}"
         assert (n.matched_edge_ids ^ m.matched_edge_ids) <= set(r.gadget_bucket(v))
         by_demand[b, k >= b] += 1
         verified += 1
     assert all(by_demand.values()), by_demand
     assert peeled_vertices >= 9657
+
+    # a maximum matching from either engine is already normalized
+    by_mode = {"unweighted": 0, "weighted": 0}
+    seed = 47_000
+    while min(by_mode.values()) < 40:
+        size = 8 + (seed % 11)
+        g = random_graph(size, 2.8 / (size - 1), seed)
+        w = random_weights(g.n, 8, seed + 1)
+        seed += 2
+        for mode, weights in (("unweighted", None), ("weighted", w)):
+            r = build_gprime(g, weights)
+            if r.core.m == 0:
+                continue
+            if weights is None:
+                m = max_cardinality_matching(r.gprime)
+            else:
+                m = max_weight_matching(r.gprime, r.edge_weights)
+            for v in range(r.core.n):
+                assert normalize_gadget_matching(r, m, v) == m, f"seed {seed - 2}: vertex {v}"
+            by_mode[mode] += 1
     print(f"criterion 5 PASS: 200 + 200 normalization triples follow the case "
-          f"equation exactly ({counts}, peeled, by demand and heaviness {by_demand})")
+          f"equation exactly ({counts}, peeled, by demand and heaviness {by_demand}); "
+          f"engine maximum matchings come back unchanged ({by_mode})")
 
 
 def test_criterion_6_matching_engines_vs_brute_force():

@@ -9,8 +9,10 @@ from pathlib import Path
 import pytest
 
 import orientlight
+from conftest import size_formulas
 from orientlight import parse_graph, parse_weights
 from orientlight.cli import main
+from orientlight.reduction import build_gprime
 
 K3_TEXT = "3 3\n1 2\n2 3\n1 3\n"
 
@@ -146,6 +148,28 @@ class TestSolve:
         sidecar = json.loads((tmp_path / "gprime.graph.json").read_text())
         assert (sidecar["core_vertices"], sidecar["core_edges"]) == (0, 0)
         assert parse_graph(target.read_text()).n == 0
+
+    @pytest.mark.parametrize(
+        "edges, objective",
+        [
+            ([(a, 3 + i) for i in range(3000) for a in (1, 2)], 2),  # K_{2,3000}
+            ([(1, i) for i in range(2, 3002)]
+             + [(i, i + 1) for i in range(2, 3001)] + [(3001, 2)], 1),  # wheel, 3000 spokes
+        ],
+        ids=["K2,3000", "wheel3000"],
+    )
+    def test_hub_cores(self, capsys, tmp_path, edges, objective):
+        # one core vertex of degree 3000: the banded gadget keeps it linear
+        p = tmp_path / "hub.graph"
+        n = max(max(e) for e in edges)
+        text = f"{n} {len(edges)}\n" + "".join(f"{a} {b}\n" for a, b in edges)
+        p.write_text(text)
+        dump = tmp_path / "gadget.txt"
+        rc, out, _ = run(capsys, "solve", p, "--json", "--dump-reduction", dump)
+        assert rc == 0
+        assert json.loads(out)["objective"] == objective
+        r = build_gprime(parse_graph(text))
+        assert parse_graph(dump.read_text()).m == size_formulas(r)[1] < 6 * len(edges)
 
     def test_huge_vertex_count_rejected(self, capsys, tmp_path):
         # rejected at the header, before any per-vertex allocation

@@ -15,12 +15,7 @@ from conftest import (
 )
 from orientlight import Graph, VertexWeights
 from orientlight.generate import SplitMix64, random_graph
-from orientlight.matching import (
-    Matching,
-    extend_to_maximal,
-    max_cardinality_matching,
-    max_weight_matching,
-)
+from orientlight.matching import Matching, max_cardinality_matching, max_weight_matching
 from orientlight.oracle import OracleBudget, brute_force_max_matching
 from orientlight.reduction import build_gprime
 
@@ -139,28 +134,6 @@ class TestIsValidMatching:
         assert Matching.from_mate(k3, bad.mate) != bad
 
 
-class TestExtendToMaximal:
-    def test_c4_greedy_picks_opposite_edges(self, c4):
-        m = extend_to_maximal(c4, Matching.empty(c4))
-        assert m.matched_edge_ids == {0, 2}
-
-    def test_star_stops_at_one(self, star13):
-        m = extend_to_maximal(star13, Matching.empty(star13))
-        assert m.size == 1
-
-    def test_already_maximal_unchanged(self, c4):
-        m = Matching.from_edge_ids(c4, [1])
-        out = extend_to_maximal(c4, extend_to_maximal(c4, m))
-        assert extend_to_maximal(c4, out) == out
-
-    def test_result_is_maximal(self):
-        for seed in range(10):
-            g = random_graph(9, 0.4, seed)
-            m = extend_to_maximal(g, Matching.empty(g))
-            for u, v in g.edges:
-                assert m.mate[u] != -1 or m.mate[v] != -1
-
-
 class TestMaxCardinality:
     @pytest.mark.parametrize("k", range(1, 7))
     def test_odd_cycles(self, k):
@@ -221,8 +194,12 @@ class TestMaxCardinality:
             (a, b), (c, d), (x, y), (w, w2),
             (r, a), (b, c), (b, d), (a, x), (y, s), (x, t), (x, u), (t, w), (w2, z),
         ))
-        greedy = extend_to_maximal(g, Matching.empty(g))
-        assert [v for v, w in enumerate(greedy.mate) if w == -1] == [r, s, t, u, z]
+        # the engine's greedy start: every edge by id whose ends are both free
+        mate = [-1] * g.n
+        for p, q in g.edges:
+            if mate[p] == -1 and mate[q] == -1:
+                mate[p], mate[q] = q, p
+        assert [v for v, w in enumerate(mate) if w == -1] == [r, s, t, u, z]
         m = max_cardinality_matching(g)
         assert Matching.from_mate(g, m.mate) == m
         assert m.size == brute_force_max_matching(g).size == 6

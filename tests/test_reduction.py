@@ -8,6 +8,7 @@ from conftest import (
     path_graph,
     petersen_graph,
     random_core,
+    size_formulas,
     star_graph,
     two_core,
     wheel_graph,
@@ -17,15 +18,6 @@ from orientlight.generate import random_graph, random_weights
 from orientlight.oracle import brute_force_min_light
 from orientlight.reduction import build_gprime
 from orientlight import reduction
-
-
-def size_formulas(r):
-    """|V'| and |E'| of the gadget graph from its core and demands."""
-    deg = [r.core.degree(c) for c in range(r.core.n)]
-    return (
-        5 * r.core.m - sum(r.demand),
-        sum(d * d - (b - 1) * d + (b == 2) for d, b in zip(deg, r.demand)),
-    )
 
 
 def settled_light(g, r):
@@ -78,7 +70,7 @@ class TestEliminateDegreeOne:
 
     def test_idempotent(self):
         # the draws are sparse 2-cores the flow kernel keeps whole, so
-        # the kernel changes nothing and keeps the paper's gadget
+        # the kernel changes nothing and every demand is 2
         built = seed = 0
         while built < 10:
             core = random_core(16, 3.0 / 15, seed)
@@ -93,7 +85,7 @@ class TestEliminateDegreeOne:
             assert settled_light(core, r) == ()
             assert (r.gprime.n, r.gprime.m) == (
                 5 * core.m - 2 * core.n,
-                sum(core.degree(v) ** 2 - core.degree(v) + 1 for v in range(core.n)),
+                2 * core.m + sum(3 * core.degree(v) - 5 for v in range(core.n)),
             )
 
 
@@ -227,8 +219,9 @@ class TestBuildGprime:
                 continue
             r = build_gprime(core)
             assert r.gprime.n == 5 * core.m - 2 * core.n
+            # side edges, three band edges per inner vertex, the parity edge
             assert r.gprime.m == sum(
-                core.degree(v) ** 2 - core.degree(v) + 1 for v in range(core.n)
+                core.degree(v) + 3 * (core.degree(v) - 2) + 1 for v in range(core.n)
             )
             built += 1
 

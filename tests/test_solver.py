@@ -10,6 +10,8 @@ from conftest import (
     petersen_graph,
     random_core,
     random_maximal_matching,
+    size_formulas,
+    wheel_graph,
 )
 from orientlight import (
     Certificate,
@@ -207,6 +209,76 @@ class TestNormalizeGadgetMatching:
         assert cases["k0_out"] > 0
         assert cases["k2_in"] > 0
         assert cases["k1"] > 0
+
+
+def whole_core(g):
+    """build_gprime with the kernel claiming every vertex for the core."""
+
+    def claim_everything(graph, target):
+        return [u for u, _ in graph.edges], [True] * graph.n
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(reduction, "_deficient_region", claim_everything)
+        return build_gprime(g)
+
+
+class TestGadgetFill:
+    """The fill rule on whole gadgets, for every set of matched side edges."""
+
+    @staticmethod
+    def check_every_subset(r, v):
+        d, b = r.core.degree(v), r.demand[v]
+        sides = r.side_edges[v]
+        for mask in range(1 << d):
+            chosen = [sides[j] for j in range(d) if mask >> j & 1]
+            free = [j for j in range(d) if not mask >> j & 1]
+            fill = solver._gadget_fill(r, v, free)
+            assert set(fill) <= set(r.gadget_bucket(v)) - set(sides)
+            # from_edge_ids rejects two edges sharing a vertex
+            m = Matching.from_edge_ids(r.gprime, chosen + fill)
+            assert bucket_count(r, m, v) == d - 1 + (len(chosen) >= b), (v, mask)
+
+    @pytest.mark.parametrize("k", [5, 6])
+    def test_complete_graphs(self, k):
+        # the kernel settles K5 and K6, so their gadgets are built whole
+        r = whole_core(complete_graph(k))
+        assert r.core == complete_graph(k) and r.demand == (2,) * k
+        assert (r.gprime.n, r.gprime.m) == size_formulas(r)
+        for v in range(k):
+            self.check_every_subset(r, v)
+
+    def test_wheel_hub(self):
+        r = build_gprime(wheel_graph(8))
+        assert (r.core.degree(0), r.demand[0]) == (8, 2)
+        self.check_every_subset(r, 0)
+
+    def test_demand_one_hub(self):
+        # a wheel whose hub also has a leaf: the hub keeps demand 1
+        w = wheel_graph(8)
+        r = build_gprime(Graph(w.n + 1, w.edges + ((0, w.n),)))
+        assert (r.core_to_input[0], r.core.degree(0), r.demand[0]) == (0, 8, 1)
+        assert r.parity_edge[0] == -1
+        self.check_every_subset(r, 0)
+
+
+class TestHubCores:
+    """Hubs of core degree k cost O(k) gadget edges, not k^2."""
+
+    @pytest.mark.parametrize(
+        "g, objective",
+        [
+            (Graph(3002, tuple((a, 2 + i) for i in range(3000) for a in (0, 1))), 2),
+            (wheel_graph(3000), 1),
+        ],
+        ids=["K2,3000", "wheel3000"],
+    )
+    def test_solves_with_a_linear_gadget(self, g, objective):
+        sol, stats = solve_with_stats(g)
+        assert sol.objective == objective
+        r = stats.reduction
+        assert max(r.core.degree(c) for c in range(r.core.n)) >= 3000
+        assert (r.gprime.n, r.gprime.m) == size_formulas(r)
+        assert r.gprime.m < 6 * g.m
 
 
 class TestRecoverOrientation:
