@@ -120,22 +120,24 @@ def _dump_reduction(r: ReducedGraph, weights: VertexWeights | None, path: str) -
     The sidecar uses 1-based vertex labels (matching the graph file) and
     0-based edge indices into that file's edge list.
     """
+    core = r.core
+    owner = {eid: v + 1 for v in range(core.n) for eid in r.gadget_bucket(v)}
     sidecar = {
         "conventions": "vertex labels are 1-based; edge indices are 0-based "
         "positions in the edge list of the graph file",
-        "core_vertices": r.core.n,
-        "core_edges": r.core.m,
+        "core_vertices": core.n,
+        "core_edges": core.m,
         "core_to_input": [v + 1 for v in r.core_to_input],
         "core_edge_to_input": list(r.core_edge_to_input),
         "demand": list(r.demand),
-        "connector": [v + 1 for v in r.connector],
-        "ports": [[a + 1, b + 1] for a, b in r.ports],
-        "connecting_edges": [list(pair) for pair in r.connecting_edges],
-        "inner": [[v + 1 for v in vs] for vs in r.inner],
-        "gadget_edge_ids": [list(ids) for ids in r.gadget_edge_ids],
-        "parity_edge": list(r.parity_edge),
-        "side_edges": [list(ids) for ids in r.side_edges],
-        "edge_owner": [v + 1 for v in r.edge_owner],
+        "connector": [r.connector(e) + 1 for e in range(core.m)],
+        "ports": [[r.port_at(v, e) + 1 for v in uw] for e, uw in enumerate(core.edges)],
+        "connecting_edges": [[r.side_edge(v, e) for v in uw] for e, uw in enumerate(core.edges)],
+        "inner": [[x + 1 for x in r.inner(v)] for v in range(core.n)],
+        "gadget_edge_ids": [list(r.gadget_edge_ids(v)) for v in range(core.n)],
+        "parity_edge": [r.parity_edge(v) for v in range(core.n)],
+        "side_edges": [list(r.side_edges(v)) for v in range(core.n)],
+        "edge_owner": [owner[eid] for eid in range(r.gprime.m)],
         "edge_weight_units": list(r.edge_weights),
         "weight_scale": weights.scale if weights is not None else 1,
     }
@@ -146,11 +148,17 @@ def _dump_reduction(r: ReducedGraph, weights: VertexWeights | None, path: str) -
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
+    dump = args.dump_reduction
+    if dump:
+        outputs = {os.path.realpath(dump), os.path.realpath(dump + ".json")}
+        for name, path in (("graph", args.graph), ("weights", args.weights)):
+            if path and os.path.realpath(path) in outputs:
+                raise ValueError(f"--dump-reduction would overwrite the {name} file {path}")
     g = parse_graph(_read(args.graph))
     weights = parse_weights(_read(args.weights), g.n) if args.weights else None
     sol, stats = solve_with_stats(g, weights)
-    if args.dump_reduction:
-        _dump_reduction(stats.reduction, weights, args.dump_reduction)
+    if dump:
+        _dump_reduction(stats.reduction, weights, dump)
     if args.json:
         # one line per top-level key; json.dumps without indent runs the
         # C encoder, which indent would replace with the Python one

@@ -44,8 +44,9 @@ class Matching:
 
     @classmethod
     def from_edge_ids(cls, g: Graph, ids) -> "Matching":
+        ids = sorted(ids)  # ids may be an iterator: read it once
         mate = [-1] * g.n
-        for e in sorted(ids):
+        for e in ids:
             if not 0 <= e < g.m:
                 raise ValueError(f"edge id {e} out of range 0..{g.m - 1}")
             u, v = g.edges[e]

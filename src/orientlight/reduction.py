@@ -65,22 +65,18 @@ class ReducedGraph:
     tail in peeled_tails, and its light total is the count (or cost) of
     the vertices of degree below 2 plus an optimum of the core.
 
-    Vertex layout of gprime: for core edge e the port at the lower
-    endpoint is 3e, the connector is 3e+1, and the port at the higher
-    endpoint is 3e+2; the inner vertices of each core vertex follow from
-    3m onward, in vertex order.  Edge layout: the two connecting edges
-    of core edge e are 2e (lower side) and 2e+1 (higher side); then per
-    core vertex its inner-to-port edges, inner-major and each stored as
-    (port, inner), then its parity edge if it has one.
-
-    For core vertex v of degree d and demand b the gadget consists of
+    Gadget.  Every core edge becomes a path from a port through a
+    connector to a port, and core vertex v of degree d and demand b gets
     the d ports of its incident edges, in adjacency order (ascending
-    core edge id), and d - b inner vertices; inner i is joined to ports
-    i..i+b only, so gadget_edge_ids[v][i*(b+1) + j - i] joins inner i
-    to port j.  A demand-2 vertex also has one parity edge joining ports
-    0 and 1; a demand-1 vertex has none and its parity_edge entry is -1.
-    side_edges[v] lists the v-side connecting edges, one per incident
-    core edge, in adjacency order.
+    core edge id), and d - b inner vertices.  Inner i is joined to ports
+    i..i+b only, the band; a demand-2 vertex also has a parity edge
+    joining ports 0 and 1.  Every gprime edge is owned by one core
+    vertex, its gadget_bucket, and edge_weights gives it that vertex's
+    cost in integer units, or 1 without weights.  The methods below
+    compute every gadget vertex and edge id from the core, the demands
+    and two offsets per core vertex, each with one closing entry:
+    inner_start[v] is v's first inner vertex and band_start[v] its first
+    band edge, and v's own run ends where v + 1's begins.
 
     The band keeps the paper's maximum matchings.  The paper joins every
     inner vertex to every port (Tutte's f-factor gadget), d(d - b)
@@ -97,29 +93,51 @@ class ReducedGraph:
     demand: tuple[int, ...]
     peeled_tails: tuple[int, ...]
     gprime: Graph
-    connector: tuple[int, ...]
-    ports: tuple[tuple[int, int], ...]
-    connecting_edges: tuple[tuple[int, int], ...]
-    inner: tuple[tuple[int, ...], ...]
-    gadget_edge_ids: tuple[tuple[int, ...], ...]
-    parity_edge: tuple[int, ...]
-    side_edges: tuple[tuple[int, ...], ...]
     edge_weights: tuple[int, ...]
-    edge_owner: tuple[int, ...]
+    inner_start: tuple[int, ...]
+    band_start: tuple[int, ...]
+
+    def connector(self, e: int) -> int:
+        """The connector of core edge e, between its two ports: 3e + 1."""
+        return 3 * e + 1
 
     def port_at(self, v: int, e: int) -> int:
-        """The port of core edge e on core vertex v's side."""
-        u, w = self.core.edges[e]
-        if v == u:
-            return self.ports[e][0]
-        if v == w:
-            return self.ports[e][1]
-        raise ValueError(f"vertex {v} is not an endpoint of core edge {e}")
+        """Core edge e's port on v's side: 3e at its lower end, 3e + 2 at its higher."""
+        return 3 * e + 2 * self._side(v, e)
+
+    def side_edge(self, v: int, e: int) -> int:
+        """Core edge e's connecting edge on v's side: 2e at its lower end, 2e + 1 at its higher."""
+        return 2 * e + self._side(v, e)
+
+    def side_edges(self, v: int) -> tuple[int, ...]:
+        """v's side connecting edges, in adjacency order (ascending core edge id)."""
+        return tuple(self.side_edge(v, e) for e in self.core.adjacency[v])
+
+    def inner(self, v: int) -> range:
+        """v's d - b inner vertices, numbered on from 3m in vertex order."""
+        return range(self.inner_start[v], self.inner_start[v + 1])
+
+    def band_edge(self, v: int, i: int, j: int) -> int:
+        """The edge (port j, inner i) of v's band, for i <= j <= i + b."""
+        return self.band_start[v] + i * (self.demand[v] + 1) + j - i
+
+    def gadget_edge_ids(self, v: int) -> range:
+        """v's (b + 1)(d - b) band edges, inner-major, each stored as (port, inner)."""
+        return range(self.band_start[v], self.band_start[v + 1] - (self.demand[v] == 2))
+
+    def parity_edge(self, v: int) -> int:
+        """The edge after v's band joining ports 0 and 1 at demand 2; -1 at demand 1."""
+        return self.band_start[v + 1] - 1 if self.demand[v] == 2 else -1
 
     def gadget_bucket(self, v: int) -> tuple[int, ...]:
-        """All gprime edge ids owned by v: gadget edges plus side edges."""
-        parity = () if self.parity_edge[v] == -1 else (self.parity_edge[v],)
-        return self.gadget_edge_ids[v] + parity + self.side_edges[v]
+        """All gprime edge ids owned by v: band, parity and side edges."""
+        return (*range(self.band_start[v], self.band_start[v + 1]), *self.side_edges(v))
+
+    def _side(self, v: int, e: int) -> bool:
+        """False when v is core edge e's lower endpoint, True when its higher."""
+        if v not in self.core.edges[e]:
+            raise ValueError(f"vertex {v} is not an endpoint of core edge {e}")
+        return self.core.edges[e][1] == v
 
 
 def build_gprime(g: Graph, weights: VertexWeights | None = None) -> ReducedGraph:
@@ -192,47 +210,27 @@ def build_gprime(g: Graph, weights: VertexWeights | None = None) -> ReducedGraph
     )
     demand = tuple(2 - out[v] for v in core_to_input)
     unit = [units[v] for v in core_to_input]
-    n, m = core.n, core.m
-    cadj = core.adjacency
+    m = core.m
+    cedges = core.edges
 
-    connector = tuple(3 * e + 1 for e in range(m))
-    ports = tuple((3 * e, 3 * e + 2) for e in range(m))
-    inner: list[tuple[int, ...]] = []
+    # core edge e: port 3e, connector 3e + 1, port 3e + 2 (ReducedGraph.port_at)
+    gp_edges = [(x, x + 1) for e in range(m) for x in (3 * e, 3 * e + 1)]
+    wts = [unit[v] for edge in cedges for v in edge]
+    inner_start, band_start = [3 * m], [2 * m]
     nxt = 3 * m
-    for v in range(n):
-        k = len(cadj[v]) - demand[v]
-        inner.append(tuple(range(nxt, nxt + k)))
-        nxt += k
-
-    gp_edges: list[tuple[int, int]] = []
-    wts: list[int] = []
-    owner: list[int] = []
-    side: list[list[int]] = [[] for _ in range(n)]
-    for e, (u, w) in enumerate(core.edges):
-        gp_edges += [(3 * e, 3 * e + 1), (3 * e + 1, 3 * e + 2)]
-        wts += [unit[u], unit[w]]
-        owner += [u, w]
-        side[u].append(2 * e)
-        side[w].append(2 * e + 1)
-    connecting_edges = tuple((2 * e, 2 * e + 1) for e in range(m))
-    gadget_edge_ids: list[tuple[int, ...]] = []
-    parity: list[int] = []
-    for v in range(n):
-        vports = [3 * e if core.edges[e][0] == v else 3 * e + 2 for e in cadj[v]]
+    for v, vedges in enumerate(core.adjacency):
+        vports = [3 * e if cedges[e][0] == v else 3 * e + 2 for e in vedges]
         b = demand[v]
-        first = len(gp_edges)
-        for i, x in enumerate(inner[v]):
+        for i in range(len(vports) - b):
             # the band: inner i takes ports i..i+b, each below every inner
-            gp_edges += [(p, x) for p in vports[i : i + b + 1]]
-        gadget_edge_ids.append(tuple(range(first, len(gp_edges))))
+            gp_edges += [(p, nxt) for p in vports[i : i + b + 1]]
+            nxt += 1
         if b == 2:
             # parity edge between the ports of the two smallest incident edge ids
-            parity.append(len(gp_edges))
             gp_edges.append((vports[0], vports[1]))
-        else:
-            parity.append(-1)
-        wts += [unit[v]] * (len(gp_edges) - first)
-        owner += [v] * (len(gp_edges) - first)
+        wts += [unit[v]] * (len(gp_edges) - band_start[-1])
+        inner_start.append(nxt)
+        band_start.append(len(gp_edges))
     return ReducedGraph(
         core=core,
         core_to_input=core_to_input,
@@ -240,15 +238,9 @@ def build_gprime(g: Graph, weights: VertexWeights | None = None) -> ReducedGraph
         demand=demand,
         peeled_tails=tuple(tails),
         gprime=_valid_graph(nxt, tuple(gp_edges)),
-        connector=connector,
-        ports=ports,
-        connecting_edges=connecting_edges,
-        inner=tuple(inner),
-        gadget_edge_ids=tuple(gadget_edge_ids),
-        parity_edge=tuple(parity),
-        side_edges=tuple(tuple(s) for s in side),
         edge_weights=tuple(wts),
-        edge_owner=tuple(owner),
+        inner_start=tuple(inner_start),
+        band_start=tuple(band_start),
     )
 
 

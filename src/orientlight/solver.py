@@ -105,9 +105,8 @@ def matching_from_orientation(r: ReducedGraph, o: Orientation) -> Matching:
     free: list[list[int]] = [[] for _ in range(core.n)]
     seen = [0] * core.n  # v's ports so far: edges arrive in adjacency order
     for e, (u, w) in enumerate(core.edges):
-        lo, hi = r.connecting_edges[e]
         tail = o.tails[e]
-        ids.append(lo if tail == u else hi)
+        ids.append(r.side_edge(tail, e))
         head = u + w - tail
         free[head].append(seen[head])
         seen[u] += 1
@@ -130,17 +129,16 @@ def _gadget_fill(r: ReducedGraph, v: int, free: list[int]) -> list[int]:
     edges.
     """
     d, b = r.core.degree(v), r.demand[v]
-    ids = r.gadget_edge_ids[v]
     fill = []
     if b == 2 and len(free) == d:
-        fill.append(r.parity_edge[v])
+        fill.append(r.parity_edge(v))
         free = free[2:]
     i = 0
     for j in free:
         i = max(i, j - b)
         if i == d - b:
             break
-        fill.append(ids[i * (b + 1) + j - i])
+        fill.append(r.band_edge(v, i, j))
         i += 1
     return fill
 
@@ -175,11 +173,12 @@ def normalize_gadget_matching(r: ReducedGraph, m: Matching, v: int) -> Matching:
                 f"matching is not maximal: edge {eid} near vertex {v} could be added"
             )
     matched = m.matched_edge_ids
-    free = [j for j, eid in enumerate(r.side_edges[v]) if eid not in matched]
+    sides = r.side_edges(v)
+    free = [j for j, eid in enumerate(sides) if eid not in matched]
     expected = core.degree(v) - 1 + (core.degree(v) - len(free) >= r.demand[v])
     out = m
     if sum(1 for eid in bucket if eid in matched) != expected:
-        internal = set(bucket).difference(r.side_edges[v])
+        internal = set(bucket).difference(sides)
         out = Matching.from_edge_ids(
             r.gprime, (matched - internal).union(_gadget_fill(r, v, free))
         )
@@ -202,9 +201,8 @@ def recover_orientation(r: ReducedGraph, m: Matching) -> Orientation:
     matched = m.matched_edge_ids
     tails = []
     for e, (u, v) in enumerate(r.core.edges):
-        lo, hi = r.connecting_edges[e]
-        in_lo = lo in matched
-        in_hi = hi in matched
+        in_lo = r.side_edge(u, e) in matched
+        in_hi = r.side_edge(v, e) in matched
         if in_lo and in_hi:
             raise ValueError(f"both connecting edges of core edge {e} are matched")
         if in_hi:

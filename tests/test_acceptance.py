@@ -199,7 +199,7 @@ def test_criterion_5_normalization_lemma_conformance():
         m = random_maximal_matching(r.gprime, seed * 31 + 7)
         v = verified % core.n
         d = core.degree(v)
-        k = sum(1 for eid in r.side_edges[v] if eid in m.matched_edge_ids)
+        k = sum(1 for eid in r.side_edges(v) if eid in m.matched_edge_ids)
         before = sum(1 for eid in r.gadget_bucket(v) if eid in m.matched_edge_ids)
         n = normalize_gadget_matching(r, m, v)
         assert Matching.from_mate(r.gprime, n.mate) == n
@@ -235,7 +235,7 @@ def test_criterion_5_normalization_lemma_conformance():
         ones = [c for c in range(r.core.n) if r.demand[c] == 1]
         v = ones[verified % len(ones)] if ones and verified % 2 else verified % r.core.n
         d, b = r.core.degree(v), r.demand[v]
-        k = sum(1 for eid in r.side_edges[v] if eid in m.matched_edge_ids)
+        k = sum(1 for eid in r.side_edges(v) if eid in m.matched_edge_ids)
         before = sum(1 for eid in r.gadget_bucket(v) if eid in m.matched_edge_ids)
         n = normalize_gadget_matching(r, m, v)
         assert Matching.from_mate(r.gprime, n.mate) == n

@@ -137,6 +137,63 @@ class TestSolve:
         gp = parse_graph(target.read_text())
         assert (gp.n, gp.m) == (5 * 3 - 5, len(sidecar["edge_owner"]))
 
+    def test_dump_reduction_golden(self, capsys, tmp_path):
+        # K4 with a pendant vertex 5 on vertex 4 and an isolated vertex 6:
+        # the core is K4, vertex 4 keeps demand 1 and the others demand 2,
+        # and the decimal costs give weight_scale 100
+        g = tmp_path / "g.graph"
+        g.write_text("6 7\n1 2\n1 3\n1 4\n2 3\n2 4\n3 4\n4 5\n")
+        w = tmp_path / "w.txt"
+        w.write_text("1 1.5\n2 2\n3 0.25\n4 3\n5 1\n6 2\n")
+        target = tmp_path / "gprime.graph"
+        rc, out, _ = run(capsys, "solve", g, "--weights", w, "--dump-reduction", target)
+        assert rc == 0
+        assert out.startswith("objective: 3.25\nlight: 3 5 6\n")
+        # 12 connecting edges, then per vertex its band edges and parity edge
+        band = "1 19\n4 19\n7 19\n1 4\n3 20\n10 20\n13 20\n3 10\n"
+        band += "6 21\n12 21\n16 21\n6 12\n9 22\n15 22\n15 23\n18 23\n"
+        connecting = "".join(f"{3 * e + 1} {3 * e + 2}\n{3 * e + 2} {3 * e + 3}\n" for e in range(6))
+        assert target.read_text() == "23 28\n" + connecting + band
+        assert json.loads((tmp_path / "gprime.graph.json").read_text()) == {
+            "conventions": "vertex labels are 1-based; edge indices are 0-based "
+            "positions in the edge list of the graph file",
+            "core_vertices": 4,
+            "core_edges": 6,
+            "core_to_input": [1, 2, 3, 4],
+            "core_edge_to_input": [0, 1, 2, 3, 4, 5],
+            "demand": [2, 2, 2, 1],
+            "connector": [2, 5, 8, 11, 14, 17],
+            "ports": [[1, 3], [4, 6], [7, 9], [10, 12], [13, 15], [16, 18]],
+            "connecting_edges": [[0, 1], [2, 3], [4, 5], [6, 7], [8, 9], [10, 11]],
+            "inner": [[19], [20], [21], [22, 23]],
+            "gadget_edge_ids": [[12, 13, 14], [16, 17, 18], [20, 21, 22], [24, 25, 26, 27]],
+            "parity_edge": [15, 19, 23, -1],
+            "side_edges": [[0, 2, 4], [1, 6, 8], [3, 7, 10], [5, 9, 11]],
+            "edge_owner": [1, 2, 1, 3, 1, 4, 2, 3, 2, 4, 3, 4] + [1] * 4 + [2] * 4 + [3] * 4 + [4] * 4,
+            "edge_weight_units": [150, 200, 150, 25, 150, 300, 200, 25, 200, 300, 25, 300]
+            + [150] * 4 + [200] * 4 + [25] * 4 + [300] * 4,
+            "weight_scale": 100,
+        }
+
+    @pytest.mark.parametrize("clash", ["g", "w"])
+    @pytest.mark.parametrize("suffix", ["", ".json"])
+    def test_dump_reduction_refuses_to_overwrite_its_input(self, capsys, tmp_path, clash, suffix):
+        # PATH or PATH.json names the graph or weights file, spelled
+        # differently: exit 2 before solving, every file left as it was
+        g = tmp_path / f"g{suffix}"
+        w = tmp_path / f"w{suffix}"
+        g.write_text("3 3\n1 2\n2 3\n1 3\n")
+        w.write_text("1 1\n2 2\n3 3\n")
+        (tmp_path / "sub").mkdir()
+        dump = tmp_path / "sub" / ".." / clash
+        rc, out, err = run(capsys, "solve", g, "--weights", w, "--dump-reduction", dump)
+        assert rc == 2
+        assert out == ""
+        assert err.startswith("error: --dump-reduction would overwrite the ")
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(["sub", g.name, w.name])
+        assert g.read_text() == "3 3\n1 2\n2 3\n1 3\n"
+        assert w.read_text() == "1 1\n2 2\n3 3\n"
+
     def test_dump_reduction_reports_both_core_sizes(self, capsys, tmp_path):
         # the flow settles all of K5: a regular tournament gives every
         # vertex out-degree 2

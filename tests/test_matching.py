@@ -85,6 +85,16 @@ class TestMatchingType:
         assert m.mate == (1, 0, -1)
         assert [v for v, w in enumerate(m.mate) if w == -1] == [2]
 
+    def test_from_edge_ids_reads_an_iterator_once(self):
+        g = Graph(3, ((0, 1), (1, 2)))
+        m = Matching.from_edge_ids(g, (e for e in [0]))
+        assert (m.matched_edge_ids, m.mate, m.size) == (frozenset({0}), (1, 0, -1), 1)
+
+    def test_from_edge_ids_takes_a_range(self, c4):
+        m = Matching.from_edge_ids(c4, range(0, 4, 2))
+        assert m == Matching.from_edge_ids(c4, [0, 2])
+        assert (m.matched_edge_ids, m.size) == (frozenset({0, 2}), 2)
+
     def test_from_edge_ids_rejects_overlap(self, k3):
         with pytest.raises(ValueError, match="shares a vertex"):
             Matching.from_edge_ids(k3, [0, 1])

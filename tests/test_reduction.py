@@ -1,5 +1,7 @@
 """The flow kernel and the gadget-graph construction."""
 
+import json
+
 import pytest
 
 from conftest import (
@@ -14,7 +16,9 @@ from conftest import (
     wheel_graph,
 )
 from orientlight import Certificate, Graph, VertexWeights, parse_graph, solve_min_light
+from orientlight.cli import main
 from orientlight.generate import random_graph, random_weights
+from orientlight.graph import render_graph
 from orientlight.oracle import brute_force_min_light
 from orientlight.reduction import build_gprime
 from orientlight import reduction
@@ -183,8 +187,8 @@ class TestPeel:
         r = build_gprime(g)
         assert r.core == complete_graph(3)
         assert r.demand == (2, 2, 1)
-        assert len(r.inner[2]) == 1
-        assert r.parity_edge[2] == -1
+        assert len(r.inner(2)) == 1
+        assert r.parity_edge(2) == -1
         assert len(r.gadget_bucket(2)) == 2 + 2
         assert (r.gprime.n, r.gprime.m) == size_formulas(r) == (10, 10)
 
@@ -202,9 +206,9 @@ class TestBuildGprime:
         # d(v) = 3: one inner vertex, three ports, 3 bipartite edges + parity
         r = build_gprime(k4)
         for v in range(4):
-            assert len(r.inner[v]) == 1
-            assert len(r.gadget_edge_ids[v]) == 3
-            gadget_vertices = set(r.inner[v]) | {
+            assert len(r.inner(v)) == 1
+            assert len(r.gadget_edge_ids(v)) == 3
+            gadget_vertices = set(r.inner(v)) | {
                 r.port_at(v, e) for e in k4.adjacency[v]
             }
             assert len(gadget_vertices) == 4
@@ -254,21 +258,21 @@ class TestBuildGprime:
     def test_connectors_have_degree_two(self):
         r = build_gprime(petersen_graph())
         for e in range(r.core.m):
-            assert r.gprime.degree(r.connector[e]) == 2
+            assert r.gprime.degree(r.connector(e)) == 2
 
     def test_connecting_edges_touch_ports_and_connector(self, c4):
         r = build_gprime(c4)
         for e, (u, v) in enumerate(c4.edges):
-            lo, hi = r.connecting_edges[e]
-            assert set(r.gprime.edges[lo]) == {r.port_at(u, e), r.connector[e]}
-            assert set(r.gprime.edges[hi]) == {r.port_at(v, e), r.connector[e]}
+            lo, hi = r.side_edge(u, e), r.side_edge(v, e)
+            assert set(r.gprime.edges[lo]) == {r.port_at(u, e), r.connector(e)}
+            assert set(r.gprime.edges[hi]) == {r.port_at(v, e), r.connector(e)}
 
     def test_parity_edge_joins_two_smallest_incident_ports(self, k4):
         r = build_gprime(k4)
         for v in range(4):
             e0, e1 = k4.adjacency[v][0], k4.adjacency[v][1]
             want = {r.port_at(v, e0), r.port_at(v, e1)}
-            assert set(r.gprime.edges[r.parity_edge[v]]) == want
+            assert set(r.gprime.edges[r.parity_edge(v)]) == want
 
     def test_buckets_partition_all_edges(self):
         core = random_core(12, 3.0 / 11, 14)
@@ -286,34 +290,60 @@ class TestBuildGprime:
         # connecting edge
         for eid, v in seen.items():
             a, b = r.gprime.edges[eid]
-            mine = set(r.inner[v]) | {r.port_at(v, e) for e in core.adjacency[v]}
+            mine = set(r.inner(v)) | {r.port_at(v, e) for e in core.adjacency[v]}
             if a in mine and b in mine:
                 continue
-            assert eid in r.side_edges[v]
-            assert r.connector[eid // 2] in (a, b)
+            assert eid in r.side_edges(v)
+            assert r.connector(eid // 2) in (a, b)
 
-    def test_edge_owner_matches_buckets(self):
+    def test_edge_owner_matches_buckets(self, tmp_path):
+        # the --dump-reduction sidecar labels every gadget edge with its owner
         core = random_core(8, 0.4, 23)
         assert core is not None
         r = build_gprime(core)
+        path = tmp_path / "core.graph"
+        path.write_text(render_graph(core))
+        assert main(["solve", str(path), "--dump-reduction", str(tmp_path / "gp")]) == 0
+        owner = json.loads((tmp_path / "gp.json").read_text())["edge_owner"]
+        assert len(owner) == r.gprime.m
         for v in range(core.n):
             for eid in r.gadget_bucket(v):
-                assert r.edge_owner[eid] == v
+                assert owner[eid] == v + 1
+
+    def test_band_edges_join_inner_i_to_ports_i_to_i_plus_b(self):
+        # a wheel hub with a leaf keeps demand 1, its rim vertices demand 2
+        w = wheel_graph(6)
+        r = build_gprime(Graph(w.n + 1, w.edges + ((0, w.n),)))
+        assert sorted(set(r.demand)) == [1, 2]
+        for v in range(r.core.n):
+            d, b = r.core.degree(v), r.demand[v]
+            ports = [r.port_at(v, e) for e in r.core.adjacency[v]]
+            band = [r.band_edge(v, i, j) for i in range(d - b) for j in range(i, i + b + 1)]
+            assert band == list(r.gadget_edge_ids(v))
+            assert [r.gprime.edges[eid] for eid in band] == [
+                (ports[j], r.inner(v)[i]) for i in range(d - b) for j in range(i, i + b + 1)
+            ]
+        with pytest.raises(ValueError, match="not an endpoint of core edge 0"):
+            r.port_at(r.core.n - 1, 0)
 
     def test_side_edges_align_with_adjacency(self, k4):
         r = build_gprime(k4)
         for v in range(4):
-            assert len(r.side_edges[v]) == k4.degree(v)
+            assert len(r.side_edges(v)) == k4.degree(v)
             for pos, e in enumerate(k4.adjacency[v]):
-                side = r.side_edges[v][pos]
+                side = r.side_edges(v)[pos]
                 u, w = k4.edges[e]
-                assert side == 2 * e + (0 if v == u else 1)
+                assert side == r.side_edge(v, e) == 2 * e + (0 if v == u else 1)
 
     def test_weighted_edges_carry_owner_cost(self, k3):
         w = VertexWeights((5, 1, 1))
         r = build_gprime(k3, w)
-        for eid in range(r.gprime.m):
-            assert r.edge_weights[eid] == w.unit(r.edge_owner[eid])
+        weighed = 0
+        for v in range(k3.n):
+            for eid in r.gadget_bucket(v):
+                assert r.edge_weights[eid] == w.unit(v)
+                weighed += 1
+        assert weighed == len(r.edge_weights) == r.gprime.m
 
     def test_unweighted_edges_all_one(self, c4):
         r = build_gprime(c4)

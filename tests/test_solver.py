@@ -37,7 +37,7 @@ from orientlight._record import replace
 
 
 def side_count(r, m, v):
-    return sum(1 for eid in r.side_edges[v] if eid in m.matched_edge_ids)
+    return sum(1 for eid in r.side_edges(v) if eid in m.matched_edge_ids)
 
 
 def bucket_count(r, m, v):
@@ -95,16 +95,16 @@ class TestNormalizeGadgetMatching:
         # yet its bucket is locally maximal: the inner vertex covers one
         # port and the two free ports have covered connectors
         r = build_gprime(k4)
-        inner = r.inner[0][0]
+        inner = r.inner(0)[0]
         port0 = r.port_at(0, 0)
         e_inner = r.gprime.edge_ids[(min(inner, port0), max(inner, port0))]
-        other_sides = [r.connecting_edges[e][1] for e in (0, 1, 2)]
+        other_sides = [r.side_edge(k4.edges[e][1], e) for e in (0, 1, 2)]
         m = Matching.from_edge_ids(r.gprime, [e_inner] + other_sides)
         n = normalize_gadget_matching(r, m, 0)
         assert n.size == m.size + 1
         assert side_count(r, n, 0) == 0
         assert bucket_count(r, n, 0) == k4.degree(0) - 1
-        assert r.parity_edge[0] in n.matched_edge_ids
+        assert r.parity_edge(0) in n.matched_edge_ids
         assert n.matched_edge_ids - m.matched_edge_ids <= set(r.gadget_bucket(0))
         assert m.matched_edge_ids - n.matched_edge_ids <= set(r.gadget_bucket(0))
 
@@ -117,30 +117,30 @@ class TestNormalizeGadgetMatching:
         r = build_gprime(g)
         assert r.core == g
         assert r.gprime.n == 42
-        sides = [r.side_edges[0][2], r.side_edges[0][3]]
-        m = Matching.from_edge_ids(r.gprime, sides + [r.parity_edge[0]])
+        sides = [r.side_edges(0)[2], r.side_edges(0)[3]]
+        m = Matching.from_edge_ids(r.gprime, sides + [r.parity_edge(0)])
         assert side_count(r, m, 0) == 2
         n = normalize_gadget_matching(r, m, 0)
         assert n.size == m.size + 1
-        assert r.parity_edge[0] not in n.matched_edge_ids
+        assert r.parity_edge(0) not in n.matched_edge_ids
         assert bucket_count(r, n, 0) == g.degree(0)
         assert Matching.from_mate(r.gprime, n.mate) == n
         # the freed parity ports are re-covered by the two inner vertices
-        pa, pb = r.gprime.edges[r.parity_edge[0]]
-        assert n.mate[pa] in r.inner[0]
-        assert n.mate[pb] in r.inner[0]
+        pa, pb = r.gprime.edges[r.parity_edge(0)]
+        assert n.mate[pa] in r.inner(0)
+        assert n.mate[pb] in r.inner(0)
 
     def test_gadget_count_check_names_the_core_sizes(self, monkeypatch, k4):
         # the repack case of test_repack_case_adds_one_edge, with the
         # repacked matching losing its parity edge
         r = build_gprime(k4)
-        inner = r.inner[0][0]
+        inner = r.inner(0)[0]
         port0 = r.port_at(0, 0)
         e_inner = r.gprime.edge_ids[(min(inner, port0), max(inner, port0))]
-        other_sides = [r.connecting_edges[e][1] for e in (0, 1, 2)]
+        other_sides = [r.side_edge(k4.edges[e][1], e) for e in (0, 1, 2)]
         m = Matching.from_edge_ids(r.gprime, [e_inner] + other_sides)
         real = Matching.from_edge_ids
-        drop = {r.parity_edge[0]}
+        drop = {r.parity_edge(0)}
         monkeypatch.setattr(
             Matching, "from_edge_ids", classmethod(lambda cls, g, ids: real(g, set(ids) - drop))
         )
@@ -152,7 +152,7 @@ class TestNormalizeGadgetMatching:
         r = build_gprime(k3)
         # one matched side edge at v=0 plus coverage of the other connector
         m = Matching.from_edge_ids(
-            r.gprime, [r.side_edges[0][0], r.connecting_edges[1][1]]
+            r.gprime, [r.side_edges(0)[0], r.side_edge(k3.edges[1][1], 1)]
         )
         n = normalize_gadget_matching(r, m, 0)
         assert n == m
@@ -191,10 +191,13 @@ class TestNormalizeGadgetMatching:
             v = tried % core.n
             d = core.degree(v)
             k = side_count(r, m, v)
-            parity_in = r.parity_edge[v] in m.matched_edge_ids
+            parity_in = r.parity_edge(v) in m.matched_edge_ids
+            before = bucket_count(r, m, v)
             n = normalize_gadget_matching(r, m, v)
-            assert bucket_count(r, n, v) == (d - 1 if k <= 1 else d)
-            assert n.size in (m.size, m.size + 1)
+            got = bucket_count(r, n, v)
+            assert got == d - 1 + (k >= r.demand[v])
+            # the band can grow a gadget by more than one edge
+            assert n.size - m.size == got - before
             diff = n.matched_edge_ids ^ m.matched_edge_ids
             assert diff <= set(r.gadget_bucket(v))
             assert Matching.from_mate(r.gprime, n.mate) == n
@@ -209,6 +212,17 @@ class TestNormalizeGadgetMatching:
         assert cases["k0_out"] > 0
         assert cases["k2_in"] > 0
         assert cases["k1"] > 0
+
+    def test_band_can_grow_a_gadget_by_two(self):
+        # vertex 1 has degree 6: this random maximal matching leaves two
+        # of its band edges addable once its gadget is refilled
+        core = random_core(16, 3.0 / 15, 258)
+        r = build_gprime(core)
+        m = random_maximal_matching(r.gprime, 259)
+        before = bucket_count(r, m, 1)
+        n = normalize_gadget_matching(r, m, 1)
+        assert (core.degree(1), r.demand[1]) == (6, 2)
+        assert n.size - m.size == bucket_count(r, n, 1) - before == 2
 
 
 def whole_core(g):
@@ -228,7 +242,7 @@ class TestGadgetFill:
     @staticmethod
     def check_every_subset(r, v):
         d, b = r.core.degree(v), r.demand[v]
-        sides = r.side_edges[v]
+        sides = r.side_edges(v)
         for mask in range(1 << d):
             chosen = [sides[j] for j in range(d) if mask >> j & 1]
             free = [j for j in range(d) if not mask >> j & 1]
@@ -257,7 +271,7 @@ class TestGadgetFill:
         w = wheel_graph(8)
         r = build_gprime(Graph(w.n + 1, w.edges + ((0, w.n),)))
         assert (r.core_to_input[0], r.core.degree(0), r.demand[0]) == (0, 8, 1)
-        assert r.parity_edge[0] == -1
+        assert r.parity_edge(0) == -1
         self.check_every_subset(r, 0)
 
 
