@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import os
 import sys
 from collections import Counter
@@ -67,51 +66,45 @@ def _write_all(files: list[tuple[str, str]]) -> None:
         raise
 
 
-# the relative tolerance of a certificate identity with a float term
-_TOLERANCE = Fraction(1e-9)
+def _num(x: int | Fraction) -> str:
+    """x as exact decimal text, never in exponent form.  Every Fraction
+    here is a sum of costs parse_weights read or a decimal literal
+    verify read, so its denominator divides a power of ten."""
+    if x.denominator == 1:
+        return str(x.numerator)
+    places = next(k for k in range(x.denominator.bit_length()) if 10**k % x.denominator == 0)
+    whole, fraction = divmod(abs(x.numerator) * 10**places // x.denominator, 10**places)
+    return f"{'-' if x < 0 else ''}{whole}.{fraction:0{places}d}"
 
 
-def _num(x: int | Fraction) -> int | float:
-    """JSON-friendly number: exact for ints, float otherwise."""
-    return x if isinstance(x, int) else float(x)
+def _exact(literal: str) -> Fraction:
+    """A JSON literal with a fraction part, read exactly.  An exponent is
+    refused: Fraction("1e999999999") would build a billion-digit integer."""
+    if "e" in literal or "E" in literal:
+        raise ValueError(f"number {literal} has an exponent; write it as a plain decimal")
+    return Fraction(literal)
 
 
 def _is_number(x: object) -> bool:
-    """A finite JSON number: json.loads also yields NaN and Infinity."""
-    if isinstance(x, bool):
-        return False
-    return isinstance(x, int) or isinstance(x, float) and math.isfinite(x)
+    """An int or a Fraction, as verify reads numbers; json.loads yields
+    NaN and Infinity as floats, which are refused."""
+    return isinstance(x, (int, Fraction)) and not isinstance(x, bool)
 
 
-def _near(claimed: Fraction, exact: Fraction) -> bool:
-    """Within 1e-9 relative of exact, in exact arithmetic: a float
-    term has made a round trip through JSON.  Fractions never overflow
-    as float() does on a huge integer."""
-    return abs(claimed - exact) <= _TOLERANCE * max(1, abs(exact))
-
-
-def _equals(claimed: object, exact: int | Fraction) -> bool:
-    """claimed is exactly the number solve --json writes for exact: the
-    integer itself, or float(exact), the correctly rounded value, which
-    survives the round trip through JSON unchanged."""
-    return _is_number(claimed) and claimed == _num(exact)
-
-
-def _solution_to_json(g: Graph, sol: Solution) -> dict:
+def _solution_to_json(g: Graph, sol: Solution) -> str:
+    """The solution document, one line per top-level key, numbers as
+    exact decimals."""
     cert = sol.certificate
-    return {
-        "objective": _num(sol.objective),
-        "light": sorted(v + 1 for v in sol.light_set),
-        "orientation": [
-            [sol.orientation.tails[e] + 1, sol.orientation.head(g, e) + 1]
-            for e in range(g.m)
-        ],
-        "certificate": {
-            "matching_value": _num(cert.matching_value),
-            "constant": _num(cert.constant),
-            "offset": _num(cert.offset),
-        },
-    }
+    orientation = [
+        [sol.orientation.tails[e] + 1, sol.orientation.head(g, e) + 1] for e in range(g.m)
+    ]
+    return (
+        f'{{\n  "objective": {_num(sol.objective)},\n'
+        f'  "light": {json.dumps(sorted(v + 1 for v in sol.light_set))},\n'
+        f'  "orientation": {json.dumps(orientation)},\n'
+        f'  "certificate": {{"matching_value": {_num(cert.matching_value)}, '
+        f'"constant": {_num(cert.constant)}, "offset": {_num(cert.offset)}}}\n}}'
+    )
 
 
 def _dump_reduction(r: ReducedGraph, weights: VertexWeights | None, path: str) -> None:
@@ -160,11 +153,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     if dump:
         _dump_reduction(stats.reduction, weights, dump)
     if args.json:
-        # one line per top-level key; json.dumps without indent runs the
-        # C encoder, which indent would replace with the Python one
-        doc = _solution_to_json(g, sol)
-        lines = [f"  {json.dumps(key)}: {json.dumps(value)}" for key, value in doc.items()]
-        print("{\n" + ",\n".join(lines) + "\n}")
+        print(_solution_to_json(g, sol))
         return 0
     cert = sol.certificate
     print(f"objective: {_num(sol.objective)}")
@@ -250,22 +239,13 @@ def _content_problems(
         objective: int | Fraction = len(light)
     else:
         objective = weights.as_value(sum(weights.unit(v) for v in light))
-    if not _equals(claimed["objective"], objective):
+    if claimed["objective"] != objective:
         out.append(
-            f"objective {claimed['objective']} disagrees with the recomputed "
+            f"objective {_num(claimed['objective'])} disagrees with the recomputed "
             f"value {_num(objective)}"
         )
     cert = claimed["certificate"]
-    terms = (claimed["objective"], cert["constant"], cert["matching_value"], cert["offset"])
-    if all(isinstance(x, int) for x in terms):
-        # all four are JSON integers: compare exactly, as the relative
-        # tolerance lets large totals differ by whole units
-        claimed_objective, constant, matching_value, offset = terms
-        holds = claimed_objective == constant - matching_value + offset
-    else:
-        claimed_objective, constant, matching_value, offset = map(Fraction, terms)
-        holds = _near(claimed_objective, constant - matching_value + offset)
-    if not holds:
+    if claimed["objective"] != cert["constant"] - cert["matching_value"] + cert["offset"]:
         out.append(
             "certificate identity fails: objective != constant - matching_value + offset"
         )
@@ -276,7 +256,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     g = parse_graph(_read(args.graph))
     weights = parse_weights(_read(args.weights), g.n) if args.weights else None
     try:
-        claimed = json.loads(_read(args.solution))
+        claimed = json.loads(_read(args.solution), parse_float=_exact)
     except RecursionError:
         raise ValueError(f"{args.solution}: solution JSON is nested too deeply") from None
     problems = _shape_problems(g, claimed)
@@ -294,9 +274,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
         except BudgetExceededError as ex:
             print(f"verify: optimality not checked ({ex})")
         else:
-            if not _equals(claimed["objective"], optimum):
+            if claimed["objective"] != optimum:
                 print(
-                    f"verify: FAIL: objective {claimed['objective']} is not optimal "
+                    f"verify: FAIL: objective {_num(claimed['objective'])} is not optimal "
                     f"(optimum is {_num(optimum)})"
                 )
                 return 1

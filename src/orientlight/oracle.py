@@ -47,8 +47,7 @@ class OracleBudget:
 
     max_edges bounds the 2^m orientation sweep, max_matching_edges the
     edge-subset sweep.  The ORIENT_LIGHT_ORACLE_BUDGET environment
-    variable overrides the defaults: either one integer for both caps,
-    or "a,b" for (max_edges, max_matching_edges).  max_edges may not
+    variable, one integer, overrides max_edges.  max_edges may not
     exceed 24: the sweep's memory doubles with each edge, and at 24 it
     is already about 100 MB.
     """
@@ -71,15 +70,13 @@ class OracleBudget:
         if not raw:
             return cls()
         try:
-            caps = [int(part) for part in raw.split(",")]
+            cap = int(raw)
         except ValueError:
-            caps = []
-        if len(caps) not in (1, 2):
             raise ValueError(
-                f"{_ENV_VAR} must be 'cap' or 'max_edges,max_matching_edges', got {raw!r}"
-            )
+                f"{_ENV_VAR} must be one integer, the orientation oracle's edge cap, got {raw!r}"
+            ) from None
         try:
-            return cls(caps[0], caps[-1])
+            return cls(cap)
         except ValueError as ex:
             raise ValueError(f"{_ENV_VAR}={raw}: {ex}") from None
 

@@ -2,16 +2,21 @@
 
 import json
 import os
+import random
 import subprocess
 import sys
+import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import orientlight
 from conftest import size_formulas
-from orientlight import parse_graph, parse_weights
+from orientlight import parse_graph, parse_weights, solve_min_light
 from orientlight.cli import main
+from orientlight.generate import random_graph
+from orientlight.graph import render_graph
 from orientlight.reduction import build_gprime
 
 K3_TEXT = "3 3\n1 2\n2 3\n1 3\n"
@@ -264,7 +269,7 @@ class TestVerify:
         assert rc == 0
 
     def test_budget_skip_notes_and_passes(self, capsys, tmp_path, k3_file, monkeypatch):
-        monkeypatch.setenv("ORIENT_LIGHT_ORACLE_BUDGET", "1,1")
+        monkeypatch.setenv("ORIENT_LIGHT_ORACLE_BUDGET", "1")
         sol = self.write_solution(tmp_path, self.cyclic_suboptimal())
         rc, out, _ = run(capsys, "verify", k3_file, sol)
         assert rc == 0
@@ -278,6 +283,13 @@ class TestVerify:
         assert rc == 2
         assert "limit of 24" in err
         assert "verify: OK" not in out
+
+    def test_budget_pair_is_usage_error(self, capsys, tmp_path, k3_file, monkeypatch):
+        monkeypatch.setenv("ORIENT_LIGHT_ORACLE_BUDGET", "1,1")
+        sol = self.write_solution(tmp_path, self.cyclic_suboptimal())
+        rc, out, err = run(capsys, "verify", k3_file, sol)
+        assert (rc, out) == (2, "")
+        assert "ORIENT_LIGHT_ORACLE_BUDGET must be one integer" in err
 
     def test_rejects_wrong_light_set(self, capsys, tmp_path, k3_file):
         doc = self.cyclic_suboptimal()
@@ -354,6 +366,87 @@ class TestVerify:
             "verify: FAIL: objective 100000000.03 disagrees with the recomputed "
             "value 100000000.02\n"
         )
+
+    def test_certificate_identity_is_exact_on_large_decimals(self, capsys, tmp_path):
+        # objective 10000000000.75: a relative tolerance of 1e-9 would forgive an offset 7 off
+        g, w = tmp_path / "p2.graph", tmp_path / "p2.costs"
+        g.write_text("2 1\n1 2\n")
+        w.write_text("1 5000000000.25\n2 5000000000.5\n")
+        rc, out, _ = run(capsys, "solve", g, "--weights", w, "--json")
+        assert rc == 0
+        assert '  "objective": 10000000000.75,\n' in out
+        doc = json.loads(out)  # every term is a multiple of 1/4: exact as a float
+        assert run(capsys, "verify", g, self.write_solution(tmp_path, doc), "--weights", w)[0] == 0
+        doc["certificate"]["offset"] += 7
+        rc, out, _ = run(capsys, "verify", g, self.write_solution(tmp_path, doc), "--weights", w)
+        assert rc == 1
+        assert out == (
+            "verify: FAIL: certificate identity fails: "
+            "objective != constant - matching_value + offset\n"
+        )
+
+    def test_writes_decimals_past_float_precision(self, capsys, tmp_path, k3_file):
+        w = tmp_path / "k3.costs"
+        w.write_text("1 0.12345678901234567891\n2 1\n3 1\n")
+        rc, out, _ = run(capsys, "solve", k3_file, "--json", "--weights", w)
+        assert rc == 0
+        assert '  "objective": 1.12345678901234567891,\n' in out
+        doc = json.loads(out, parse_float=Fraction)
+        assert doc["objective"] == Fraction(112345678901234567891, 10**20)
+        cert = doc["certificate"]
+        assert doc["objective"] == cert["constant"] - cert["matching_value"] + cert["offset"]
+        sol = tmp_path / "sol.json"
+        sol.write_text(out)
+        assert run(capsys, "verify", k3_file, sol, "--weights", w) == (0, "verify: OK\n", "")
+        rc, out, _ = run(capsys, "solve", k3_file, "--weights", w)
+        assert rc == 0
+        assert out.startswith("objective: 1.12345678901234567891\n")
+
+    @pytest.mark.parametrize(
+        "old, new",
+        [('"objective": 3', '"objective": 1e999999999'), ('"offset": 0', '"offset": 2.5E0')],
+        ids=["objective", "offset"],
+    )
+    def test_refuses_exponents(self, capsys, tmp_path, k3_file, old, new):
+        # Fraction("1e999999999") would build a billion-digit integer
+        sol = tmp_path / "claim.json"
+        sol.write_text(json.dumps(self.cyclic_suboptimal()).replace(old, new))
+        start = time.perf_counter()
+        rc, out, err = run(capsys, "verify", k3_file, sol)
+        assert time.perf_counter() - start < 0.5
+        assert rc == 2
+        assert out == ""
+        literal = new.split(": ")[1]
+        assert err.startswith("error: ") and literal in err
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_round_trip_at_the_cost_limits(self, capsys, tmp_path, seed):
+        # parse_weights takes up to 60 decimal places and 59 integer digits
+        rng = random.Random(seed)
+        graph = random_graph(6, 0.6, seed)
+        lines = []
+        for v in range(1, graph.n + 1):
+            places, whole = (60, 59) if v == 1 else (rng.randrange(61), rng.randrange(60))
+            digits = "".join(rng.choice("0123456789") for _ in range(whole + places))
+            if whole:
+                digits = rng.choice("123456789") + digits[1:]
+            cost = (digits[:whole] or "0") + ("." + digits[whole:] if places else "")
+            lines.append(f"{v} {cost}\n")
+        g, w = tmp_path / "r.graph", tmp_path / "r.costs"
+        g.write_text(render_graph(graph))
+        w.write_text("".join(lines))
+        rc, out, _ = run(capsys, "solve", g, "--weights", w, "--json")
+        assert rc == 0
+        sol = tmp_path / "sol.json"
+        sol.write_text(out)
+        assert run(capsys, "verify", g, sol, "--weights", w) == (0, "verify: OK\n", "")
+        exact = solve_min_light(graph, parse_weights(w.read_text(), graph.n))
+        doc = json.loads(out, parse_float=Fraction)
+        cert = exact.certificate
+        assert doc["objective"] == exact.objective
+        assert doc["certificate"] == {
+            "matching_value": cert.matching_value, "constant": cert.constant, "offset": cert.offset
+        }
 
     HUGE = 10**400  # 401 digits: float() of it overflows
 

@@ -45,11 +45,13 @@ class TestBudget:
 
     def test_env_single_value(self, monkeypatch):
         monkeypatch.setenv("ORIENT_LIGHT_ORACLE_BUDGET", "12")
-        assert OracleBudget.from_env() == OracleBudget(12, 12)
+        assert OracleBudget.from_env() == OracleBudget(max_edges=12)
 
-    def test_env_pair(self, monkeypatch):
+    def test_env_pair_rejected(self, monkeypatch):
+        # only tests read max_matching_edges: the variable sets the orientation cap alone
         monkeypatch.setenv("ORIENT_LIGHT_ORACLE_BUDGET", "15,10")
-        assert OracleBudget.from_env() == OracleBudget(15, 10)
+        with pytest.raises(ValueError, match="ORIENT_LIGHT_ORACLE_BUDGET must be one integer"):
+            OracleBudget.from_env()
 
     def test_env_unset_gives_defaults(self, monkeypatch):
         monkeypatch.delenv("ORIENT_LIGHT_ORACLE_BUDGET", raising=False)
@@ -71,7 +73,7 @@ class TestBudget:
             brute_force_max_matching(k4, budget=OracleBudget(6, 3))
 
     def test_env_budget_reaches_oracle(self, monkeypatch, k4):
-        monkeypatch.setenv("ORIENT_LIGHT_ORACLE_BUDGET", "2,2")
+        monkeypatch.setenv("ORIENT_LIGHT_ORACLE_BUDGET", "2")
         with pytest.raises(BudgetExceededError):
             brute_force_min_light(k4)
 
