@@ -255,6 +255,13 @@ def max_weight_matching(g: Graph, edge_weights) -> Matching:
     stage removes at least one root, so the run ends when a stage starts
     with none: then every exposed vertex has dual zero and the matching
     is optimal, which verify_optimum checks on every call.
+
+    The scan looks only at edges between two top-level blossoms, whose
+    slack no blossom dual enters, so an edge is tight exactly when
+    dual[v] + dual[w] - 2 w(vw) <= 0, and no cache of tight edges is
+    kept.  Each substage finds its dual step delta in one pass over the
+    vertices and one over the blossoms, then applies it in one more
+    pass over each.
     """
     n, m = g.n, g.m
     if len(edge_weights) != m:
@@ -302,8 +309,6 @@ def max_weight_matching(g: Graph, edge_weights) -> Matching:
     best_edge: dict = {}
     # blossom duals, stored as-is
     blossom_dual: dict = {}
-    # edges known to have zero slack
-    allowed: dict = {}
     queue: list[int] = []
 
     def internal_error(what: str) -> RuntimeError:
@@ -315,6 +320,13 @@ def max_weight_matching(g: Graph, edge_weights) -> Matching:
 
     def slack(x: int, y: int) -> int:
         return dual[x] + dual[y] - 2 * pair_wt[(x, y)]
+
+    def half_slack(x: int, y: int) -> int:
+        # an outer-outer slack (a delta 3 candidate) is even; see above
+        ks = slack(x, y)
+        if ks % 2 != 0:
+            raise internal_error(f"odd slack {ks} on outer-outer edge {edge_id(x, y)} ({x}, {y})")
+        return ks // 2
 
     def assign_label(w, t, x) -> None:
         b = in_blossom[w]
@@ -467,19 +479,17 @@ def max_weight_matching(g: Graph, edge_weights) -> Matching:
             x, y = label_edge[b]
             while j != 0:
                 if jstep == 1:
-                    p, q = b.links[j]
+                    q = b.links[j][1]
                 else:
-                    q, p = b.links[j - 1]
+                    q = b.links[j - 1][0]
                 label[y] = None
                 label[q] = None
                 assign_label(y, 2, x)
-                allowed[(p, q)] = allowed[(q, p)] = True
                 j += jstep
                 if jstep == 1:
                     x, y = b.links[j]
                 else:
                     y, x = b.links[j - 1]
-                allowed[(x, y)] = allowed[(y, x)] = True
                 j += jstep
             child = b.children[j]
             label[y] = label[child] = 2
@@ -632,7 +642,6 @@ def max_weight_matching(g: Graph, edge_weights) -> Matching:
         best_edge.clear()
         for b in blossom_dual:
             b.best_to_peers = None
-        allowed.clear()
         queue[:] = []
         for v in range(n):
             if v not in mate and dual[v] > 0 and label.get(in_blossom[v]) is None:
@@ -651,11 +660,8 @@ def max_weight_matching(g: Graph, edge_weights) -> Matching:
                     bw = in_blossom[w]
                     if bv == bw:
                         continue
-                    if (v, w) not in allowed:
-                        ks = slack(v, w)
-                        if ks <= 0:
-                            allowed[(v, w)] = allowed[(w, v)] = True
-                    if (v, w) in allowed:
+                    ks = slack(v, w)
+                    if ks <= 0:
                         if label.get(bw) is None:
                             if base_of[bw] in mate:
                                 # free blossom: becomes inner, its base's
@@ -701,47 +707,40 @@ def max_weight_matching(g: Graph, edge_weights) -> Matching:
             # no augmenting path yet: squeeze slack out of the duals.
             # delta candidates: 1 = smallest outer vertex dual, 2 =
             # smallest slack to a free vertex, 3 = half the smallest
-            # outer-outer slack, 4 = smallest inner blossom dual
-            delta_type = 1
-            delta = delta_vertex = delta_edge = delta_blossom = None
-            d2 = d2_edge = None
+            # outer-outer slack, 4 = smallest inner blossom dual.  One
+            # pass over the vertices and one over the blossoms find each
+            # type's first minimum; a tie goes to the lower type.
+            d1 = d2 = d3 = d4 = None
             for v in range(n):
-                lbl = label.get(in_blossom[v])
+                bv = in_blossom[v]
+                lbl = label.get(bv)
                 if lbl == 1:
-                    if delta is None or dual[v] < delta:
-                        delta = dual[v]
-                        delta_vertex = v
+                    if d1 is None or dual[v] < d1:
+                        d1, d1_vertex = dual[v], v
+                    if bv == v and best_edge.get(v) is not None:
+                        d = half_slack(*best_edge[v])
+                        if d3 is None or d < d3:
+                            d3, d3_edge = d, best_edge[v]
                 elif lbl is None and best_edge.get(v) is not None:
                     d = slack(*best_edge[v])
                     if d2 is None or d < d2:
-                        d2 = d
-                        d2_edge = best_edge[v]
+                        d2, d2_edge = d, best_edge[v]
+            for b, z in blossom_dual.items():
+                if parent_of[b] is None:
+                    lbl = label.get(b)
+                    if lbl == 1 and best_edge.get(b) is not None:
+                        d = half_slack(*best_edge[b])
+                        if d3 is None or d < d3:
+                            d3, d3_edge = d, best_edge[b]
+                    elif lbl == 2 and (d4 is None or z < d4):
+                        d4, d4_blossom = z, b
+            delta, delta_type = d1, 1
             if d2 is not None and d2 < delta:
-                delta = d2
-                delta_type = 2
-                delta_edge = d2_edge
-            for b in parent_of:
-                if (
-                    parent_of[b] is None
-                    and label.get(b) == 1
-                    and best_edge.get(b) is not None
-                ):
-                    ks = slack(*best_edge[b])
-                    if ks % 2 != 0:
-                        x, y = best_edge[b]
-                        raise internal_error(
-                            f"odd slack {ks} on outer-outer edge {edge_id(x, y)} ({x}, {y})"
-                        )
-                    d = ks // 2
-                    if d < delta:
-                        delta = d
-                        delta_type = 3
-                        delta_edge = best_edge[b]
-            for b in blossom_dual:
-                if parent_of[b] is None and label.get(b) == 2 and blossom_dual[b] < delta:
-                    delta = blossom_dual[b]
-                    delta_type = 4
-                    delta_blossom = b
+                delta, delta_type, delta_edge = d2, 2, d2_edge
+            if d3 is not None and d3 < delta:
+                delta, delta_type, delta_edge = d3, 3, d3_edge
+            if d4 is not None and d4 < delta:
+                delta, delta_type = d4, 4
             for v in range(n):
                 lbl = label.get(in_blossom[v])
                 if lbl == 1:
@@ -758,24 +757,19 @@ def max_weight_matching(g: Graph, edge_weights) -> Matching:
                 # an outer dual hit zero: that vertex takes over as its
                 # tree's exposed vertex and the root is matched (or
                 # retired, when it is the root itself)
-                flip_path(delta_vertex, None)
+                flip_path(d1_vertex, None)
                 stage_over = True
-            elif delta_type == 2:
-                x, y = delta_edge
-                assert label[in_blossom[x]] == 1
-                allowed[(x, y)] = allowed[(y, x)] = True
-                queue.append(x)
-            elif delta_type == 3:
-                x, y = delta_edge
-                allowed[(x, y)] = allowed[(y, x)] = True
-                assert label[in_blossom[x]] == 1
-                queue.append(x)
             elif delta_type == 4:
-                expand_blossom(delta_blossom, False)
+                expand_blossom(d4_blossom, False)
+            else:
+                # the delta 2 or 3 edge is tight now: rescan its outer end
+                x = delta_edge[0]
+                assert label[in_blossom[x]] == 1
+                queue.append(x)
         # stage done: drop outer blossoms whose dual fell to zero
-        for b in list(blossom_dual.keys()):
-            if b not in blossom_dual:
-                continue
+        # (children precede their blossom in blossom_dual, so none of these
+        # was expanded away before its turn)
+        for b in list(blossom_dual):
             if parent_of[b] is None and label.get(b) == 1 and blossom_dual[b] == 0:
                 expand_blossom(b, True)
     verify_optimum()

@@ -113,6 +113,10 @@ class ReducedGraph:
         """v's side connecting edges, in adjacency order (ascending core edge id)."""
         return tuple(self.side_edge(v, e) for e in self.core.adjacency[v])
 
+    def connecting_weight(self) -> int:
+        """Total weight of the connecting edges, gprime edges 0..2m - 1: sum of d(v) * cost(v)."""
+        return sum(self.edge_weights[: 2 * self.core.m])
+
     def inner(self, v: int) -> range:
         """v's d - b inner vertices, numbered on from 3m in vertex order."""
         return range(self.inner_start[v], self.inner_start[v + 1])

@@ -252,7 +252,7 @@ def solve_with_stats(
     light = light_vertices(g, orientation)
 
     # Q is the connecting edges' weight; Certificate gives the offset rule
-    constant_units = sum(r.edge_weights[: 2 * r.core.m])
+    constant_units = r.connecting_weight()
     offset_units = sum([c for a, c in zip(g.adjacency, units) if len(a) < 2])
     predicted_core = constant_units - matching_units
     core_count = sum([units[v] for v in core_to_input if v in light])

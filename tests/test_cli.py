@@ -13,11 +13,13 @@ import pytest
 
 import orientlight
 from conftest import size_formulas
-from orientlight import parse_graph, parse_weights, solve_min_light
+from orientlight import Graph, cli, parse_graph, parse_weights, solve_min_light
+from orientlight._record import replace
 from orientlight.cli import main
 from orientlight.generate import random_graph
 from orientlight.graph import render_graph
 from orientlight.reduction import build_gprime
+from orientlight.solver import solve_with_stats
 
 K3_TEXT = "3 3\n1 2\n2 3\n1 3\n"
 
@@ -501,6 +503,37 @@ class TestVerify:
         rc, out, err = run(capsys, "verify", k3_file, sol, "--weights", w)
         assert (rc, out, err) == (0, "verify: OK\n", "")
 
+    @pytest.mark.parametrize(
+        "change, problem",
+        [
+            (lambda doc: [doc], "solution must be a JSON object"),
+            (lambda doc: {**doc, "objective": "3"}, "objective must be a finite number"),
+            (lambda doc: {**doc, "objective": True}, "objective must be a finite number"),
+            (lambda doc: {**doc, "light": "1 2 3"}, "light must be a list of integers"),
+            (lambda doc: {**doc, "light": [1, "2", 3]}, "light must be a list of integers"),
+            (
+                lambda doc: {**doc, "orientation": [[1, 2], [2], [3, 1]]},
+                "orientation entry 1 must be a [tail, head] pair",
+            ),
+            (
+                lambda doc: {**doc, "orientation": [[1, 2], [2, 3], [3, "1"]]},
+                "orientation entry 2 must be a [tail, head] pair",
+            ),
+            (
+                # 1 -> 2, 2 -> 3, 1 -> 3: vertex 1 has out-degree 2
+                lambda doc: {**doc, "orientation": [[1, 2], [2, 3], [1, 3]]},
+                "light set disagrees with the orientation (not light: [1])",
+            ),
+        ],
+        ids=["not-an-object", "string-objective", "boolean-objective", "light-string",
+             "light-non-integer", "short-pair", "non-integer-endpoint", "heavy-vertex-claimed"],
+    )
+    def test_rejects_malformed_documents(self, capsys, tmp_path, k3_file, change, problem):
+        sol = self.write_solution(tmp_path, change(self.cyclic_suboptimal()))
+        rc, out, err = run(capsys, "verify", k3_file, sol, "--no-oracle")
+        assert (rc, err) == (1, "")
+        assert f"verify: FAIL: {problem}\n" in out
+
     def test_rejects_missing_keys(self, capsys, tmp_path, k3_file):
         sol = self.write_solution(tmp_path, {"objective": 2})
         rc, out, _ = run(capsys, "verify", k3_file, sol)
@@ -652,10 +685,30 @@ class TestBench:
 
     def test_bad_schedule(self, capsys):
         # a key set twice is refused, not overwritten by its last value
-        for schedule in ("n=10", "n=5,m=10,n=6"):
+        for schedule in (
+            "n=10", "n=5,m=10,n=6", "n10,m=5", "n=x,m=5", "n=1,m=0", "n=5,m=-1", "", " ; ",
+        ):
             rc, _, err = run(capsys, "bench", schedule)
             assert rc == 2, schedule
             assert "schedule" in err
+
+    def test_empty_entries_are_skipped(self, capsys):
+        rc, out, _ = run(capsys, "bench", "n=10,m=15;;n=12,m=20; ")
+        assert rc == 0
+        assert len(out.strip().splitlines()) == 2
+
+    def test_gadget_size_off_the_formulas_fails(self, capsys, monkeypatch):
+        def one_vertex_too_many(g, weights):
+            sol, stats = solve_with_stats(g, weights)
+            r = stats.reduction
+            r = replace(r, gprime=Graph(r.gprime.n + 1, r.gprime.edges))
+            return sol, replace(stats, reduction=r)
+
+        monkeypatch.setattr(cli, "solve_with_stats", one_vertex_too_many)
+        rc, out, err = run(capsys, "bench", "n=10,m=15;n=12,m=20")
+        assert (rc, err) == (1, "")
+        assert out.startswith("bench: reduced sizes disagree with the formulas on n=10 m=")
+        assert len(out.splitlines()) == 1
 
     def test_weighted_rows(self, capsys):
         rc, out, _ = run(capsys, "bench", "n=10,m=15;n=12,m=20;n=8,m=12", "--weights-max", "9")

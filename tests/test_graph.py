@@ -34,6 +34,10 @@ class TestGraph:
         with pytest.raises(ValueError, match="outside"):
             Graph(2, ((0, 2),))
 
+    def test_rejects_negative_vertex_count(self):
+        with pytest.raises(ValueError, match="vertex count must be nonnegative"):
+            Graph(-1, ())
+
     def test_adjacency_consistent_with_edges(self):
         g = random_graph(9, 0.5, 11)
         for e, (u, v) in enumerate(g.edges):
@@ -92,6 +96,26 @@ class TestParseGraph:
     def test_bad_header(self):
         with pytest.raises(ValueError, match="header"):
             parse_graph("three nodes\n")
+        for text, message in [
+            ("3\n", "line 1: header must be 'n m'"),
+            ("# counts\n3 1 2\n", "line 2: header must be 'n m'"),
+            ("-1 0\n", "line 1: header counts must be nonnegative"),
+            ("3 -1\n", "line 1: header counts must be nonnegative"),
+        ]:
+            with pytest.raises(ValueError) as ex:
+                parse_graph(text)
+            assert str(ex.value) == message
+
+    def test_bad_edge_line(self):
+        for text, message in [
+            ("3 1\n1\n", "line 2: edge line must be 'u v'"),
+            ("3 1\n1 2 3\n", "line 2: edge line must be 'u v'"),
+            ("3 1\n1 x\n", "line 2: edge endpoints must be integers"),
+            ("3 1\n1.5 2\n", "line 2: edge endpoints must be integers"),
+        ]:
+            with pytest.raises(ValueError) as ex:
+                parse_graph(text)
+            assert str(ex.value) == message
 
     def test_empty_input(self):
         with pytest.raises(ValueError, match="header"):
@@ -219,6 +243,20 @@ class TestParseWeights:
         with pytest.raises(ValueError, match="out of range"):
             parse_weights("5 1\n", 3)
 
+    def test_bad_line(self):
+        for text, message in [
+            ("1\n", "line 1: weight line must be 'v cost'"),
+            ("1 2\n2 3 4\n", "line 2: weight line must be 'v cost'"),
+            ("x 2\n", "line 1: vertex label must be an integer"),
+            ("1.0 2\n", "line 1: vertex label must be an integer"),
+        ]:
+            with pytest.raises(ValueError) as ex:
+                parse_weights(text, 3)
+            assert str(ex.value) == message
+
+    def test_comments_and_blank_lines_ignored(self):
+        assert parse_weights("# costs\n\n2 3\n  \n# end\n", 3).units == (1, 3, 1)
+
     def test_infinity_rejected(self):
         with pytest.raises(ValueError, match="finite"):
             parse_weights("1 Infinity\n", 2)
@@ -258,6 +296,10 @@ class TestLightCost:
             o = random_orientation(g, seed + 50)
             w = VertexWeights.ones(g.n)
             assert light_cost(g, o, w) == len(light_vertices(g, o))
+
+    def test_rejects_weights_of_wrong_length(self, k3):
+        with pytest.raises(ValueError, match="weights cover 2 vertices, graph has 3"):
+            light_cost(k3, Orientation((0, 1, 0)), VertexWeights((1, 1)))
 
     def test_fractional_costs(self, k3):
         w = parse_weights("1 0.25\n2 0.25\n3 0.25\n", 3)

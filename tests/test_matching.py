@@ -1,5 +1,6 @@
 """Both matching engines plus the matching utility types."""
 
+import hashlib
 import sys
 
 import pytest
@@ -13,10 +14,10 @@ from conftest import (
     random_maximal_matching,
     star_graph,
 )
-from orientlight import Graph, VertexWeights
-from orientlight.generate import SplitMix64, random_graph
+from orientlight import Graph, VertexWeights, solve_min_light
+from orientlight.generate import SplitMix64, random_graph, random_weights
 from orientlight.matching import Matching, max_cardinality_matching, max_weight_matching
-from orientlight.oracle import OracleBudget, brute_force_max_matching
+from orientlight.oracle import OracleBudget, brute_force_max_matching, brute_force_min_light
 from orientlight.reduction import build_gprime
 
 
@@ -68,6 +69,10 @@ def weighted_gadget(n: int, seed: int, top: int) -> tuple[Graph, tuple[int, ...]
     return zero_a_tenth(r, seed)
 
 
+def mate_digest(m: Matching) -> str:
+    return hashlib.sha256(repr(m.mate).encode()).hexdigest()[:16]
+
+
 def pendant_heavy_weighted_gadget() -> tuple[Graph, tuple[int, ...]]:
     # a core with 128 demand-1 vertices, kept whole; a gadget of 945
     # vertices
@@ -110,6 +115,10 @@ class TestMatchingType:
     def test_from_mate_rejects_non_involution(self, k3):
         with pytest.raises(ValueError, match="involution"):
             Matching.from_mate(k3, (1, 2, 0))
+
+    def test_from_mate_rejects_wrong_length(self, k3):
+        with pytest.raises(ValueError, match="mate covers 2 vertices, graph has 3"):
+            Matching.from_mate(k3, (1, 0))
 
     def test_from_mate_rejects_non_edge(self):
         g = Graph(4, ((0, 1), (2, 3)))
@@ -401,6 +410,45 @@ class TestMaxWeight:
         got = max_weight_matching(g, wts)
         assert Matching.from_mate(g, got.mate) == got
         assert got.weight_units(wts) == brute_force_max_matching(g, wts).weight_units(wts)
+
+    def test_mid_stage_expansion_relabels_a_reached_sub_blossom(self):
+        # a seeded input whose mid-stage expansion of an inner blossom
+        # relabels a sub-blossom child that holds a reached vertex: 15
+        # edges, a gadget of 59 vertices and 80 edges
+        g = random_graph(8, 3.9 / 8, 62)
+        w = random_weights(8, 1000, 73)
+        assert g.m == 15
+        assert solve_min_light(g, w).objective == brute_force_min_light(g, w)[0]
+        r = build_gprime(g, w)
+        assert (r.gprime.n, r.gprime.m) == (59, 80)
+        self._check_against_networkx(r.gprime, r.edge_weights)
+
+    # the first 16 hex digits of sha256(repr(mate)) on seeded gadgets:
+    # graph n, d for p = d / n, graph seed, top cost, cost seed, and a
+    # tenth of the weights zeroed or not.  A change to which optimum the
+    # engine returns fails here.
+    @pytest.mark.parametrize(
+        "case, zeroed, digest",
+        [
+            ((8, 3.9, 62, 1000, 73), False, "7c769e3ae55393eb"),
+            ((8, 3.9, 62, 1000, 73), True, "814a9718f44cacb6"),
+            ((30, 3.0, 7, 1000, 8), False, "541d9f1a0910797b"),
+            ((30, 3.0, 7, 1000, 8), True, "517b926ad9f0801f"),
+            ((40, 3.0, 11, 3, 12), False, "d952ece069773704"),
+            ((40, 3.0, 11, 3, 12), True, "6043800b4f376506"),
+            ((40, 3.4, 13, 1000, 14), False, "a7be84d19e5a6c2e"),
+            ((40, 3.4, 13, 1000, 14), True, "352301403dd60055"),
+        ],
+    )
+    def test_returns_the_pinned_matching(self, case, zeroed, digest):
+        n, d, graph_seed, top, cost_seed = case
+        r = build_gprime(random_graph(n, d / n, graph_seed), random_weights(n, top, cost_seed))
+        g, wts = zero_a_tenth(r, graph_seed) if zeroed else (r.gprime, r.edge_weights)
+        assert mate_digest(max_weight_matching(g, wts)) == digest
+
+    def test_returns_the_pinned_matching_on_a_large_gadget(self):
+        g, wts = weighted_gadget(60, 31, 1000)
+        assert mate_digest(max_weight_matching(g, wts)) == "a7c876fc387697c9"
 
     @staticmethod
     def _check_against_networkx(g, wts):

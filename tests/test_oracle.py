@@ -109,6 +109,10 @@ class TestMinLightOracle:
             ones, _ = brute_force_min_light(g, VertexWeights.ones(g.n))
             assert plain == ones
 
+    def test_rejects_weights_of_wrong_length(self, k3):
+        with pytest.raises(ValueError, match="weights cover 4 vertices, graph has 3"):
+            brute_force_min_light(k3, VertexWeights((1, 1, 1, 1)))
+
     def test_edgeless(self):
         g = Graph(3, ())
         obj, witness = brute_force_min_light(g)

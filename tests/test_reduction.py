@@ -388,6 +388,21 @@ class TestQuotientQ:
             checked += by_edges > 0
         assert checked >= 20
 
+    @pytest.mark.parametrize("weights_max", [None, 9])
+    def test_connecting_weight(self, weights_max):
+        checked = 0
+        for seed in range(30):
+            g = random_graph(30, 2.6 / 29, seed)
+            w = None if weights_max is None else random_weights(g.n, weights_max, seed + 1)
+            r = build_gprime(g, w)
+            cost = [1 if w is None else w.unit(v) for v in r.core_to_input]
+            got = r.connecting_weight()
+            by_sides = sum(r.edge_weights[e] for v in range(r.core.n) for e in r.side_edges(v))
+            assert got == by_sides
+            assert got == sum(r.core.degree(v) * cost[v] for v in range(r.core.n))
+            checked += got > 0
+        assert checked >= 10
+
 
 class TestFlowKernel:
     """The flow step of build_gprime: settle what can meet its target."""
