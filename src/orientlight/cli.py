@@ -1,7 +1,12 @@
 """Command-line front end: solve, verify, gen, and bench subcommands.
 
-Exit codes: 0 success, 1 a verification or benchmark check failed, 2
-bad usage or unreadable/unparseable input.
+Exit codes: 0 success, 1 a verification or benchmark check failed or
+stdout was closed before the output was written (`solve g.txt | head -1`),
+2 bad usage or unreadable/unparseable input.  A closed stdout prints
+nothing on stderr.  main() leaves file descriptor 1 alone, so it can be
+called in-process; only entry_point, the process entry point, points it
+at os.devnull once the reader is gone, so that the interpreter's flush
+at exit has nothing left to fail on.
 
 main hands an argument list that starts with a subcommand's name
 straight to that subcommand's parser, so each call runs one argparse
@@ -464,10 +469,29 @@ def main(argv: list[str] | None = None) -> int:
         return ex.code if isinstance(ex.code, int) else 2
     try:
         return args.func(args)
+    except BrokenPipeError:
+        # the reader of stdout went away: not bad usage, and nothing to say
+        return 1
     except (ValueError, OSError) as ex:
         print(f"error: {ex}", file=sys.stderr)
         return 2
 
 
+def entry_point() -> int:
+    """main() for a process of its own: the console script and -m."""
+    code = main()
+    if sys.stdout is None:
+        # started with fd 1 closed: print() wrote nothing, so nothing failed
+        return code
+    try:
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # what main() left buffered cannot be written either; send it to
+        # os.devnull so the flush at interpreter exit succeeds silently
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    return code
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(entry_point())

@@ -141,9 +141,13 @@ class VertexWeights:
     scale: int = 1
 
     def __post_init__(self) -> None:
-        if self.scale < 1:
-            raise ValueError("scale must be a positive integer")
+        # exact integers only: a float unit or scale fails deep inside a
+        # solve, and a bool would pass as the int 0 or 1
+        if type(self.scale) is not int or self.scale < 1:
+            raise ValueError(f"scale {self.scale!r} is not a positive integer")
         for v, u in enumerate(self.units):
+            if type(u) is not int:
+                raise ValueError(f"cost units {u!r} for vertex {v} are not an integer")
             if u < 0:
                 raise ValueError(
                     f"negative cost for vertex {v}: minimizing with negative costs "

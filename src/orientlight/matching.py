@@ -200,27 +200,6 @@ def max_cardinality_matching(g: Graph) -> Matching:
     return Matching.from_mate(g, tuple(mate))
 
 
-class _Blossom:
-    """A contracted odd cycle in the weighted engine.
-
-    children lists the sub-blossoms in cycle order starting at the base;
-    links[i] = (x, y) is the edge from children[i] to children[i+1],
-    with x inside children[i].  best_to_peers caches least-slack edges
-    to other top-level outer blossoms.
-    """
-
-    __slots__ = ("children", "links", "best_to_peers")
-
-    def vertices(self):
-        stack = list(self.children)
-        while stack:
-            t = stack.pop()
-            if isinstance(t, _Blossom):
-                stack.extend(t.children)
-            else:
-                yield t
-
-
 def max_weight_matching(g: Graph, edge_weights) -> Matching:
     """Maximum-weight matching via the primal-dual blossom method.
 
@@ -258,10 +237,20 @@ def max_weight_matching(g: Graph, edge_weights) -> Matching:
 
     The scan looks only at edges between two top-level blossoms, whose
     slack no blossom dual enters, so an edge is tight exactly when
-    dual[v] + dual[w] - 2 w(vw) <= 0, and no cache of tight edges is
+    dual[v] + dual[w] - 4 w(vw) <= 0, and no cache of tight edges is
     kept.  Each substage finds its dual step delta in one pass over the
     vertices and one over the blossoms, then applies it in one more
     pass over each.
+
+    Vertices and blossoms share one id space, and all state lives in
+    lists indexed by id: vertices are 0..n-1, and a new blossom takes a
+    free id from n..2n-1, which it gives back when it is expanded.  The
+    live blossoms form a laminar family of odd sets, each with at least
+    three children, so at most (n-1)/2 are live at once and the pool
+    never runs dry.  Ids are reused, so they say nothing about age:
+    blossom_dual is kept in creation order instead, which breaks ties in
+    the delta pass and lets the end-of-stage expansion meet every
+    blossom after its children, as the returned matching depends on.
     """
     n, m = g.n, g.m
     if len(edge_weights) != m:
@@ -277,38 +266,48 @@ def max_weight_matching(g: Graph, edge_weights) -> Matching:
         return Matching.empty(g)
 
     # doubled weights, and doubled vertex duals starting at each vertex's
-    # heaviest incident edge: all even, every edge covered
-    pair_wt: dict[tuple[int, int], int] = {}
-    adj: list[list[int]] = [[] for _ in range(n)]
-    dual: dict = {v: 0 for v in range(n)}
+    # heaviest incident edge: all even, every edge covered.  adj[v] holds
+    # (neighbour, 4 w) pairs, the doubled weight as a slack reads it.
+    adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    dual = [0] * n
     for e, (u, v) in enumerate(g.edges):
         w = 2 * edge_weights[e]
-        pair_wt[(u, v)] = pair_wt[(v, u)] = w
-        adj[u].append(v)
-        adj[v].append(u)
+        adj[u].append((v, 2 * w))
+        adj[v].append((u, 2 * w))
         dual[u] = max(dual[u], w)
         dual[v] = max(dual[v], w)
 
-    # mate maps a matched vertex to its partner; exposed vertices are absent.
-    # Seeded with the tight edges, greedily in edge-id order.
-    mate: dict[int, int] = {}
-    for u, v in g.edges:
-        if u not in mate and v not in mate and dual[u] + dual[v] == 2 * pair_wt[(u, v)]:
+    # mate[v] is v's partner, -1 when v is exposed.  Seeded with the tight
+    # edges, greedily in edge-id order.
+    mate = [-1] * n
+    for e, (u, v) in enumerate(g.edges):
+        if mate[u] == -1 and mate[v] == -1 and dual[u] + dual[v] == 4 * edge_weights[e]:
             mate[u] = v
             mate[v] = u
-    # label: 1 = outer (S), 2 = inner (T), on both vertices and top blossoms;
-    # a vertex inside an inner blossom gets its own label 2 once reached.
-    label: dict = {}
+    ids = 2 * n
+    unused_ids = list(range(ids - 1, n - 1, -1))
+    # label: 0 = none, 1 = outer (S), 2 = inner (T), on both vertices and
+    # top blossoms; a vertex inside an inner blossom gets its own label 2
+    # once reached.
+    label = [0] * ids
     # label_edge[b] = (x, y): the edge through which b got its label, y in b.
-    label_edge: dict = {}
-    # in_blossom[v] = the top-level blossom containing v (v itself if trivial).
-    in_blossom: dict = {v: v for v in range(n)}
-    parent_of: dict = {v: None for v in range(n)}
-    base_of: dict = {v: v for v in range(n)}
-    # least-slack edge per free vertex / per top-level outer blossom
-    best_edge: dict = {}
-    # blossom duals, stored as-is
-    blossom_dual: dict = {}
+    label_edge: list = [None] * ids
+    # in_blossom[v] = the top-level blossom containing vertex v (v itself
+    # if trivial).
+    in_blossom = list(range(n))
+    parent_of = [-1] * ids
+    base_of = list(range(n)) + [-1] * n
+    # children[b] lists the sub-blossoms in cycle order starting at the
+    # base; links[b][i] = (x, y) is the edge from children[b][i] to the
+    # next child, with x inside children[b][i].
+    children: list = [None] * ids
+    links: list = [None] * ids
+    # least-slack (x, y, 4 w) edge per free vertex / per top-level outer
+    # blossom, and per outer blossom to each of its outer peers
+    best_edge: list = [None] * ids
+    best_to_peers: list = [None] * ids
+    # blossom duals, stored as-is, in creation order
+    blossom_dual: dict[int, int] = {}
     queue: list[int] = []
 
     def internal_error(what: str) -> RuntimeError:
@@ -318,44 +317,48 @@ def max_weight_matching(g: Graph, edge_weights) -> Matching:
     def edge_id(x: int, y: int) -> int:
         return g.edge_ids[(x, y) if x < y else (y, x)]
 
-    def slack(x: int, y: int) -> int:
-        return dual[x] + dual[y] - 2 * pair_wt[(x, y)]
+    def slack(x: int, y: int, w: int) -> int:
+        return dual[x] + dual[y] - w
 
-    def half_slack(x: int, y: int) -> int:
+    def half_slack(x: int, y: int, w: int) -> int:
         # an outer-outer slack (a delta 3 candidate) is even; see above
-        ks = slack(x, y)
+        ks = slack(x, y, w)
         if ks % 2 != 0:
             raise internal_error(f"odd slack {ks} on outer-outer edge {edge_id(x, y)} ({x}, {y})")
         return ks // 2
 
-    def assign_label(w, t, x) -> None:
+    def vertices(b: int):
+        # the vertices inside b, which is one vertex when b < n
+        stack = [b]
+        while stack:
+            t = stack.pop()
+            if t >= n:
+                stack.extend(children[t])
+            else:
+                yield t
+
+    def assign_label(w: int, t: int, x: int) -> None:
         b = in_blossom[w]
-        assert label.get(w) is None and label.get(b) is None
+        assert label[w] == 0 and label[b] == 0
         label[w] = label[b] = t
-        if x is not None:
-            label_edge[w] = label_edge[b] = (x, w)
-        else:
-            label_edge[w] = label_edge[b] = None
+        label_edge[w] = label_edge[b] = (x, w) if x != -1 else None
         best_edge[w] = best_edge[b] = None
         if t == 1:
             # outer: its vertices join the scan queue
-            if isinstance(b, _Blossom):
-                queue.extend(b.vertices())
-            else:
-                queue.append(b)
-        elif t == 2:
+            queue.extend(vertices(b))
+        else:
             # inner: the mate of its base becomes outer
             bb = base_of[b]
             assign_label(mate[bb], 1, bb)
 
-    def find_cycle_base(x, y):
+    def find_cycle_base(x: int, y: int) -> int:
         # walk the alternating trees above x and y in lockstep, dropping
         # breadcrumbs (label bit 4); the first blossom seen twice is the
-        # base of a new odd cycle, and hitting both roots means the trees
-        # are disjoint, i.e. an augmenting path
+        # base of a new odd cycle, and hitting both roots (-1) means the
+        # trees are disjoint, i.e. an augmenting path
         path = []
-        found = None
-        while x is not None:
+        found = -1
+        while x != -1:
             b = in_blossom[x]
             if label[b] & 4:
                 found = base_of[b]
@@ -364,45 +367,45 @@ def max_weight_matching(g: Graph, edge_weights) -> Matching:
             path.append(b)
             label[b] = 5
             if label_edge[b] is None:
-                assert base_of[b] not in mate
-                x = None
+                assert mate[base_of[b]] == -1
+                x = -1
             else:
                 assert label_edge[b][0] == mate[base_of[b]]
                 x = label_edge[b][0]
                 b = in_blossom[x]
                 assert label[b] == 2
                 x = label_edge[b][0]
-            if y is not None:
+            if y != -1:
                 x, y = y, x
         for b in path:
             label[b] = 1
         return found
 
-    def shrink_blossom(bse, x, y) -> None:
+    def shrink_blossom(bse: int, x: int, y: int) -> None:
         # new blossom with base bse, closed by the outer-outer edge (x, y)
         bb = in_blossom[bse]
         bx = in_blossom[x]
         by = in_blossom[y]
-        b = _Blossom()
+        b = unused_ids.pop()
         base_of[b] = bse
-        parent_of[b] = None
+        parent_of[b] = -1
         parent_of[bb] = b
-        b.children = kids = []
-        b.links = links = [(x, y)]
+        children[b] = kids = []
+        links[b] = lks = [(x, y)]
         while bx != bb:
             parent_of[bx] = b
             kids.append(bx)
-            links.append(label_edge[bx])
+            lks.append(label_edge[bx])
             assert label[bx] == 2 or (label[bx] == 1 and label_edge[bx][0] == mate[base_of[bx]])
             x = label_edge[bx][0]
             bx = in_blossom[x]
         kids.append(bb)
         kids.reverse()
-        links.reverse()
+        lks.reverse()
         while by != bb:
             parent_of[by] = b
             kids.append(by)
-            links.append((label_edge[by][1], label_edge[by][0]))
+            lks.append((label_edge[by][1], label_edge[by][0]))
             assert label[by] == 2 or (label[by] == 1 and label_edge[by][0] == mate[base_of[by]])
             y = label_edge[by][0]
             by = in_blossom[y]
@@ -410,121 +413,109 @@ def max_weight_matching(g: Graph, edge_weights) -> Matching:
         label[b] = 1
         label_edge[b] = label_edge[bb]
         blossom_dual[b] = 0
-        for v in b.vertices():
+        for v in vertices(b):
             if label[in_blossom[v]] == 2:
                 # former inner vertex turns outer inside the new blossom
                 queue.append(v)
             in_blossom[v] = b
-        # recompute the least-slack edges from the new blossom to its peers
-        best_to: dict = {}
+        # recompute the least-slack edges from the new blossom to its
+        # peers; every edge in a child's pool starts inside the child
+        best_to: dict[int, tuple[int, int, int]] = {}
         for child in kids:
-            if isinstance(child, _Blossom):
-                if child.best_to_peers is not None:
-                    pool = child.best_to_peers
-                    child.best_to_peers = None
-                else:
-                    pool = [(v, w) for v in child.vertices() for w in adj[v]]
-            else:
-                pool = [(child, w) for w in adj[child]]
+            pool = best_to_peers[child]
+            if pool is None:
+                pool = [(v, w, wt) for v in vertices(child) for w, wt in adj[v]]
+            best_to_peers[child] = None
             for k in pool:
-                i, j = k
-                if in_blossom[j] == b:
-                    i, j = j, i
-                bj = in_blossom[j]
+                bj = in_blossom[k[1]]
                 if (
                     bj != b
-                    and label.get(bj) == 1
-                    and (bj not in best_to or slack(i, j) < slack(*best_to[bj]))
+                    and label[bj] == 1
+                    and (bj not in best_to or slack(*k) < slack(*best_to[bj]))
                 ):
                     best_to[bj] = k
             best_edge[child] = None
-        b.best_to_peers = list(best_to.values())
+        best_to_peers[b] = peers = list(best_to.values())
         best_edge[b] = None
         best_slack = None
-        for k in b.best_to_peers:
+        for k in peers:
             ks = slack(*k)
             if best_slack is None or ks < best_slack:
                 best_slack = ks
                 best_edge[b] = k
 
-    def expand_blossom(b, endstage: bool) -> None:
+    def expand_blossom(b: int, endstage: bool) -> None:
         # at the end of a stage, sub-blossoms with zero dual expand too;
         # each expansion touches only its own children, so an explicit
         # stack replaces the recursion
         stack = [b]
         while stack:
             t = stack.pop()
-            for s in t.children:
-                parent_of[s] = None
-                if isinstance(s, _Blossom):
-                    if endstage and blossom_dual[s] == 0:
-                        stack.append(s)
-                    else:
-                        for v in s.vertices():
-                            in_blossom[v] = s
-                else:
+            for s in children[t]:
+                parent_of[s] = -1
+                if s < n:
                     in_blossom[s] = s
-            if t is not b:
+                elif endstage and blossom_dual[s] == 0:
+                    stack.append(s)
+                else:
+                    for v in vertices(s):
+                        in_blossom[v] = s
+            if t != b:
                 forget_blossom(t)
-        if (not endstage) and label.get(b) == 2:
+        if (not endstage) and label[b] == 2:
             # mid-stage expansion of an inner blossom: walk from the child
             # through which b was reached around to the base, relabeling
+            kids, lks = children[b], links[b]
             entry = in_blossom[label_edge[b][1]]
-            j = b.children.index(entry)
+            j = kids.index(entry)
             if j & 1:
-                j -= len(b.children)
+                j -= len(kids)
                 jstep = 1
             else:
                 jstep = -1
             x, y = label_edge[b]
             while j != 0:
                 if jstep == 1:
-                    q = b.links[j][1]
+                    q = lks[j][1]
                 else:
-                    q = b.links[j - 1][0]
-                label[y] = None
-                label[q] = None
+                    q = lks[j - 1][0]
+                label[y] = 0
+                label[q] = 0
                 assign_label(y, 2, x)
                 j += jstep
                 if jstep == 1:
-                    x, y = b.links[j]
+                    x, y = lks[j]
                 else:
-                    y, x = b.links[j - 1]
+                    y, x = lks[j - 1]
                 j += jstep
-            child = b.children[j]
+            child = kids[j]
             label[y] = label[child] = 2
             label_edge[y] = label_edge[child] = (x, y)
             best_edge[child] = None
             j += jstep
-            while b.children[j] != entry:
-                child = b.children[j]
-                if label.get(child) == 1:
+            while kids[j] != entry:
+                child = kids[j]
+                if label[child] == 1:
                     j += jstep
                     continue
-                if isinstance(child, _Blossom):
-                    for v in child.vertices():
-                        if label.get(v):
-                            break
-                else:
-                    v = child
-                if label.get(v):
+                for v in vertices(child):
+                    if label[v]:
+                        break
+                if label[v]:
                     assert label[v] == 2
                     assert in_blossom[v] == child
-                    label[v] = None
-                    label[mate[base_of[child]]] = None
+                    label[v] = 0
+                    label[mate[base_of[child]]] = 0
                     assign_label(v, 2, label_edge[v][0])
                 j += jstep
         forget_blossom(b)
 
-    def forget_blossom(b) -> None:
-        label.pop(b, None)
-        label_edge.pop(b, None)
-        best_edge.pop(b, None)
-        del parent_of[b]
-        del base_of[b]
+    def forget_blossom(b: int) -> None:
+        # b's list entries are dead until shrink_blossom reuses the id
         del blossom_dual[b]
+        unused_ids.append(b)
 
-    def augment_through(b, v) -> None:
+    def augment_through(b: int, v: int) -> None:
         # flip matched edges inside b along the even path from v to the
         # base, then rotate the cycle so v becomes the new base.  Nested
         # blossoms on that path get the same treatment from an explicit
@@ -535,54 +526,52 @@ def max_weight_matching(g: Graph, edge_weights) -> Matching:
         rotations = []
         while todo:
             b, v = todo.pop()
+            kids, lks = children[b], links[b]
             t = v
             while parent_of[t] != b:
                 t = parent_of[t]
-            if isinstance(t, _Blossom):
+            if t >= n:
                 todo.append((t, v))
-            i = j = b.children.index(t)
+            i = j = kids.index(t)
             if i & 1:
-                j -= len(b.children)
+                j -= len(kids)
                 jstep = 1
             else:
                 jstep = -1
             while j != 0:
                 j += jstep
-                t = b.children[j]
+                t = kids[j]
                 if jstep == 1:
-                    x, y = b.links[j]
+                    x, y = lks[j]
                 else:
-                    y, x = b.links[j - 1]
-                if isinstance(t, _Blossom):
+                    y, x = lks[j - 1]
+                if t >= n:
                     todo.append((t, x))
                 j += jstep
-                t = b.children[j]
-                if isinstance(t, _Blossom):
+                t = kids[j]
+                if t >= n:
                     todo.append((t, y))
                 mate[x] = y
                 mate[y] = x
             rotations.append((b, v, i))
         for b, v, i in reversed(rotations):
-            b.children = b.children[i:] + b.children[:i]
-            b.links = b.links[i:] + b.links[:i]
-            base_of[b] = base_of[b.children[0]]
+            children[b] = children[b][i:] + children[b][:i]
+            links[b] = links[b][i:] + links[b][:i]
+            base_of[b] = base_of[children[b][0]]
             assert base_of[b] == v
 
-    def flip_path(s, t) -> None:
-        # match outer vertex s to t (t None: leave s exposed) and flip the
-        # tree path from s up to its root, which ends up matched
+    def flip_path(s: int, t: int) -> None:
+        # match outer vertex s to t (t = -1: leave s exposed) and flip
+        # the tree path from s up to its root, which ends up matched
         while True:
             bs = in_blossom[s]
             assert label[bs] == 1
-            assert (label_edge[bs] is None and base_of[bs] not in mate) or (
+            assert (label_edge[bs] is None and mate[base_of[bs]] == -1) or (
                 label_edge[bs][0] == mate[base_of[bs]]
             )
-            if isinstance(bs, _Blossom):
+            if bs >= n:
                 augment_through(bs, s)
-            if t is None:
-                mate.pop(s, None)
-            else:
-                mate[s] = t
+            mate[s] = t
             if label_edge[bs] is None:
                 break
             p = label_edge[bs][0]
@@ -590,7 +579,7 @@ def max_weight_matching(g: Graph, edge_weights) -> Matching:
             assert label[bp] == 2
             s, t = label_edge[bp]
             assert base_of[bp] == p
-            if isinstance(bp, _Blossom):
+            if bp >= n:
                 augment_through(bp, t)
             mate[t] = s
 
@@ -604,12 +593,12 @@ def max_weight_matching(g: Graph, edge_weights) -> Matching:
             if z < 0:
                 raise internal_error(f"negative dual on the blossom with base {base_of[b]}")
         for e, (i, j) in enumerate(g.edges):
-            s = dual[i] + dual[j] - 2 * pair_wt[(i, j)]
+            s = dual[i] + dual[j] - 4 * edge_weights[e]
             chain_i = [i]
             chain_j = [j]
-            while parent_of[chain_i[-1]] is not None:
+            while parent_of[chain_i[-1]] != -1:
                 chain_i.append(parent_of[chain_i[-1]])
-            while parent_of[chain_j[-1]] is not None:
+            while parent_of[chain_j[-1]] != -1:
                 chain_j.append(parent_of[chain_j[-1]])
             chain_i.reverse()
             chain_j.reverse()
@@ -619,17 +608,17 @@ def max_weight_matching(g: Graph, edge_weights) -> Matching:
                 s += 2 * blossom_dual[bi]
             if s < 0:
                 raise internal_error(f"negative slack {s} on edge {e} ({i}, {j})")
-            if (mate.get(i) == j or mate.get(j) == i) and s != 0:
+            if (mate[i] == j or mate[j] == i) and s != 0:
                 raise internal_error(f"matched edge {e} ({i}, {j}) has slack {s}")
         for v in range(n):
-            if v not in mate and dual[v] != 0:
+            if mate[v] == -1 and dual[v] != 0:
                 raise internal_error(f"exposed vertex {v} has dual {dual[v]}")
         for b, z in blossom_dual.items():
             if z > 0:
-                if len(b.links) % 2 != 1:
+                if len(links[b]) % 2 != 1:
                     raise internal_error(f"even blossom with base {base_of[b]} has dual {z}")
-                for i, j in b.links[1::2]:
-                    if mate.get(i) != j or mate.get(j) != i:
+                for i, j in links[b][1::2]:
+                    if mate[i] != j or mate[j] != i:
                         raise internal_error(
                             f"blossom with base {base_of[b]} and dual {z} is not full: "
                             f"edge {edge_id(i, j)} ({i}, {j}) is unmatched"
@@ -637,15 +626,14 @@ def max_weight_matching(g: Graph, edge_weights) -> Matching:
 
     while True:
         # one stage per augmentation or retired root
-        label.clear()
-        label_edge.clear()
-        best_edge.clear()
+        label[:] = [0] * ids
+        label_edge[:] = best_edge[:] = [None] * ids
         for b in blossom_dual:
-            b.best_to_peers = None
-        queue[:] = []
+            best_to_peers[b] = None
+        queue.clear()
         for v in range(n):
-            if v not in mate and dual[v] > 0 and label.get(in_blossom[v]) is None:
-                assign_label(v, 1, None)
+            if mate[v] == -1 and dual[v] > 0 and label[in_blossom[v]] == 0:
+                assign_label(v, 1, -1)
         if not queue:
             # every exposed vertex has dual zero
             break
@@ -655,15 +643,15 @@ def max_weight_matching(g: Graph, edge_weights) -> Matching:
             while queue and not stage_over:
                 v = queue.pop()
                 assert label[in_blossom[v]] == 1
-                for w in adj[v]:
+                for w, wt in adj[v]:
                     bv = in_blossom[v]
                     bw = in_blossom[w]
                     if bv == bw:
                         continue
-                    ks = slack(v, w)
+                    ks = dual[v] + dual[w] - wt
                     if ks <= 0:
-                        if label.get(bw) is None:
-                            if base_of[bw] in mate:
+                        if label[bw] == 0:
+                            if mate[base_of[bw]] != -1:
                                 # free blossom: becomes inner, its base's
                                 # mate becomes outer
                                 assign_label(w, 2, v)
@@ -673,34 +661,34 @@ def max_weight_matching(g: Graph, edge_weights) -> Matching:
                                 # that base augments
                                 assert dual[base_of[bw]] == 0
                                 flip_path(v, w)
-                                if isinstance(bw, _Blossom):
+                                if bw >= n:
                                     augment_through(bw, w)
                                 mate[w] = v
                                 stage_over = True
                                 break
-                        elif label.get(bw) == 1:
+                        elif label[bw] == 1:
                             # outer-outer edge: new blossom or augment
                             bse = find_cycle_base(v, w)
-                            if bse is not None:
+                            if bse != -1:
                                 shrink_blossom(bse, v, w)
                             else:
                                 flip_path(v, w)
                                 flip_path(w, v)
                                 stage_over = True
                                 break
-                        elif label.get(w) is None:
+                        elif label[w] == 0:
                             # first reach of a vertex inside an inner
                             # blossom; remember the entry edge for a
                             # later mid-stage expansion
                             assert label[bw] == 2
                             label[w] = 2
                             label_edge[w] = (v, w)
-                    elif label.get(bw) == 1:
-                        if best_edge.get(bv) is None or ks < slack(*best_edge[bv]):
-                            best_edge[bv] = (v, w)
-                    elif label.get(w) is None:
-                        if best_edge.get(w) is None or ks < slack(*best_edge[w]):
-                            best_edge[w] = (v, w)
+                    elif label[bw] == 1:
+                        if best_edge[bv] is None or ks < slack(*best_edge[bv]):
+                            best_edge[bv] = (v, w, wt)
+                    elif label[w] == 0:
+                        if best_edge[w] is None or ks < slack(*best_edge[w]):
+                            best_edge[w] = (v, w, wt)
             if stage_over:
                 break
 
@@ -713,22 +701,22 @@ def max_weight_matching(g: Graph, edge_weights) -> Matching:
             d1 = d2 = d3 = d4 = None
             for v in range(n):
                 bv = in_blossom[v]
-                lbl = label.get(bv)
+                lbl = label[bv]
                 if lbl == 1:
                     if d1 is None or dual[v] < d1:
                         d1, d1_vertex = dual[v], v
-                    if bv == v and best_edge.get(v) is not None:
+                    if bv == v and best_edge[v] is not None:
                         d = half_slack(*best_edge[v])
                         if d3 is None or d < d3:
                             d3, d3_edge = d, best_edge[v]
-                elif lbl is None and best_edge.get(v) is not None:
+                elif lbl == 0 and best_edge[v] is not None:
                     d = slack(*best_edge[v])
                     if d2 is None or d < d2:
                         d2, d2_edge = d, best_edge[v]
             for b, z in blossom_dual.items():
-                if parent_of[b] is None:
-                    lbl = label.get(b)
-                    if lbl == 1 and best_edge.get(b) is not None:
+                if parent_of[b] == -1:
+                    lbl = label[b]
+                    if lbl == 1 and best_edge[b] is not None:
                         d = half_slack(*best_edge[b])
                         if d3 is None or d < d3:
                             d3, d3_edge = d, best_edge[b]
@@ -742,22 +730,22 @@ def max_weight_matching(g: Graph, edge_weights) -> Matching:
             if d4 is not None and d4 < delta:
                 delta, delta_type = d4, 4
             for v in range(n):
-                lbl = label.get(in_blossom[v])
+                lbl = label[in_blossom[v]]
                 if lbl == 1:
                     dual[v] -= delta
                 elif lbl == 2:
                     dual[v] += delta
             for b in blossom_dual:
-                if parent_of[b] is None:
-                    if label.get(b) == 1:
+                if parent_of[b] == -1:
+                    if label[b] == 1:
                         blossom_dual[b] += delta
-                    elif label.get(b) == 2:
+                    elif label[b] == 2:
                         blossom_dual[b] -= delta
             if delta_type == 1:
                 # an outer dual hit zero: that vertex takes over as its
                 # tree's exposed vertex and the root is matched (or
                 # retired, when it is the root itself)
-                flip_path(d1_vertex, None)
+                flip_path(d1_vertex, -1)
                 stage_over = True
             elif delta_type == 4:
                 expand_blossom(d4_blossom, False)
@@ -770,11 +758,7 @@ def max_weight_matching(g: Graph, edge_weights) -> Matching:
         # (children precede their blossom in blossom_dual, so none of these
         # was expanded away before its turn)
         for b in list(blossom_dual):
-            if parent_of[b] is None and label.get(b) == 1 and blossom_dual[b] == 0:
+            if parent_of[b] == -1 and label[b] == 1 and blossom_dual[b] == 0:
                 expand_blossom(b, True)
     verify_optimum()
-
-    mate_list = [-1] * n
-    for v, w in mate.items():
-        mate_list[v] = w
-    return Matching.from_mate(g, tuple(mate_list))
+    return Matching.from_mate(g, mate)

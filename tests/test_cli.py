@@ -1,5 +1,6 @@
 """End-to-end CLI behavior through main()."""
 
+import io
 import json
 import os
 import random
@@ -29,6 +30,14 @@ def k3_file(tmp_path):
     p = tmp_path / "k3.graph"
     p.write_text(K3_TEXT)
     return p
+
+
+def module_env() -> dict[str, str]:
+    # the environment for `python -m orientlight.cli` in a child process
+    src = str(Path(orientlight.__file__).parents[1])
+    env = dict(os.environ, COLUMNS="80")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
 
 
 def run(capsys, *argv):
@@ -829,9 +838,7 @@ class TestMainPlumbing:
 
     def test_module_entry_point(self, tmp_path, k3_file):
         # python -m orientlight.cli: main() reads its arguments from sys.argv
-        src = str(Path(orientlight.__file__).parents[1])
-        env = dict(os.environ, COLUMNS="80")
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        env = module_env()
 
         def cli(*argv):
             done = subprocess.run(
@@ -847,6 +854,36 @@ class TestMainPlumbing:
         sol.write_text(out)
         assert cli("verify", k3_file, sol) == (0, "verify: OK\n", "")
         assert cli("frobnicate") == PINNED["frobnicate"]
+
+    def test_closed_stdout_is_not_a_usage_error(self, capsys, monkeypatch, k3_file):
+        # a reader that stops early: exit 1 with nothing on stderr, and an
+        # in-process call leaves file descriptor 1 where it was
+        class ClosedPipe(io.StringIO):
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        before = os.fstat(1)
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        assert main(["solve", str(k3_file)]) == 1
+        assert capsys.readouterr().err == ""
+        after = os.fstat(1)
+        assert (after.st_dev, after.st_ino) == (before.st_dev, before.st_ino)
+
+    def test_closed_stdout_exits_1_quietly_as_a_process(self, tmp_path):
+        # `orientlight solve big.graph | head -1`: the solution (about
+        # 170 KB) overflows the pipe buffer, so the write is still pending
+        # when the reader closes its end
+        g = tmp_path / "big.graph"
+        assert main(["gen", "400", "0.2", "--seed", "3", "--out", str(g)]) == 0
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "orientlight.cli", "solve", str(g)],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=module_env(),
+        )
+        assert proc.stdout.readline() == b"objective: 0\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert (proc.wait(timeout=60), err) == (1, b"")
 
     def test_repeated_calls_share_no_flags(self, capsys, tmp_path, k3_file):
         # one process, several main() calls: no flag or default of one

@@ -203,6 +203,22 @@ class TestVertexWeights:
         with pytest.raises(ValueError, match="NP-hard"):
             VertexWeights((1, -1))
 
+    @pytest.mark.parametrize(
+        "units, scale",
+        [
+            ((0.5, 0.5), 1),
+            ((1, 1, 1), 2.5),
+            ((True, 2), 1),
+            ((1, 2), True),
+            ((Fraction(1, 2), 1), 1),
+            ((1, 2), Fraction(10)),
+        ],
+        ids=["float-unit", "float-scale", "bool-unit", "bool-scale", "fraction-unit", "fraction-scale"],
+    )
+    def test_rejects_units_and_scales_that_are_not_ints(self, units, scale):
+        with pytest.raises(ValueError, match="not an integer|not a positive integer"):
+            VertexWeights(units, scale)
+
     def test_as_value_integer(self):
         w = VertexWeights((15, 5), 5)
         assert w.as_value(15) == 3

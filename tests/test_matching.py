@@ -83,6 +83,19 @@ def pendant_heavy_weighted_gadget() -> tuple[Graph, tuple[int, ...]]:
     return zero_a_tenth(r, 41)
 
 
+def sub_critical_weighted_gadget() -> tuple[Graph, tuple[int, ...]]:
+    # the gadget of the n=300 row of `orientlight bench "n=300,m=435"
+    # --seed 1 --weights-max 1000`: m = 1.4n, below the density at which
+    # the flow kernel settles almost everything, so a core of 232
+    # vertices (45 of demand 1) and a gadget of 1411 vertices remain
+    n = 300
+    g = random_graph(n, 435 / (n * (n - 1) // 2), 1)
+    r = build_gprime(g, random_weights(n, 1000, 2))
+    assert (g.m, r.core.n, r.gprime.n) == (420, 232, 1411)
+    assert sum(1 for b in r.demand if b == 1) == 45
+    return r.gprime, r.edge_weights
+
+
 class TestMatchingType:
     def test_from_edge_ids(self, k3):
         m = Matching.from_edge_ids(k3, [0])
@@ -385,6 +398,9 @@ class TestMaxWeight:
     def test_agrees_with_networkx_on_a_pendant_heavy_weighted_gadget(self):
         self._check_against_networkx(*pendant_heavy_weighted_gadget())
 
+    def test_agrees_with_networkx_on_a_sub_critical_weighted_gadget(self):
+        self._check_against_networkx(*sub_critical_weighted_gadget())
+
     def test_leaves_the_recursion_limit_alone(self, monkeypatch):
         # nested blossoms are walked with explicit stacks, so the engine
         # never changes the interpreter-wide recursion limit
@@ -449,6 +465,10 @@ class TestMaxWeight:
     def test_returns_the_pinned_matching_on_a_large_gadget(self):
         g, wts = weighted_gadget(60, 31, 1000)
         assert mate_digest(max_weight_matching(g, wts)) == "a7c876fc387697c9"
+
+    def test_returns_the_pinned_matching_on_a_sub_critical_gadget(self):
+        g, wts = sub_critical_weighted_gadget()
+        assert mate_digest(max_weight_matching(g, wts)) == "8c295a72b399b214"
 
     @staticmethod
     def _check_against_networkx(g, wts):
