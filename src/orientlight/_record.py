@@ -10,14 +10,18 @@ none is refused.  A field whose class-level value is field() has no
 default and is left out of the repr, equality and hashing.  replace
 copies a record with some fields changed, running __post_init__ again.
 
-The methods are compiled from source once per class, as dataclasses
-does, so constructing a record costs one plain function call.  The
-module imports nothing: dataclasses itself pulls in inspect, ast, dis
-and tokenize, which made up about a fifth of the command line's
-start-up.  Inheritance between records is not supported.
+__init__ is compiled from source once per class, as dataclasses does,
+so constructing a record costs one plain function call.  The other
+methods are closures over one attrgetter of the shown fields, which
+spares a compile per class.  The module imports only operator:
+dataclasses itself pulls in inspect, ast, dis and tokenize, which made
+up about a fifth of the command line's start-up.  Inheritance between
+records is not supported.
 """
 
 from __future__ import annotations
+
+from operator import attrgetter
 
 __all__ = ["field", "record", "replace"]
 
@@ -47,38 +51,50 @@ def record(cls: type) -> type:
             if default is not _MISSING:
                 defaults[name] = default
 
-    mine = "".join(f"self.{name}," for name in shown)
-    theirs = "".join(f"other.{name}," for name in shown)
-    fields_repr = ", ".join(f"{name}={{self.{name}!r}}" for name in shown)
     params = ", ".join(f"{name}=_dflt_{name}" if name in defaults else name for name in names)
     body = [f"    _set(self, {name!r}, {name})" for name in names]
     if "__post_init__" in cls.__dict__:
         body.append("    self.__post_init__()")
-    source = "\n".join([
-        f"def __init__(self, {params}):",
-        *body,
-        "def __eq__(self, other):",
-        "    if other.__class__ is self.__class__:",
-        f"        return ({mine}) == ({theirs})",
-        "    return NotImplemented",
-        "def __hash__(self):",
-        f"    return hash(({mine}))",
-        "def __repr__(self):",
-        f'    return f"{{self.__class__.__qualname__}}({fields_repr})"',
-        "def __setattr__(self, name, value):",
-        '    raise AttributeError(f"cannot assign to field {name!r}")',
-        "def __delattr__(self, name):",
-        '    raise AttributeError(f"cannot delete field {name!r}")',
-    ])
     namespace = {"_set": object.__setattr__}
     namespace.update((f"_dflt_{name}", default) for name, default in defaults.items())
+    source = "\n".join([f"def __init__(self, {params}):", *body])
     exec(compile(source, f"<record {cls.__qualname__}>", "exec"), namespace)
-    for method in ("__init__", "__eq__", "__hash__", "__repr__", "__setattr__", "__delattr__"):
-        fn = namespace[method]
+    methods = _value_methods(tuple(shown))
+    methods["__init__"] = namespace["__init__"]
+    for method, fn in methods.items():
         fn.__qualname__ = f"{cls.__qualname__}.{method}"
         setattr(cls, method, fn)
     cls.__record_fields__ = names
     return cls
+
+
+def _value_methods(shown: tuple[str, ...]) -> dict:
+    """Equality, hash and repr over the shown fields, and the frozen guards."""
+    if len(shown) > 1:
+        values = attrgetter(*shown)
+    else:  # attrgetter gives a bare value for one name and refuses none
+        def values(obj):
+            return tuple([getattr(obj, name) for name in shown])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return values(self) == values(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(values(self))
+
+    def __repr__(self):
+        fields = ", ".join([f"{name}={value!r}" for name, value in zip(shown, values(self))])
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    return {fn.__name__: fn for fn in (__eq__, __hash__, __repr__, __setattr__, __delattr__)}
 
 
 def replace(obj: object, /, **changes: object) -> object:

@@ -9,6 +9,7 @@ from __future__ import annotations
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 from functools import cached_property
+from itertools import repeat
 
 from ._record import record
 
@@ -170,16 +171,62 @@ class VertexWeights:
         return cls((1,) * n, 1)
 
 
+def _pairs(text: str) -> list[str] | None:
+    """The tokens of text's data lines, two a line, or None.
+
+    Data lines are those neither blank nor starting with '#'.  They are
+    split as one text with a ';' token between neighbours, and every
+    third token is dropped.  When a line holds more or fewer than two
+    tokens, the count is off or a ';' stays among the tokens, which no
+    caller reads as a count, label or cost.
+    """
+    lines = text.splitlines()
+    if "#" in text or not all(map(str.strip, lines)):
+        lines = [line for line in lines if line.lstrip()[:1] not in ("", "#")]
+    if not lines:
+        return []
+    tokens = " ; ".join(lines).split()
+    gaps = len(lines) - 1
+    if len(tokens) != 3 * gaps + 2:
+        return None
+    del tokens[2::3]
+    return tokens
+
+
 def parse_graph(text: str) -> Graph:
     """Parses the edge-list format: header "n m", then m lines "u v".
 
     Labels are 1-based.  Blank lines and lines starting with '#' are
     ignored.  Errors carry the offending line number.  A header with
     more than MAX_VERTICES vertices is rejected before anything is
-    allocated for them.
+    allocated for them.  The text is read and checked with whole-text
+    operations; a line loop runs only to name the fault they found.
+    """
+    try:
+        # no data line, or None, leaves too few values to unpack
+        n, m, *ends = map(int, _pairs(text) or ())
+    except ValueError:
+        raise _graph_fault(text) from None
+    if not 0 <= n <= MAX_VERTICES or 2 * m != len(ends):
+        raise _graph_fault(text)
+    # None stands for an endpoint out of range or a self-loop
+    edges = tuple([
+        (x - 1, y - 1) if 0 < x < y <= n else (y - 1, x - 1) if 0 < y < x <= n else None
+        for x, y in zip(ends[::2], ends[1::2])
+    ])
+    distinct = set(edges)
+    if len(distinct) != m or None in distinct:
+        raise _graph_fault(text)
+    return _valid_graph(n, edges)
+
+
+def _graph_fault(text: str) -> Exception:
+    """The error naming the first line of text that parse_graph refuses.
+
+    It reads text line by line and builds nothing.  When no line is at
+    fault, the error is an internal one: parse_graph refused valid text.
     """
     header: tuple[int, int] | None = None
-    edges: list[tuple[int, int]] = []
     first_line: dict[tuple[int, int], int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -188,45 +235,47 @@ def parse_graph(text: str) -> Graph:
         parts = line.split()
         if header is None:
             if len(parts) != 2:
-                raise ValueError(f"line {lineno}: header must be 'n m'")
+                return ValueError(f"line {lineno}: header must be 'n m'")
             try:
                 n, m = int(parts[0]), int(parts[1])
             except ValueError:
-                raise ValueError(f"line {lineno}: header must be two integers") from None
+                return ValueError(f"line {lineno}: header must be two integers")
             if n < 0 or m < 0:
-                raise ValueError(f"line {lineno}: header counts must be nonnegative")
+                return ValueError(f"line {lineno}: header counts must be nonnegative")
             if n > MAX_VERTICES:
-                raise ValueError(
+                return ValueError(
                     f"line {lineno}: {n} vertices exceed the limit of {MAX_VERTICES}"
                 )
             header = (n, m)
             continue
         n, m = header
-        if len(edges) == m:
-            raise ValueError(f"line {lineno}: more than the {m} edges promised by the header")
+        if len(first_line) == m:
+            return ValueError(f"line {lineno}: more than the {m} edges promised by the header")
         if len(parts) != 2:
-            raise ValueError(f"line {lineno}: edge line must be 'u v'")
+            return ValueError(f"line {lineno}: edge line must be 'u v'")
         try:
             a, b = int(parts[0]), int(parts[1])
         except ValueError:
-            raise ValueError(f"line {lineno}: edge endpoints must be integers") from None
+            return ValueError(f"line {lineno}: edge endpoints must be integers")
         if not (1 <= a <= n and 1 <= b <= n):
-            raise ValueError(f"line {lineno}: endpoint out of range 1..{n}")
+            return ValueError(f"line {lineno}: endpoint out of range 1..{n}")
         if a == b:
-            raise ValueError(f"line {lineno}: self-loop at vertex {a}")
-        u, v = min(a, b) - 1, max(a, b) - 1
-        if (u, v) in first_line:
-            raise ValueError(
-                f"line {lineno}: duplicate edge {a} {b} (first seen at line {first_line[(u, v)]})"
+            return ValueError(f"line {lineno}: self-loop at vertex {a}")
+        uv = (min(a, b), max(a, b))
+        if uv in first_line:
+            return ValueError(
+                f"line {lineno}: duplicate edge {a} {b} (first seen at line {first_line[uv]})"
             )
-        first_line[(u, v)] = lineno
-        edges.append((u, v))
+        first_line[uv] = lineno
     if header is None:
-        raise ValueError("empty input: missing 'n m' header")
+        return ValueError("empty input: missing 'n m' header")
     n, m = header
-    if len(edges) != m:
-        raise ValueError(f"header promises {m} edges, found {len(edges)}")
-    return _valid_graph(n, tuple(edges))
+    if len(first_line) != m:
+        return ValueError(f"header promises {m} edges, found {len(first_line)}")
+    return RuntimeError(
+        f"internal error: parse_graph refused {len(text)} characters "
+        f"with no faulty line (n={n}, m={m})"
+    )
 
 
 def render_graph(g: Graph) -> str:
@@ -243,9 +292,70 @@ def parse_weights(text: str, n: int) -> VertexWeights:
     common power of ten so that all stored units are integers; the
     scaling is exact integer arithmetic on each cost's digits.  A cost
     with more than 60 decimal places or with 60 or more integer digits,
-    as written, is rejected.
+    as written, is rejected.  As in parse_graph, a line loop runs only
+    to name the fault that whole-text checks found.
     """
-    entries: dict[int, tuple[int, int]] = {}  # coefficient, exponent
+    tokens = _pairs(text)
+    if tokens is None:
+        raise _weights_fault(text, n)
+    try:
+        labels = list(map(int, tokens[::2]))
+        terms = _cost_terms(tokens[1::2], labels)
+    except ValueError:
+        raise _weights_fault(text, n) from None
+    places = max([0] + [-e for _, e in terms])
+    scale = 10**places
+    by_label = dict(zip(labels, [c * 10 ** (e + places) for c, e in terms]))
+    if labels and (min(labels) < 1 or max(labels) > n or len(by_label) != len(labels)):
+        raise _weights_fault(text, n)
+    return VertexWeights(tuple(map(by_label.get, range(1, n + 1), repeat(scale))), scale)
+
+
+def _cost_terms(costs: list[str], labels: list[int]) -> list[tuple[int, int]]:
+    """Each cost's coefficient and exponent, as Decimal reads them.
+
+    Raises ValueError on a cost _decimal_cost refuses.  When every cost
+    is decimal digits with at most one point, and too short to pass a
+    digit bound, int() reads the digits around the point as Decimal
+    would; otherwise each cost goes through _decimal_cost.
+    """
+    if "".join(costs).replace(".", "").isdecimal() and max(map(len, costs)) < _COST_DIGITS:
+        # a second point leaves one in the digits, which int() refuses
+        return [(int(a + b), -len(b)) for a, _, b in map(str.partition, costs, repeat("."))]
+    return list(map(_decimal_cost, costs, labels))
+
+
+def _decimal_cost(cost: str, v: int) -> tuple[int, int]:
+    """The coefficient and exponent of vertex v's cost, read by Decimal.
+
+    Raises ValueError, without a line number, unless cost is a finite,
+    nonnegative decimal within the digit bounds.
+    """
+    try:
+        d = Decimal(cost)
+    except InvalidOperation:
+        raise ValueError(f"cost {cost!r} is not a decimal number") from None
+    if not d.is_finite():
+        raise ValueError("cost must be finite")
+    if d < 0:
+        raise ValueError(
+            f"negative cost for vertex {v}: minimizing with "
+            "negative costs is NP-hard and not supported"
+        )
+    _, digits, exponent = d.as_tuple()
+    if -exponent > _COST_DIGITS:
+        raise ValueError(f"cost has more than {_COST_DIGITS} decimal places")
+    if len(digits) + exponent >= _COST_DIGITS:
+        raise ValueError(f"cost has {_COST_DIGITS} or more integer digits")
+    return int("".join(map(str, digits))), exponent
+
+
+def _weights_fault(text: str, n: int) -> Exception:
+    """The error naming the first line of text that parse_weights refuses.
+
+    Like _graph_fault, it reads line by line, builds nothing and falls
+    back on an internal error.
+    """
     first_line: dict[int, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -253,45 +363,26 @@ def parse_weights(text: str, n: int) -> VertexWeights:
             continue
         parts = line.split()
         if len(parts) != 2:
-            raise ValueError(f"line {lineno}: weight line must be 'v cost'")
+            return ValueError(f"line {lineno}: weight line must be 'v cost'")
         try:
             v = int(parts[0])
         except ValueError:
-            raise ValueError(f"line {lineno}: vertex label must be an integer") from None
+            return ValueError(f"line {lineno}: vertex label must be an integer")
         if not 1 <= v <= n:
-            raise ValueError(f"line {lineno}: vertex {v} out of range 1..{n}")
+            return ValueError(f"line {lineno}: vertex {v} out of range 1..{n}")
         if v in first_line:
-            raise ValueError(
+            return ValueError(
                 f"line {lineno}: duplicate cost for vertex {v} (first seen at line {first_line[v]})"
             )
         first_line[v] = lineno
         try:
-            d = Decimal(parts[1])
-        except InvalidOperation:
-            raise ValueError(f"line {lineno}: cost {parts[1]!r} is not a decimal number") from None
-        if not d.is_finite():
-            raise ValueError(f"line {lineno}: cost must be finite")
-        if d < 0:
-            raise ValueError(
-                f"line {lineno}: negative cost for vertex {v}: minimizing with "
-                "negative costs is NP-hard and not supported"
-            )
-        _, digits, exponent = d.as_tuple()
-        if -exponent > _COST_DIGITS:
-            raise ValueError(
-                f"line {lineno}: cost has more than {_COST_DIGITS} decimal places"
-            )
-        if len(digits) + exponent >= _COST_DIGITS:
-            raise ValueError(
-                f"line {lineno}: cost has {_COST_DIGITS} or more integer digits"
-            )
-        entries[v - 1] = (int("".join(map(str, digits))), exponent)
-    places = max([0] + [-e for _, e in entries.values()])
-    scale = 10**places
-    units = [scale] * n  # omitted vertices cost 1
-    for v, (c, e) in entries.items():
-        units[v] = c * 10 ** (e + places)
-    return VertexWeights(tuple(units), scale)
+            _decimal_cost(parts[1], v)
+        except ValueError as ex:
+            return ValueError(f"line {lineno}: {ex}")
+    return RuntimeError(
+        f"internal error: parse_weights refused {len(text)} characters "
+        f"with no faulty line (n={n}, {len(first_line)} cost lines)"
+    )
 
 
 def out_degree(g: Graph, o: Orientation, v: int) -> int:

@@ -138,6 +138,28 @@ class TestDecorator:
         assert repr(Point(1, "hidden", 2)).endswith(".<locals>.Point(x=1, y=2)")
         assert Point.__record_fields__ == ("x", "note", "y")
 
+    def test_one_or_no_shown_field_compares_as_a_tuple(self):
+        @record
+        class One:
+            x: float
+
+        @record
+        class Unshown:
+            note: str = field()
+
+        nan = float("nan")
+        assert One(nan) == One(nan)  # tuples compare an element to itself as equal
+        assert One(1.5) != One(2.5)
+        assert hash(One(1.5)) == hash((1.5,))
+        assert repr(One(2)).endswith(".One(x=2)")
+        assert Unshown("a") == Unshown("b")
+        assert hash(Unshown("a")) == hash(())
+        assert repr(Unshown("a")).endswith(".Unshown()")
+
+    def test_methods_carry_the_class_qualname(self):
+        for method in ("__init__", "__eq__", "__hash__", "__repr__", "__setattr__", "__delattr__"):
+            assert getattr(Graph, method).__qualname__ == f"Graph.{method}"
+
     def test_a_class_without_annotated_fields_is_refused(self):
         class Empty:
             x = 1
