@@ -112,7 +112,7 @@ def _solution_to_json(g: Graph, sol: Solution) -> str:
     )
 
 
-def _dump_reduction(r: ReducedGraph, weights: VertexWeights | None, path: str) -> None:
+def _dump_reduction(r: ReducedGraph, weights: VertexWeights, path: str) -> None:
     """Writes the gadget graph to path and its bookkeeping to path.json.
 
     The sidecar uses 1-based vertex labels (matching the graph file) and
@@ -137,7 +137,7 @@ def _dump_reduction(r: ReducedGraph, weights: VertexWeights | None, path: str) -
         "side_edges": [list(r.side_edges(v)) for v in range(core.n)],
         "edge_owner": [owner[eid] for eid in range(r.gprime.m)],
         "edge_weight_units": list(r.edge_weights),
-        "weight_scale": weights.scale if weights is not None else 1,
+        "weight_scale": weights.scale,
     }
     _write_all([
         (path, render_graph(r.gprime)),
@@ -153,7 +153,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
             if path and os.path.realpath(path) in outputs:
                 raise ValueError(f"--dump-reduction would overwrite the {name} file {path}")
     g = parse_graph(_read(args.graph))
-    weights = parse_weights(_read(args.weights), g.n) if args.weights else None
+    weights = parse_weights(_read(args.weights), g.n) if args.weights else VertexWeights.ones(g.n)
     sol, stats = solve_with_stats(g, weights)
     if dump:
         _dump_reduction(stats.reduction, weights, dump)
@@ -209,9 +209,7 @@ def _shape_problems(g: Graph, claimed: object) -> list[str]:
     return out
 
 
-def _content_problems(
-    g: Graph, weights: VertexWeights | None, claimed: dict
-) -> list[str]:
+def _content_problems(g: Graph, weights: VertexWeights, claimed: dict) -> list[str]:
     """Semantic complaints: the document is well-shaped but wrong."""
     out = []
     tails = []
@@ -240,10 +238,7 @@ def _content_problems(
         if missing:
             parts.append(f"missing: {missing}")
         out.append("light set disagrees with the orientation (" + "; ".join(parts) + ")")
-    if weights is None:
-        objective: int | Fraction = len(light)
-    else:
-        objective = weights.as_value(sum(weights.unit(v) for v in light))
+    objective = weights.as_value(sum(weights.unit(v) for v in light))
     if claimed["objective"] != objective:
         out.append(
             f"objective {_num(claimed['objective'])} disagrees with the recomputed "
@@ -259,7 +254,7 @@ def _content_problems(
 
 def cmd_verify(args: argparse.Namespace) -> int:
     g = parse_graph(_read(args.graph))
-    weights = parse_weights(_read(args.weights), g.n) if args.weights else None
+    weights = parse_weights(_read(args.weights), g.n) if args.weights else VertexWeights.ones(g.n)
     try:
         claimed = json.loads(_read(args.solution), parse_float=_exact)
     except RecursionError:
@@ -359,7 +354,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
         pairs = n * (n - 1) // 2
         p = min(1.0, m_target / pairs)
         g = random_graph(n, p, args.seed + i)
-        weights = None
+        weights = VertexWeights.ones(n)
         if args.weights_max is not None:
             # the costs gen draws for a graph generated from the same seed
             weights = random_weights(n, args.weights_max, args.seed + i + 1)

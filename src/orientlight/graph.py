@@ -163,12 +163,20 @@ class VertexWeights:
 
     def as_value(self, units: int) -> int | Fraction:
         """Converts a unit total back to an exact number (int when whole)."""
-        f = Fraction(units, self.scale)
-        return int(f) if f.denominator == 1 else f
+        whole, rest = divmod(units, self.scale)
+        return Fraction(units, self.scale) if rest else whole
 
     @classmethod
     def ones(cls, n: int) -> "VertexWeights":
-        return cls((1,) * n, 1)
+        return _valid_weights((1,) * n, 1)
+
+
+def _valid_weights(units: tuple[int, ...], scale: int) -> VertexWeights:
+    """VertexWeights(units, scale) unchecked, for units and scale valid by construction."""
+    w = object.__new__(VertexWeights)
+    object.__setattr__(w, "units", units)
+    object.__setattr__(w, "scale", scale)
+    return w
 
 
 def _pairs(text: str) -> list[str] | None:
@@ -308,7 +316,7 @@ def parse_weights(text: str, n: int) -> VertexWeights:
     by_label = dict(zip(labels, [c * 10 ** (e + places) for c, e in terms]))
     if labels and (min(labels) < 1 or max(labels) > n or len(by_label) != len(labels)):
         raise _weights_fault(text, n)
-    return VertexWeights(tuple(map(by_label.get, range(1, n + 1), repeat(scale))), scale)
+    return _valid_weights(tuple(map(by_label.get, range(1, n + 1), repeat(scale))), scale)
 
 
 def _cost_terms(costs: list[str], labels: list[int]) -> list[tuple[int, int]]:

@@ -260,10 +260,6 @@ def max_weight_matching(g: Graph, edge_weights) -> Matching:
             raise ValueError(f"edge weight {w!r} at id {e} is not an integer")
         if w < 0:
             raise ValueError(f"negative edge weight at id {e}")
-    if m == 0:
-        # the flow kernel often leaves no core; the set-up below would
-        # cost such a solve about a tenth of its time
-        return Matching.empty(g)
 
     # doubled weights, and doubled vertex duals starting at each vertex's
     # heaviest incident edge: all even, every edge covered.  adj[v] holds

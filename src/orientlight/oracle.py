@@ -98,9 +98,11 @@ def brute_force_min_light(
     m = g.m
     if m > budget.max_edges:
         raise BudgetExceededError(f"{m} edges exceeds the oracle cap of {budget.max_edges}")
-    if weights is not None and len(weights) != g.n:
+    if weights is None:
+        weights = VertexWeights.ones(g.n)
+    elif len(weights) != g.n:
         raise ValueError(f"weights cover {len(weights)} vertices, graph has {g.n}")
-    units = weights.units if weights is not None else (1,) * g.n
+    units = weights.units
     # each vertex with an edge, and its edges as (column, whether the
     # edge leaves it on the column): edge e is column j = m-1-e, the
     # 2^m-bit mask whose bit k is bit j of k, and a 0 there orients e
@@ -167,9 +169,7 @@ def brute_force_min_light(
     for e, (u, w) in enumerate(g.edges):
         bit = (best >> (m - 1 - e)) & 1
         tails.append(u if bit == 0 else w)
-    value = constant + total
-    objective = weights.as_value(value) if weights is not None else value
-    return objective, Orientation(tuple(tails))
+    return weights.as_value(constant + total), Orientation(tuple(tails))
 
 
 def brute_force_max_matching(
@@ -179,19 +179,20 @@ def brute_force_max_matching(
 ) -> Matching:
     """Exact optimum matching by enumerating independent edge subsets.
 
-    Maximizes total weight when edge_weights is given, cardinality
-    otherwise.  Shares no algorithmic code with the matching module.
+    Maximizes total weight; without edge_weights every edge weighs 1.
+    Shares no algorithmic code with the matching module.
     """
     budget = budget if budget is not None else OracleBudget.from_env()
     if g.m > budget.max_matching_edges:
         raise BudgetExceededError(
             f"{g.m} edges exceeds the matching oracle cap of {budget.max_matching_edges}"
         )
-    if edge_weights is not None:
-        if len(edge_weights) != g.m:
-            raise ValueError(f"{len(edge_weights)} weights for {g.m} edges")
-        if any(w < 0 for w in edge_weights):
-            raise ValueError("negative edge weight")
+    if edge_weights is None:
+        edge_weights = (1,) * g.m
+    if len(edge_weights) != g.m:
+        raise ValueError(f"{len(edge_weights)} weights for {g.m} edges")
+    if any(w < 0 for w in edge_weights):
+        raise ValueError("negative edge weight")
     best_value = -1
     best_ids: tuple[int, ...] = ()
     used = bytearray(g.n)
@@ -209,7 +210,7 @@ def brute_force_max_matching(
         if not used[u] and not used[v]:
             used[u] = used[v] = 1
             chosen.append(e)
-            explore(e + 1, value + (edge_weights[e] if edge_weights is not None else 1))
+            explore(e + 1, value + edge_weights[e])
             chosen.pop()
             used[u] = used[v] = 0
 

@@ -37,7 +37,7 @@ class ReducedGraph:
 
     The kernel is one flow.  Give every input vertex a target: 2, or 0
     when its degree is below 2 (it is light whatever happens) or its
-    cost is 0 in weighted mode (its status costs nothing either way).
+    cost is 0 (its status costs nothing either way).
     For any orientation let R be the vertices with a directed path to a
     vertex below its target.  No edge enters R, since its tail would
     have such a path too, so every vertex outside R meets its target
@@ -168,10 +168,10 @@ def build_gprime(g: Graph, weights: VertexWeights | None = None) -> ReducedGraph
     degree d and demand b, the paper's count wherever d <= b + 1.  Every
     gadget holds d - 1 + [heavy] matched edges of a normalized matching,
     heavy meaning core out-degree at least the demand, so the core's
-    light count is 2m - |M| and its light cost Q - w(M) with
-    Q = sum(d(v) c_v).  With weights given, every edge owned by core
-    vertex v (its gadget edges and its side connecting edges) carries
-    v's cost in integer units; without weights every edge weighs 1.
+    light cost is Q - w(M) with Q = sum(d(v) c_v), which is 2m - |M| at
+    unit costs.  Every edge owned by core vertex v (its gadget edges and
+    its side connecting edges) carries v's cost in integer units, and
+    without weights every vertex costs 1.
     """
     n = g.n
     if weights is not None and len(weights) != n:

@@ -5,13 +5,13 @@ graph (build_gprime: one flow that settles every vertex with no
 directed path to a vertex left short of its target and keeps the
 others as the core), compute one maximum matching, read the core
 orientation back off the matching, and map it onto the input edges
-next to the tails the kernel fixed.  The matching value yields a
-certificate: on the core the optimal light count is 2m - |M|
-(unweighted) or Q - w(M) (weighted), and the vertices of degree below
-2 contribute the offset.  The kernel is sound because some optimal
-orientation agrees with every tail it fixes (see ReducedGraph).  Both
-identities are recounted on the final orientation; a mismatch, such as
-a costly vertex the kernel settled light, raises an internal error.
+next to the tails the kernel fixed.  Without costs every vertex costs
+1.  On the core the optimal light cost is Q - w(M) (2m - |M| at unit
+costs), and the vertices of degree below 2 contribute the offset.  The
+kernel is sound because some optimal orientation agrees with every
+tail it fixes (see ReducedGraph).  Both identities are recounted on
+the final orientation; a mismatch, such as a costly vertex the kernel
+settled light, raises an internal error.
 """
 
 from __future__ import annotations
@@ -46,15 +46,15 @@ __all__ = [
 class Certificate:
     """Optimality certificate: objective = constant - matching_value + offset.
 
-    constant is 2m (unweighted) or Q = sum(d(v) c_v) (weighted) over the
-    core build_gprime leaves, the weight of the gadget's connecting
-    edges, and constant - matching_value is the core's optimal light
-    total.  offset is the count (or cost) of the input vertices of
-    degree below 2, light in every orientation; every other vertex
-    outside the core gets out-degree 2 from the kernel or costs nothing.
-    It is never negative.  The sum is the optimum of the input because
-    the kernel is sound: some optimal orientation agrees with every tail
-    it fixes (ReducedGraph gives the argument).
+    constant is always Q = sum(d(v) c_v) over the core build_gprime
+    leaves, the weight of the gadget's connecting edges, which is 2m at
+    unit costs; constant - matching_value is the core's optimal light
+    total.  offset is the cost of the input vertices of degree below 2,
+    light in every orientation; every other vertex outside the core gets
+    out-degree 2 from the kernel or costs nothing.  It is never negative.
+    The sum is the optimum of the input because the kernel is sound:
+    some optimal orientation agrees with every tail it fixes
+    (ReducedGraph gives the argument).
     """
 
     matching_value: int | Fraction
@@ -154,7 +154,7 @@ def normalize_gadget_matching(r: ReducedGraph, m: Matching, v: int) -> Matching:
     maximum matching's always is; otherwise v's gadget and parity edges
     are swapped for _gadget_fill's, which keeps every side edge.
     Requires a maximal matching.  With every gadget normalized, the
-    matching's size (or weight) is 2m (or Q) minus the core's light
+    matching's weight is Q (2m at unit costs) minus the core's light
     total; the vertices the kernel removed are already settled, since
     the tails it fixed never hurt a core vertex and their own status was
     fixed when removed.
@@ -215,9 +215,8 @@ def recover_orientation(r: ReducedGraph, m: Matching) -> Orientation:
 def solve_min_light(g: Graph, weights: VertexWeights | None = None) -> Solution:
     """Minimum number (or cost) of vertices with out-degree at most 1.
 
-    Unweighted when weights is None; otherwise minimizes the total cost
-    of the light vertices.  Negative costs are rejected: that variant is
-    NP-hard and out of scope.
+    Without weights every vertex costs 1.  Negative costs are rejected:
+    that variant is NP-hard and out of scope.
     """
     return solve_with_stats(g, weights)[0]
 
@@ -226,20 +225,20 @@ def solve_with_stats(
     g: Graph, weights: VertexWeights | None = None
 ) -> tuple[Solution, SolveStats]:
     """solve_min_light plus instance sizes and per-phase timings."""
-    weighted = weights is not None
-    # without weights every vertex costs one unit and a unit total is its value
-    units, as_value = (weights.units, weights.as_value) if weighted else ((1,) * g.n, int)
+    if weights is None:
+        weights = VertexWeights.ones(g.n)
+    units, as_value = weights.units, weights.as_value
 
     t0 = perf_counter()
     r = build_gprime(g, weights)
     t1 = perf_counter()
 
-    if weighted:
-        matching = max_weight_matching(r.gprime, r.edge_weights)
-        matching_units = matching.weight_units(r.edge_weights)
-    else:
+    # with every gadget edge of one weight a maximum matching has maximum weight
+    if len(set(r.edge_weights)) < 2:
         matching = max_cardinality_matching(r.gprime)
-        matching_units = matching.size
+    else:
+        matching = max_weight_matching(r.gprime, r.edge_weights)
+    matching_units = matching.weight_units(r.edge_weights)
     t2 = perf_counter()
 
     # map the core orientation onto the input edges next to the kernel's tails

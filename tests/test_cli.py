@@ -191,6 +191,25 @@ class TestSolve:
             "weight_scale": 100,
         }
 
+    def test_unit_cost_file_solves_as_no_cost_file(self, capsys, tmp_path):
+        # the golden test's graph, whose core is K4: every output, the text,
+        # the JSON and both dump files, is the same as with no cost file
+        g = tmp_path / "g.graph"
+        g.write_text("6 7\n1 2\n1 3\n1 4\n2 3\n2 4\n3 4\n4 5\n")
+        w = tmp_path / "w.txt"
+        w.write_text("".join(f"{v} 1\n" for v in range(1, 7)))
+        outputs = []
+        for costs in ([], ["--weights", w]):
+            dump = tmp_path / f"dump{len(costs)}.graph"
+            rc, text, _ = run(capsys, "solve", g, *costs, "--dump-reduction", dump)
+            assert rc == 0
+            rc, doc, _ = run(capsys, "solve", g, *costs, "--json")
+            assert rc == 0
+            sidecar = (tmp_path / f"dump{len(costs)}.graph.json").read_text()
+            outputs.append((text, doc, dump.read_text(), sidecar))
+        assert outputs[0] == outputs[1]
+        assert outputs[0][0].startswith("objective: 3\n")
+
     @pytest.mark.parametrize("clash", ["g", "w"])
     @pytest.mark.parametrize("suffix", ["", ".json"])
     def test_dump_reduction_refuses_to_overwrite_its_input(self, capsys, tmp_path, clash, suffix):

@@ -229,7 +229,13 @@ class TestVertexWeights:
         assert w.as_value(3) == Fraction(3, 10)
 
     def test_ones(self):
-        assert VertexWeights.ones(3).units == (1, 1, 1)
+        assert VertexWeights.ones(3) == VertexWeights((1, 1, 1), 1)
+        assert VertexWeights.ones(0) == VertexWeights((), 1)
+
+    def test_as_value_builds_no_fraction_when_whole(self, monkeypatch):
+        monkeypatch.setattr("orientlight.graph.Fraction", None)
+        assert VertexWeights.ones(2).as_value(7) == 7
+        assert VertexWeights((150,), 100).as_value(300) == 3
 
 
 class TestParseWeights:

@@ -13,7 +13,7 @@ import tracemalloc
 import pytest
 
 import parse_reference as ref
-from orientlight.graph import MAX_VERTICES, parse_graph, parse_weights
+from orientlight.graph import MAX_VERTICES, VertexWeights, parse_graph, parse_weights
 
 # tokens int() reads in odd forms, tokens it refuses, and the ';' the
 # bulk reader joins lines with
@@ -47,7 +47,12 @@ def agree_graph(text):
 
 
 def agree_weights(text, n):
-    return agree(parse_weights, ref.parse_weights, text, n)
+    result = agree(parse_weights, ref.parse_weights, text, n)
+    if result == "ok":
+        # parse_weights builds its record unchecked; the checked one is equal
+        w = parse_weights(text, n)
+        assert w == VertexWeights(w.units, w.scale), text
+    return result
 
 
 def random_edges(rng, n, m):

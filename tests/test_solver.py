@@ -501,11 +501,35 @@ class TestSolveProperties:
         assert sol.objective == 9
 
     def test_all_ones_matches_unweighted(self):
+        # unweighted is every cost 1, and any uniform cost c scales the
+        # unweighted solution by c without changing its orientation
         for seed in range(12):
             g = random_graph(8, 0.4, seed)
             plain = solve_min_light(g)
-            ones = solve_min_light(g, VertexWeights.ones(g.n))
-            assert plain.objective == ones.objective
+            assert solve_min_light(g, VertexWeights.ones(g.n)) == plain
+            threes = solve_min_light(g, VertexWeights((3,) * g.n))
+            assert threes.orientation == plain.orientation
+            assert threes.light_set == plain.light_set
+            assert threes.objective == 3 * plain.objective
+            c = plain.certificate
+            assert threes.certificate == Certificate(
+                3 * c.matching_value, 3 * c.constant, 3 * c.offset
+            )
+
+    def test_equal_costs_never_reach_the_weighted_engine(self, monkeypatch):
+        class Reached(Exception):
+            pass
+
+        def refuse(gp, weights):
+            raise Reached
+
+        monkeypatch.setattr(solver, "max_weight_matching", refuse)
+        g = wheel_graph(6)
+        sol, stats = solve_with_stats(g, VertexWeights((5,) * g.n))
+        assert stats.core_vertices == g.n
+        assert sol.objective == 5 * solve_min_light(g).objective
+        with pytest.raises(Reached):
+            solve_min_light(g, VertexWeights(tuple(range(1, g.n + 1))))
 
     def test_scale_invariance(self):
         for seed in range(8):
