@@ -41,8 +41,11 @@ __all__ = ["main"]
 
 
 def _read(path: str) -> str:
-    with open(path, encoding="utf-8") as f:
-        return f.read()
+    """The file's text, decoded as UTF-8.  Newlines are not translated:
+    every reader splits lines with str.splitlines, str.split or JSON's
+    whitespace, which all take CRLF and a lone CR as a line break."""
+    with open(path, "rb") as f:
+        return f.read().decode("utf-8")
 
 
 def _write_all(files: list[tuple[str, str]]) -> None:
@@ -100,9 +103,8 @@ def _solution_to_json(g: Graph, sol: Solution) -> str:
     """The solution document, one line per top-level key, numbers as
     exact decimals."""
     cert = sol.certificate
-    orientation = [
-        [sol.orientation.tails[e] + 1, sol.orientation.head(g, e) + 1] for e in range(g.m)
-    ]
+    # the head of edge (u, v) with tail t is u + v - t
+    orientation = [[t + 1, u + v - t + 1] for (u, v), t in zip(g.edges, sol.orientation.tails)]
     return (
         f'{{\n  "objective": {_num(sol.objective)},\n'
         f'  "light": {json.dumps(sorted(v + 1 for v in sol.light_set))},\n'
@@ -161,74 +163,66 @@ def cmd_solve(args: argparse.Namespace) -> int:
         print(_solution_to_json(g, sol))
         return 0
     cert = sol.certificate
-    print(f"objective: {_num(sol.objective)}")
-    print("light:", " ".join(str(v + 1) for v in sorted(sol.light_set)))
-    print(
+    lines = [
+        f"objective: {_num(sol.objective)}",
+        "light: " + " ".join(str(v + 1) for v in sorted(sol.light_set)),
         f"certificate: matching_value={_num(cert.matching_value)} "
-        f"constant={_num(cert.constant)} offset={_num(cert.offset)}"
-    )
-    for e in range(g.m):
-        print(f"{sol.orientation.tails[e] + 1} -> {sol.orientation.head(g, e) + 1}")
+        f"constant={_num(cert.constant)} offset={_num(cert.offset)}",
+    ]
+    lines += (f"{t + 1} -> {u + v - t + 1}" for (u, v), t in zip(g.edges, sol.orientation.tails))
+    print("\n".join(lines))
     return 0
 
 
-def _shape_problems(g: Graph, claimed: object) -> list[str]:
-    """Structural complaints about a claimed solution document."""
-    out = []
+def _document_problems(g: Graph, weights: VertexWeights, claimed: object) -> list[str]:
+    """What is wrong with a claimed solution document.  Shape problems
+    (a missing key, a value of the wrong type) come first; only a
+    well-shaped document is checked against the instance, and the first
+    orientation entry that does not name its edge's endpoints stops
+    that check.  Values come from json.loads, so `type(x) is int` is an
+    integer that is not a boolean."""
     if not isinstance(claimed, dict):
         return ["solution must be a JSON object"]
-    for key in ("objective", "light", "orientation", "certificate"):
-        if key not in claimed:
-            out.append(f"missing key {key!r}")
+    keys = ("objective", "light", "orientation", "certificate")
+    out = [f"missing key {key!r}" for key in keys if key not in claimed]
     if out:
         return out
     if not _is_number(claimed["objective"]):
         out.append("objective must be a finite number")
     light = claimed["light"]
-    if not isinstance(light, list) or not all(
-        isinstance(v, int) and not isinstance(v, bool) for v in light
-    ):
+    if not isinstance(light, list) or not all(type(v) is int for v in light):
         out.append("light must be a list of integers")
     ori = claimed["orientation"]
+    tails, stray = [], None
     if not isinstance(ori, list) or len(ori) != g.m:
         out.append(f"orientation must list all {g.m} edges")
     else:
-        for e, pair in enumerate(ori):
-            if (
-                not isinstance(pair, list)
-                or len(pair) != 2
-                or not all(isinstance(x, int) and not isinstance(x, bool) for x in pair)
-            ):
+        for e, (uv, pair) in enumerate(zip(g.edges, ori)):
+            if not isinstance(pair, list) or list(map(type, pair)) != [int, int]:
                 out.append(f"orientation entry {e} must be a [tail, head] pair")
                 break
+            a, b = pair
+            if stray is None and (a - 1, b - 1) != uv and (b - 1, a - 1) != uv:
+                stray = (
+                    f"orientation entry {e} is [{a}, {b}], expected the endpoints "
+                    f"of edge {uv[0] + 1} {uv[1] + 1}"
+                )
+            tails.append(a - 1)
     cert = claimed["certificate"]
     if not isinstance(cert, dict) or not all(
         k in cert and _is_number(cert[k]) for k in ("matching_value", "constant", "offset")
     ):
         out.append("certificate must carry finite numeric matching_value, constant, offset")
-    return out
-
-
-def _content_problems(g: Graph, weights: VertexWeights, claimed: dict) -> list[str]:
-    """Semantic complaints: the document is well-shaped but wrong."""
-    out = []
-    tails = []
-    for e, (u, v) in enumerate(g.edges):
-        a, b = claimed["orientation"][e]
-        if {a, b} != {u + 1, v + 1}:
-            out.append(
-                f"orientation entry {e} is [{a}, {b}], expected the endpoints "
-                f"of edge {u + 1} {v + 1}"
-            )
-            return out
-        tails.append(a - 1)
-    o = Orientation(tuple(tails))
-    light = light_vertices(g, o)
-    claimed_light = set(claimed["light"])
-    if len(claimed_light) != len(claimed["light"]):
-        twice = sorted(v for v, c in Counter(claimed["light"]).items() if c > 1)
+    if out:
+        return out
+    if stray:
+        return [stray]
+    claimed_light = set(light)
+    if len(claimed_light) != len(light):
+        twice = sorted(v for v, c in Counter(light).items() if c > 1)
         out.append(f"light names a vertex more than once: {twice}")
-    actual_light = {v + 1 for v in light}
+    recount = light_vertices(g, Orientation(tuple(tails)))
+    actual_light = {v + 1 for v in recount}
     if claimed_light != actual_light:
         extra = sorted(claimed_light - actual_light)
         missing = sorted(actual_light - claimed_light)
@@ -238,13 +232,12 @@ def _content_problems(g: Graph, weights: VertexWeights, claimed: dict) -> list[s
         if missing:
             parts.append(f"missing: {missing}")
         out.append("light set disagrees with the orientation (" + "; ".join(parts) + ")")
-    objective = weights.as_value(sum(weights.unit(v) for v in light))
+    objective = weights.as_value(sum(weights.unit(v) for v in recount))
     if claimed["objective"] != objective:
         out.append(
             f"objective {_num(claimed['objective'])} disagrees with the recomputed "
             f"value {_num(objective)}"
         )
-    cert = claimed["certificate"]
     if claimed["objective"] != cert["constant"] - cert["matching_value"] + cert["offset"]:
         out.append(
             "certificate identity fails: objective != constant - matching_value + offset"
@@ -259,9 +252,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         claimed = json.loads(_read(args.solution), parse_float=_exact)
     except RecursionError:
         raise ValueError(f"{args.solution}: solution JSON is nested too deeply") from None
-    problems = _shape_problems(g, claimed)
-    if not problems:
-        problems = _content_problems(g, weights, claimed)
+    problems = _document_problems(g, weights, claimed)
     if problems:
         for p in problems:
             print(f"verify: FAIL: {p}")

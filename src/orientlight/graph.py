@@ -114,9 +114,6 @@ class Orientation:
 
     tails: tuple[int, ...]
 
-    def head(self, g: Graph, e: int) -> int:
-        return g.other_end(e, self.tails[e])
-
 
 def check_orientation(g: Graph, o: Orientation) -> None:
     """Raises ValueError unless o assigns a valid tail to every edge of g."""

@@ -55,6 +55,15 @@ class TestSolve:
         assert "certificate:" in out
         assert out.count("->") == 3
 
+    def test_human_output_of_an_edgeless_graph(self, capsys, tmp_path):
+        g = tmp_path / "g.txt"
+        g.write_text("3 0\n")
+        assert run(capsys, "solve", g) == (
+            0,
+            "objective: 3\nlight: 1 2 3\ncertificate: matching_value=0 constant=0 offset=3\n",
+            "",
+        )
+
     def test_weighted(self, capsys, tmp_path, k3_file):
         w = tmp_path / "w.txt"
         w.write_text("1 5\n2 1\n3 1\n")
@@ -106,6 +115,16 @@ class TestSolve:
         rc, _, err = run(capsys, "solve", tmp_path / "nope.graph")
         assert rc == 2
         assert "error:" in err
+
+    def test_invalid_utf8_is_usage_error(self, capsys, tmp_path, k3_file):
+        bad = tmp_path / "bad.graph"
+        bad.write_bytes(b"3 3\n1 \xff\n")
+        sol = tmp_path / "sol.json"
+        sol.write_text("{}")
+        for argv in (["solve", bad], ["solve", bad, "--json"], ["verify", bad, sol]):
+            rc, out, err = run(capsys, *argv)
+            assert (rc, out) == (2, "")
+            assert err.startswith("error: ") and "utf-8" in err
 
     def test_negative_weights_rejected(self, capsys, tmp_path, k3_file):
         w = tmp_path / "w.txt"
@@ -561,6 +580,47 @@ class TestVerify:
         rc, out, err = run(capsys, "verify", k3_file, sol, "--no-oracle")
         assert (rc, err) == (1, "")
         assert f"verify: FAIL: {problem}\n" in out
+
+    @pytest.mark.parametrize(
+        "changes, problem",
+        [
+            (
+                {"orientation": [[1, 3], [2, 3], [3]]},
+                "orientation entry 2 must be a [tail, head] pair",
+            ),
+            (
+                {"objective": "3", "orientation": [[1, 3], [2, 3], [3, 1]]},
+                "objective must be a finite number",
+            ),
+        ],
+        ids=["short-pair", "string-objective"],
+    )
+    def test_shape_problems_hide_a_stray_pair(self, capsys, tmp_path, k3_file, changes, problem):
+        # entry 0, [1, 3], is not the endpoints of edge 1 2, but a shape
+        # problem anywhere in the document is all that verify reports
+        sol = self.write_solution(tmp_path, {**self.cyclic_suboptimal(), **changes})
+        rc, out, err = run(capsys, "verify", k3_file, sol, "--no-oracle")
+        assert (rc, out, err) == (1, f"verify: FAIL: {problem}\n", "")
+
+    def test_crlf_files_read_as_their_lf_twins(self, capsys, tmp_path):
+        texts = {
+            "g.txt": "5 7\n1 2\n1 3\n1 4\n2 3\n2 4\n3 4\n4 5\n",
+            "w.txt": "1 0.5\n2 1.25\n3 2\n4 1\n5 3\n",
+        }
+        outs = []
+        for newline in ("\n", "\r\n"):
+            d = tmp_path / repr(newline)
+            d.mkdir()
+            for name, text in texts.items():
+                (d / name).write_bytes(text.replace("\n", newline).encode())
+            g, w = d / "g.txt", d / "w.txt"
+            rc, out, err = run(capsys, "solve", g, "--weights", w, "--json")
+            assert (rc, err) == (0, "")
+            outs.append(out)
+            sol = d / "sol.json"
+            sol.write_bytes(out.replace("\n", newline).encode())
+            assert run(capsys, "verify", g, sol, "--weights", w) == (0, "verify: OK\n", "")
+        assert outs[0] == outs[1]
 
     def test_rejects_missing_keys(self, capsys, tmp_path, k3_file):
         sol = self.write_solution(tmp_path, {"objective": 2})

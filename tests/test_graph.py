@@ -140,11 +140,6 @@ class TestOrientation:
         with pytest.raises(ValueError, match="covers"):
             check_orientation(k3, Orientation((0, 1)))
 
-    def test_head_is_other_endpoint(self, k3):
-        o = Orientation((0, 0, 1))
-        for e in range(k3.m):
-            assert {o.tails[e], o.head(k3, e)} == set(k3.edges[e])
-
 
 class TestOutDegree:
     def test_cyclic_triangle(self, k3):
