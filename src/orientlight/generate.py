@@ -7,7 +7,7 @@ graph on every platform and Python version.
 
 from __future__ import annotations
 
-from .graph import Graph, Orientation, VertexWeights
+from .graph import MAX_VERTICES, Graph, Orientation, VertexWeights
 
 __all__ = ["SplitMix64", "random_graph", "random_orientation", "random_weights"]
 
@@ -51,6 +51,9 @@ def random_graph(n: int, p: float, seed: int) -> Graph:
     """
     if n < 1:
         raise ValueError("n must be at least 1")
+    if n > MAX_VERTICES:
+        # checked before the Theta(n^2) draw, with parse_graph's words
+        raise ValueError(f"{n} vertices exceed the limit of {MAX_VERTICES}")
     if not 0.0 <= p <= 1.0:
         raise ValueError("edge probability must lie in [0, 1]")
     threshold = int(p * (_U64 + 1))

@@ -18,7 +18,6 @@ __all__ = [
     "Graph",
     "Orientation",
     "VertexWeights",
-    "check_orientation",
     "light_cost",
     "light_vertices",
     "out_degree",
@@ -49,11 +48,17 @@ class Graph:
     edges: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
+        # exact integers only, as in VertexWeights: a float or a bool
+        # would build here and fail deep inside a solve
+        if type(self.n) is not int:
+            raise ValueError(f"vertex count {self.n!r} is not an integer")
         if self.n < 0:
             raise ValueError("vertex count must be nonnegative")
         seen = set()
         norm = []
         for u, v in self.edges:
+            if type(u) is not int or type(v) is not int:
+                raise ValueError(f"edge ({u!r}, {v!r}) has an endpoint that is not an integer")
             if not (0 <= u < self.n and 0 <= v < self.n):
                 raise ValueError(f"edge ({u}, {v}) has an endpoint outside 0..{self.n - 1}")
             if u == v:
@@ -113,16 +118,6 @@ class Orientation:
     """Per-edge direction choice: tails[e] is the endpoint edge e leaves."""
 
     tails: tuple[int, ...]
-
-
-def check_orientation(g: Graph, o: Orientation) -> None:
-    """Raises ValueError unless o assigns a valid tail to every edge of g."""
-    if len(o.tails) != g.m:
-        raise ValueError(f"orientation covers {len(o.tails)} edges, graph has {g.m}")
-    for e, t in enumerate(o.tails):
-        u, v = g.edges[e]
-        if t != u and t != v:
-            raise ValueError(f"tail {t} of edge {e} is not one of its endpoints ({u}, {v})")
 
 
 @record
@@ -400,9 +395,9 @@ def light_vertices(g: Graph, o: Orientation) -> frozenset[int]:
     """Vertices with out-degree at most 1.
 
     One O(n + m) pass over o.tails counts every vertex's out-degree and
-    checks each tail on the way.  Raises ValueError, as check_orientation
-    does, when o covers a different number of edges than g or a tail is
-    not an endpoint of its edge.
+    checks each tail on the way.  Raises ValueError when o covers a
+    different number of edges than g or a tail is not an endpoint of
+    its edge; this is the one validity check of an orientation.
     """
     tails, edges = o.tails, g.edges
     if len(tails) != len(edges):

@@ -256,7 +256,7 @@ def max_weight_matching(g: Graph, edge_weights) -> Matching:
     if len(edge_weights) != m:
         raise ValueError(f"{len(edge_weights)} weights for {m} edges")
     for e, w in enumerate(edge_weights):
-        if not isinstance(w, int):
+        if type(w) is not int:  # a bool would pass as the int 0 or 1
             raise ValueError(f"edge weight {w!r} at id {e} is not an integer")
         if w < 0:
             raise ValueError(f"negative edge weight at id {e}")

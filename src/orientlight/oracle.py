@@ -2,7 +2,7 @@
 
 Both oracles enumerate the full search space outright (every orientation
 or every independent edge subset); there is no pruning, which is the
-point: their correctness is plain to see.  Budgets cap the instance
+point: their correctness is plain to see.  Edge caps bound the instance
 size and overshooting one is an explicit error, never a silent skip.
 
 The orientation oracle sweeps all 2^m orientations at once on Python
@@ -19,13 +19,11 @@ from __future__ import annotations
 import os
 from fractions import Fraction
 
-from ._record import record
 from .graph import Graph, Orientation, VertexWeights
 from .matching import Matching
 
 __all__ = [
     "BudgetExceededError",
-    "OracleBudget",
     "brute_force_max_matching",
     "brute_force_min_light",
 ]
@@ -41,50 +39,39 @@ class BudgetExceededError(RuntimeError):
     """The instance is too large for exhaustive enumeration."""
 
 
-@record
-class OracleBudget:
-    """Caps for the two enumerations.
+def _edge_cap(max_edges: int | None) -> int:
+    """The orientation sweep's edge cap: max_edges, else the environment's, else 20.
 
-    max_edges bounds the 2^m orientation sweep, max_matching_edges the
-    edge-subset sweep.  The ORIENT_LIGHT_ORACLE_BUDGET environment
-    variable, one integer, overrides max_edges.  max_edges may not
-    exceed 24: the sweep's memory doubles with each edge, and at 24 it
-    is already about 100 MB.
+    ORIENT_LIGHT_ORACLE_BUDGET holds one integer.  The cap must be
+    positive and at most 24: the sweep's memory doubles with each edge,
+    and at 24 it is already about 100 MB.
     """
-
-    max_edges: int = 20
-    max_matching_edges: int = 18
-
-    def __post_init__(self) -> None:
-        if self.max_edges < 1 or self.max_matching_edges < 1:
-            raise ValueError("budget caps must be positive")
-        if self.max_edges > _MAX_EDGES_CEILING:
-            raise ValueError(
-                f"max_edges {self.max_edges} exceeds the orientation oracle's "
-                f"limit of {_MAX_EDGES_CEILING} edges"
-            )
-
-    @classmethod
-    def from_env(cls) -> "OracleBudget":
+    prefix = ""
+    if max_edges is None:
         raw = os.environ.get(_ENV_VAR, "").strip()
         if not raw:
-            return cls()
+            return 20
         try:
-            cap = int(raw)
+            max_edges = int(raw)
         except ValueError:
             raise ValueError(
                 f"{_ENV_VAR} must be one integer, the orientation oracle's edge cap, got {raw!r}"
             ) from None
-        try:
-            return cls(cap)
-        except ValueError as ex:
-            raise ValueError(f"{_ENV_VAR}={raw}: {ex}") from None
+        prefix = f"{_ENV_VAR}={raw}: "
+    if max_edges < 1:
+        raise ValueError(f"{prefix}budget caps must be positive")
+    if max_edges > _MAX_EDGES_CEILING:
+        raise ValueError(
+            f"{prefix}max_edges {max_edges} exceeds the orientation oracle's "
+            f"limit of {_MAX_EDGES_CEILING} edges"
+        )
+    return max_edges
 
 
 def brute_force_min_light(
     g: Graph,
     weights: VertexWeights | None = None,
-    budget: OracleBudget | None = None,
+    max_edges: int | None = None,
 ) -> tuple[int | Fraction, Orientation]:
     """Exact minimum light count (or cost) over all 2^m orientations, with a witness.
 
@@ -92,12 +79,13 @@ def brute_force_min_light(
     endpoint to its higher one when bit m-1-e of k is 0.  Ties go to the
     smallest such k: the first minimum in lexicographic direction order,
     where edge 0 is the most significant position and lower-to-higher
-    precedes higher-to-lower.
+    precedes higher-to-lower.  Graphs with more than max_edges edges
+    are refused (_edge_cap gives the default).
     """
-    budget = budget if budget is not None else OracleBudget.from_env()
+    cap = _edge_cap(max_edges)
     m = g.m
-    if m > budget.max_edges:
-        raise BudgetExceededError(f"{m} edges exceeds the oracle cap of {budget.max_edges}")
+    if m > cap:
+        raise BudgetExceededError(f"{m} edges exceeds the oracle cap of {cap}")
     if weights is None:
         weights = VertexWeights.ones(g.n)
     elif len(weights) != g.n:
@@ -175,18 +163,16 @@ def brute_force_min_light(
 def brute_force_max_matching(
     g: Graph,
     edge_weights=None,
-    budget: OracleBudget | None = None,
+    max_edges: int = 18,
 ) -> Matching:
     """Exact optimum matching by enumerating independent edge subsets.
 
     Maximizes total weight; without edge_weights every edge weighs 1.
-    Shares no algorithmic code with the matching module.
+    Graphs with more than max_edges edges are refused.  Shares no
+    algorithmic code with the matching module.
     """
-    budget = budget if budget is not None else OracleBudget.from_env()
-    if g.m > budget.max_matching_edges:
-        raise BudgetExceededError(
-            f"{g.m} edges exceeds the matching oracle cap of {budget.max_matching_edges}"
-        )
+    if g.m > max_edges:
+        raise BudgetExceededError(f"{g.m} edges exceeds the matching oracle cap of {max_edges}")
     if edge_weights is None:
         edge_weights = (1,) * g.m
     if len(edge_weights) != g.m:

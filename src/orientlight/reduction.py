@@ -29,11 +29,12 @@ class ReducedGraph:
     core_edge_to_input[f] the input edge of core edge f, both ascending,
     so core edges keep their input order.  demand[c] is 1 or 2: the
     out-degree core vertex c needs inside the core to have out-degree at
-    least 2 in the input.  peeled_tails[e] is the tail the kernel fixed
-    for input edge e, or -1 when e is a core edge.  Outside the core
-    peeled_tails alone fixes every vertex's status: a vertex of degree
-    below 2 is light, a zero-cost vertex may be light at no cost, and
-    every other vertex has out-degree at least 2.
+    least 2 in the input.  flow_tails[e] is the flow's tail of input
+    edge e, a core edge included; the solver replaces the core edges'
+    tails with the matching's.  Outside the core the tails of the other
+    edges alone fix every vertex's status: a vertex of degree below 2
+    is light, a zero-cost vertex may be light at no cost, and every
+    other vertex has out-degree at least 2.
 
     The kernel is one flow.  Give every input vertex a target: 2, or 0
     when its degree is below 2 (it is light whatever happens) or its
@@ -62,8 +63,8 @@ class ReducedGraph:
     it the gadget, is small or empty.
 
     Altogether some optimal orientation of the input agrees with every
-    tail in peeled_tails, and its light total is the count (or cost) of
-    the vertices of degree below 2 plus an optimum of the core.
+    flow tail off the core edges, and its light total is the count (or
+    cost) of the vertices of degree below 2 plus an optimum of the core.
 
     Gadget.  Every core edge becomes a path from a port through a
     connector to a port, and core vertex v of degree d and demand b gets
@@ -91,7 +92,7 @@ class ReducedGraph:
     core_to_input: tuple[int, ...]
     core_edge_to_input: tuple[int, ...]
     demand: tuple[int, ...]
-    peeled_tails: tuple[int, ...]
+    flow_tails: tuple[int, ...]
     gprime: Graph
     edge_weights: tuple[int, ...]
     inner_start: tuple[int, ...]
@@ -189,8 +190,7 @@ def build_gprime(g: Graph, weights: VertexWeights | None = None) -> ReducedGraph
         for e in adj[x]:
             a, b = edges[e]
             if in_region[a + b - x]:
-                tails[e] = -1  # inside R: a core edge, listed from its lower end
-                if a == x:
+                if a == x:  # inside R: a core edge, listed from its lower end
                     core_edges.append(e)
             elif tails[e] != x:
                 raise RuntimeError(
@@ -240,7 +240,7 @@ def build_gprime(g: Graph, weights: VertexWeights | None = None) -> ReducedGraph
         core_to_input=core_to_input,
         core_edge_to_input=core_edge_to_input,
         demand=demand,
-        peeled_tails=tuple(tails),
+        flow_tails=tuple(tails),
         gprime=_valid_graph(nxt, tuple(gp_edges)),
         edge_weights=tuple(wts),
         inner_start=tuple(inner_start),

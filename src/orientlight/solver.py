@@ -20,13 +20,7 @@ from fractions import Fraction
 from time import perf_counter
 
 from ._record import field, record
-from .graph import (
-    Graph,
-    Orientation,
-    VertexWeights,
-    check_orientation,
-    light_vertices,
-)
+from .graph import Graph, Orientation, VertexWeights, light_vertices
 from .matching import Matching, max_cardinality_matching, max_weight_matching
 from .reduction import ReducedGraph, build_gprime
 
@@ -100,7 +94,7 @@ def matching_from_orientation(r: ReducedGraph, o: Orientation) -> Matching:
     out-degree is below their demand.
     """
     core = r.core
-    check_orientation(core, o)
+    light_vertices(core, o)  # raises unless o orients every core edge
     ids = []
     free: list[list[int]] = [[] for _ in range(core.n)]
     seen = [0] * core.n  # v's ports so far: edges arrive in adjacency order
@@ -241,10 +235,10 @@ def solve_with_stats(
     matching_units = matching.weight_units(r.edge_weights)
     t2 = perf_counter()
 
-    # map the core orientation onto the input edges next to the kernel's tails
+    # map the core orientation onto the input edges in place of the flow's
     o_core = recover_orientation(r, matching)
     core_to_input = r.core_to_input
-    tails = list(r.peeled_tails)
+    tails = list(r.flow_tails)
     for e, t in zip(r.core_edge_to_input, o_core.tails):
         tails[e] = core_to_input[t]
     orientation = Orientation(tuple(tails))

@@ -17,8 +17,8 @@ from conftest import size_formulas
 from orientlight import Graph, cli, parse_graph, parse_weights, solve_min_light
 from orientlight._record import replace
 from orientlight.cli import main
-from orientlight.generate import random_graph
-from orientlight.graph import render_graph
+from orientlight.generate import SplitMix64, random_graph
+from orientlight.graph import MAX_VERTICES, render_graph
 from orientlight.reduction import build_gprime
 from orientlight.solver import solve_with_stats
 
@@ -750,6 +750,19 @@ class TestGen:
     def test_invalid_probability(self, capsys):
         rc, _, err = run(capsys, "gen", "6", "1.7")
         assert rc == 2
+
+    @pytest.mark.parametrize(
+        "argv", [("gen", MAX_VERTICES + 1, "0"), ("bench", f"n={MAX_VERTICES + 1},m=5")]
+    )
+    def test_vertex_count_above_the_limit_draws_nothing(self, capsys, monkeypatch, argv):
+        # solve would refuse the header, so the quadratic draw must not start
+        def no_draw(self):
+            raise AssertionError("the generator was stepped")
+
+        monkeypatch.setattr(SplitMix64, "next_u64", no_draw)
+        rc, out, err = run(capsys, *argv)
+        assert (rc, out) == (2, "")
+        assert err == f"error: {MAX_VERTICES + 1} vertices exceed the limit of {MAX_VERTICES}\n"
 
 
 class TestBench:

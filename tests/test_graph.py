@@ -8,7 +8,6 @@ from orientlight import Graph, Orientation, VertexWeights, parse_graph, parse_we
 from orientlight.generate import random_graph, random_orientation
 from orientlight.graph import (
     MAX_VERTICES,
-    check_orientation,
     light_cost,
     light_vertices,
     out_degree,
@@ -37,6 +36,19 @@ class TestGraph:
     def test_rejects_negative_vertex_count(self):
         with pytest.raises(ValueError, match="vertex count must be nonnegative"):
             Graph(-1, ())
+
+    @pytest.mark.parametrize("n", [2.5, 3.0, True, "3", None])
+    def test_rejects_a_vertex_count_that_is_not_an_int(self, n):
+        with pytest.raises(ValueError, match=f"vertex count {n!r} is not an integer"):
+            Graph(n, ((0, 1),))
+
+    @pytest.mark.parametrize(
+        "edges",
+        [((0, 1.0), (1, 2)), ((0, 1), (1.5, 2)), ((0, True),), ((False, 2),), (("0", 1),)],
+    )
+    def test_rejects_an_endpoint_that_is_not_an_int(self, edges):
+        with pytest.raises(ValueError, match="has an endpoint that is not an integer"):
+            Graph(3, edges)
 
     def test_adjacency_consistent_with_edges(self):
         g = random_graph(9, 0.5, 11)
@@ -125,20 +137,6 @@ class TestParseGraph:
         for seed in range(6):
             g = random_graph(8, 0.4, seed)
             assert parse_graph(render_graph(g)) == g
-
-
-class TestOrientation:
-    def test_check_orientation_accepts_valid(self, k3):
-        check_orientation(k3, Orientation((0, 2, 1)))
-
-    def test_check_orientation_rejects_outsider_tail(self, k3):
-        # edge 0 is (0,1), so tail 2 is not one of its endpoints
-        with pytest.raises(ValueError, match="tail"):
-            check_orientation(k3, Orientation((2, 0, 1)))
-
-    def test_check_orientation_rejects_wrong_length(self, k3):
-        with pytest.raises(ValueError, match="covers"):
-            check_orientation(k3, Orientation((0, 1)))
 
 
 class TestOutDegree:

@@ -17,7 +17,7 @@ from conftest import (
 from orientlight import Graph, VertexWeights, solve_min_light
 from orientlight.generate import SplitMix64, random_graph, random_weights
 from orientlight.matching import Matching, max_cardinality_matching, max_weight_matching
-from orientlight.oracle import OracleBudget, brute_force_max_matching, brute_force_min_light
+from orientlight.oracle import brute_force_max_matching, brute_force_min_light
 from orientlight.reduction import build_gprime
 
 
@@ -301,6 +301,13 @@ class TestMaxWeight:
         with pytest.raises(ValueError, match="integer"):
             max_weight_matching(k3, (1.5, 1, 1))
 
+    def test_rejects_bool_weights(self, k3, p2):
+        # a bool is an int to isinstance, and True would weigh 1
+        with pytest.raises(ValueError, match=r"edge weight True at id 0 is not an integer"):
+            max_weight_matching(p2, (True,))
+        with pytest.raises(ValueError, match=r"edge weight False at id 2 is not an integer"):
+            max_weight_matching(k3, (1, 2, False))
+
     def test_rejects_wrong_length(self, k3):
         with pytest.raises(ValueError):
             max_weight_matching(k3, (1, 1))
@@ -484,13 +491,12 @@ class TestMaxWeight:
 
     def test_dense_complete_graphs(self):
         # K7 has 21 edges, past the default matching oracle cap, so raise it here
-        budget = OracleBudget(max_matching_edges=32)
         for k in (4, 5, 6, 7):
             g = complete_graph(k)
             rng = SplitMix64(k)
             wts = tuple(rng.next_below(9) for _ in range(g.m))
             got = max_weight_matching(g, wts).weight_units(wts)
-            want = brute_force_max_matching(g, wts, budget).weight_units(wts)
+            want = brute_force_max_matching(g, wts, max_edges=32).weight_units(wts)
             assert got == want
 
 

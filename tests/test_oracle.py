@@ -1,4 +1,4 @@
-"""The exhaustive baselines and their budget guard."""
+"""The exhaustive baselines and their edge caps."""
 
 import itertools
 import os
@@ -17,63 +17,96 @@ from orientlight.generate import random_graph
 from orientlight.graph import light_vertices
 from orientlight.oracle import (
     BudgetExceededError,
-    OracleBudget,
     brute_force_max_matching,
     brute_force_min_light,
 )
 
 
+ENV = "ORIENT_LIGHT_ORACLE_BUDGET"
+
+
+def edges_graph(m):
+    """A path with m edges, too long for a cap below m."""
+    return path_graph(m + 1)
+
+
 class TestBudget:
-    def test_defaults(self):
-        b = OracleBudget()
-        assert b.max_edges == 20
-        assert b.max_matching_edges == 18
+    def test_defaults(self, monkeypatch):
+        monkeypatch.delenv(ENV, raising=False)
+        with pytest.raises(BudgetExceededError, match="21 edges exceeds the oracle cap of 20"):
+            brute_force_min_light(edges_graph(21))
+        assert len(brute_force_max_matching(edges_graph(18)).matched_edge_ids) == 9
+        with pytest.raises(BudgetExceededError, match="matching oracle cap of 18"):
+            brute_force_max_matching(edges_graph(19))
 
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            OracleBudget(0, 5)
+    def test_rejects_nonpositive(self, k3):
+        with pytest.raises(ValueError, match="budget caps must be positive"):
+            brute_force_min_light(k3, max_edges=0)
 
-    def test_rejects_max_edges_above_the_ceiling(self):
-        assert OracleBudget(24, 5).max_edges == 24
-        with pytest.raises(ValueError, match="limit of 24"):
-            OracleBudget(25, 5)
+    def test_rejects_max_edges_above_the_ceiling(self, k3):
+        assert brute_force_min_light(k3, max_edges=24)[0] == 2
+        with pytest.raises(ValueError, match="max_edges 25 exceeds .* limit of 24"):
+            brute_force_min_light(k3, max_edges=25)
 
-    def test_env_above_the_ceiling_rejected(self, monkeypatch):
-        monkeypatch.setenv("ORIENT_LIGHT_ORACLE_BUDGET", "30")
+    def test_env_above_the_ceiling_rejected(self, monkeypatch, k3):
+        monkeypatch.setenv(ENV, "30")
         with pytest.raises(ValueError, match="ORIENT_LIGHT_ORACLE_BUDGET=30: .* limit of 24"):
-            OracleBudget.from_env()
+            brute_force_min_light(k3)
+
+    def test_env_never_reaches_the_matching_oracle(self, monkeypatch, k4):
+        # the variable caps the orientation sweep alone
+        for raw in ("30", "lots", "1"):
+            monkeypatch.setenv(ENV, raw)
+            assert len(brute_force_max_matching(k4).matched_edge_ids) == 2
 
     def test_env_single_value(self, monkeypatch):
-        monkeypatch.setenv("ORIENT_LIGHT_ORACLE_BUDGET", "12")
-        assert OracleBudget.from_env() == OracleBudget(max_edges=12)
+        monkeypatch.setenv(ENV, "12")
+        assert brute_force_min_light(edges_graph(12))[0] == 7
+        with pytest.raises(BudgetExceededError, match="oracle cap of 12"):
+            brute_force_min_light(edges_graph(13))
 
-    def test_env_pair_rejected(self, monkeypatch):
-        # only tests read max_matching_edges: the variable sets the orientation cap alone
-        monkeypatch.setenv("ORIENT_LIGHT_ORACLE_BUDGET", "15,10")
+    def test_env_pair_rejected(self, monkeypatch, k3):
+        monkeypatch.setenv(ENV, "15,10")
         with pytest.raises(ValueError, match="ORIENT_LIGHT_ORACLE_BUDGET must be one integer"):
-            OracleBudget.from_env()
+            brute_force_min_light(k3)
 
     def test_env_unset_gives_defaults(self, monkeypatch):
-        monkeypatch.delenv("ORIENT_LIGHT_ORACLE_BUDGET", raising=False)
-        assert OracleBudget.from_env() == OracleBudget()
+        monkeypatch.delenv(ENV, raising=False)
+        with pytest.raises(BudgetExceededError, match="oracle cap of 20"):
+            brute_force_min_light(edges_graph(21))
+        for blank in ("", "  "):
+            monkeypatch.setenv(ENV, blank)
+            with pytest.raises(BudgetExceededError, match="oracle cap of 20"):
+                brute_force_min_light(edges_graph(21))
 
-    def test_env_garbage_rejected(self, monkeypatch):
-        monkeypatch.setenv("ORIENT_LIGHT_ORACLE_BUDGET", "lots")
+    def test_env_garbage_rejected(self, monkeypatch, k3):
+        monkeypatch.setenv(ENV, "lots")
         with pytest.raises(ValueError, match="ORIENT_LIGHT_ORACLE_BUDGET"):
-            OracleBudget.from_env()
+            brute_force_min_light(k3)
+
+    def test_env_nonpositive_rejected(self, monkeypatch, k3):
+        monkeypatch.setenv(ENV, "0")
+        with pytest.raises(ValueError, match="ORIENT_LIGHT_ORACLE_BUDGET=0: budget caps"):
+            brute_force_min_light(k3)
+
+    def test_explicit_cap_wins_over_the_env(self, monkeypatch, k3):
+        monkeypatch.setenv(ENV, "lots")
+        assert brute_force_min_light(k3, max_edges=3)[0] == 2
+        with pytest.raises(BudgetExceededError, match="oracle cap of 2"):
+            brute_force_min_light(k3, max_edges=2)
 
     def test_orientation_budget_enforced(self):
         g = random_graph(12, 0.9, 1)
         assert g.m > 6
         with pytest.raises(BudgetExceededError):
-            brute_force_min_light(g, budget=OracleBudget(6, 6))
+            brute_force_min_light(g, max_edges=6)
 
     def test_matching_budget_enforced(self, k4):
         with pytest.raises(BudgetExceededError):
-            brute_force_max_matching(k4, budget=OracleBudget(6, 3))
+            brute_force_max_matching(k4, max_edges=3)
 
     def test_env_budget_reaches_oracle(self, monkeypatch, k4):
-        monkeypatch.setenv("ORIENT_LIGHT_ORACLE_BUDGET", "2")
+        monkeypatch.setenv(ENV, "2")
         with pytest.raises(BudgetExceededError):
             brute_force_min_light(k4)
 

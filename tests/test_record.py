@@ -11,11 +11,18 @@ from orientlight import (
     solve_with_stats,
 )
 from orientlight.matching import Matching
-from orientlight.oracle import OracleBudget
 from orientlight.reduction import build_gprime
 from orientlight._record import field, record, replace
 
 K3 = Graph(3, ((0, 1), (1, 2), (0, 2)))
+
+
+@record
+class AllDefaults:
+    """A record whose every field, the first included, has a default."""
+
+    first: int = 20
+    second: int = 18
 
 
 def every_type():
@@ -25,7 +32,7 @@ def every_type():
         sol.orientation,
         VertexWeights((1, 2, 3)),
         Matching.empty(K3),
-        OracleBudget(),
+        AllDefaults(),
         stats.reduction,
         sol.certificate,
         sol,
@@ -80,7 +87,7 @@ class TestValueSemantics:
         assert First(1) != Second(1)
         assert First(1) == First(1)
         assert Orientation((0, 1)) != ((0, 1),)
-        assert OracleBudget(3, 3) != (3, 3)
+        assert AllDefaults(3, 3) != (3, 3)
 
     def test_stats_equality_and_repr_ignore_the_reduction(self):
         _, stats = solve_with_stats(K3)
@@ -101,7 +108,7 @@ class TestValueSemantics:
         assert Graph(edges=((0, 1),), n=2) == Graph(2, ((0, 1),))
         assert VertexWeights((1, 2)).scale == 1
         assert VertexWeights(units=(1, 2), scale=10).scale == 10
-        assert OracleBudget(max_matching_edges=5) == OracleBudget(20, 5)
+        assert AllDefaults(second=5) == AllDefaults(20, 5)
         with pytest.raises(TypeError):
             Graph(2)
         with pytest.raises(TypeError):

@@ -24,13 +24,20 @@ from orientlight.reduction import build_gprime
 from orientlight import reduction
 
 
+def fixed_out(g, r):
+    """Each input vertex's out-degree over the flow tails off the core edges."""
+    fixed = [0] * g.n
+    core_edges = set(r.core_edge_to_input)
+    for e, t in enumerate(r.flow_tails):
+        if e not in core_edges:
+            fixed[t] += 1
+    return fixed
+
+
 def settled_light(g, r):
     """The vertices outside the core that the kernel's fixed tails leave
     below out-degree 2, ascending: light whatever the core does."""
-    fixed = [0] * g.n
-    for t in r.peeled_tails:
-        if t != -1:
-            fixed[t] += 1
+    fixed = fixed_out(g, r)
     core = set(r.core_to_input)
     return tuple(v for v in range(g.n) if fixed[v] < 2 and v not in core)
 
@@ -42,7 +49,7 @@ class TestEliminateDegreeOne:
         r = build_gprime(p2)
         assert (r.core.n, r.core.m, r.gprime.n) == (0, 0, 0)
         assert settled_light(p2, r) == (0, 1)
-        assert r.peeled_tails == (0,)
+        assert r.flow_tails == (0,)
 
     def test_star(self, star13):
         # every leaf has target 0, so the flow gives the centre all three
@@ -50,27 +57,30 @@ class TestEliminateDegreeOne:
         r = build_gprime(star13)
         assert (r.core.n, r.gprime.n) == (0, 0)
         assert settled_light(star13, r) == (1, 2, 3)
-        assert [r.peeled_tails.count(v) for v in range(4)] == [3, 0, 0, 0]
+        assert [r.flow_tails.count(v) for v in range(4)] == [3, 0, 0, 0]
 
     def test_cycle_untouched(self, c4):
         r = build_gprime(c4)
         assert r.core == c4
         assert r.demand == (2, 2, 2, 2)
         assert settled_light(c4, r) == ()
-        assert r.peeled_tails == (-1,) * 4
+        assert r.core_edge_to_input == (0, 1, 2, 3)
+        # the flow's own tails stay on the core edges
+        assert all(t in c4.edges[e] for e, t in enumerate(r.flow_tails))
 
     def test_original_edges_preserved(self):
-        # every input edge is either a core edge or oriented by the kernel,
-        # never both, and a fixed tail is an endpoint of its edge
+        # the flow orients every input edge, a core edge included, from one
+        # of its endpoints, and the core edges are exactly those with both
+        # ends in the core
         for seed in range(10):
             g = random_graph(18, 2.8 / 17, seed)
             r = build_gprime(g)
+            assert len(r.flow_tails) == g.m
+            core = set(r.core_to_input)
             core_edges = set(r.core_edge_to_input)
             for e, (u, v) in enumerate(g.edges):
-                if e in core_edges:
-                    assert r.peeled_tails[e] == -1
-                else:
-                    assert r.peeled_tails[e] in (u, v)
+                assert r.flow_tails[e] in (u, v)
+                assert (e in core_edges) == (u in core and v in core)
 
     def test_idempotent(self):
         # the draws are sparse 2-cores the flow kernel keeps whole, so
@@ -128,7 +138,8 @@ class TestPeel:
         r = build_gprime(g)
         assert (r.core.n, r.core.m, r.gprime.n) == (0, 0, 0)
         assert set(settled_light(g, r)) >= {0, 2, 4, 5, 7, 8, 9, 10}
-        assert all(t != -1 for t in r.peeled_tails)
+        assert r.core_edge_to_input == ()
+        assert all(t in g.edges[e] for e, t in enumerate(r.flow_tails))
 
     def test_zero_cost_cycle_empties_core(self):
         # zero-cost vertices have target 0, so the flow can give each
@@ -153,7 +164,7 @@ class TestPeel:
             g = random_graph(28, 2.8 / 27, seed)
             w = random_weights(g.n, 4, seed + 1) if seed % 2 else None
             r = build_gprime(g, w)
-            fixed = [r.peeled_tails.count(v) for v in range(g.n)]
+            fixed = fixed_out(g, r)
             for c, v in enumerate(r.core_to_input):
                 b = r.demand[c]
                 assert b in (1, 2)
@@ -172,11 +183,12 @@ class TestPeel:
             r = build_gprime(g)
             light = solve_min_light(g).light_set
             core = set(r.core_to_input)
+            core_edges = set(r.core_edge_to_input)
             for v in range(g.n):
                 if v in core:
                     continue
-                fixed = sum(1 for e in g.adjacency[v] if r.peeled_tails[e] == v)
-                free = sum(1 for e in g.adjacency[v] if r.peeled_tails[e] == -1)
+                fixed = sum(1 for e in g.adjacency[v] if r.flow_tails[e] == v)
+                free = sum(1 for e in g.adjacency[v] if e in core_edges)
                 assert free == 0
                 assert (fixed <= 1) == (v in light)
 
@@ -442,16 +454,18 @@ class TestFlowKernel:
             w = random_weights(g.n, 3, seed + 1) if seed % 2 else None
             r = build_gprime(g, w)
             core = set(r.core_to_input)
+            core_edges = set(r.core_edge_to_input)
             light = set(settled_light(g, r))
             for v in range(g.n):
                 if v not in core and (g.degree(v) < 2 or w is None or w.unit(v) > 0):
                     assert (v in light) == (g.degree(v) < 2), f"seed {seed}, vertex {v}"
             for e, (u, v) in enumerate(g.edges):
-                t = r.peeled_tails[e]
+                t = r.flow_tails[e]
+                assert t in (u, v), f"seed {seed}, edge {e}"
                 if (u in core) != (v in core):
                     assert t in core, f"seed {seed}: edge {e} enters the core"
                 else:
-                    assert (t == -1) == (u in core), f"seed {seed}, edge {e}"
+                    assert (e in core_edges) == (u in core), f"seed {seed}, edge {e}"
 
     def test_core_holds_no_zero_cost_vertex(self):
         # a zero-cost vertex has target 0 and never enters the core, so

@@ -24,7 +24,7 @@ from orientlight import (
 )
 from orientlight.generate import SplitMix64, random_graph, random_orientation, random_weights
 from orientlight.graph import light_cost, light_vertices, out_degree
-from orientlight.matching import Matching, max_cardinality_matching
+from orientlight.matching import Matching, max_cardinality_matching, max_weight_matching
 from orientlight.oracle import brute_force_min_light
 from orientlight.reduction import build_gprime
 from orientlight.solver import (
@@ -87,6 +87,41 @@ class TestMatchingFromOrientation:
         r = build_gprime(k3)
         with pytest.raises(ValueError):
             matching_from_orientation(r, Orientation((0, 0)))
+
+    def test_flow_orientation_seeds_a_matching_no_heavier_than_the_engines(self):
+        # the flow's own tails on the core edges, renumbered to core ids,
+        # give a valid gadget matching of weight Q minus that orientation's
+        # core light cost (a core vertex is light below its demand), and
+        # no more than a maximum matching's: a warm start for the engines.
+        # Sub-critical draws, m ~ 1.45n, keep a core; odd seeds carry costs
+        cores = tight = 0
+        for seed in range(300):
+            n = 20 + seed % 41
+            g = random_graph(n, 2.9 / (n - 1), seed)
+            w = random_weights(n, 9, seed + 1) if seed % 2 else VertexWeights.ones(n)
+            r = build_gprime(g, w)
+            if not r.core.n:
+                continue
+            cores += 1
+            core_id = {v: c for c, v in enumerate(r.core_to_input)}
+            o = Orientation(tuple(core_id[r.flow_tails[e]] for e in r.core_edge_to_input))
+            m = matching_from_orientation(r, o)
+            assert Matching.from_mate(r.gprime, m.mate) == m, f"seed {seed}"
+            short = sum(
+                w.unit(v)
+                for c, v in enumerate(r.core_to_input)
+                if out_degree(r.core, o, c) < r.demand[c]
+            )
+            got = m.weight_units(r.edge_weights)
+            assert got == r.connecting_weight() - short, f"seed {seed}"
+            if len(set(r.edge_weights)) < 2:
+                best = max_cardinality_matching(r.gprime).weight_units(r.edge_weights)
+            else:
+                best = max_weight_matching(r.gprime, r.edge_weights).weight_units(r.edge_weights)
+            assert got <= best, f"seed {seed}"
+            tight += got == best
+        assert cores >= 250, cores
+        assert 0 < tight < cores, (tight, cores)
 
 
 class TestNormalizeGadgetMatching:
@@ -416,10 +451,10 @@ class TestRecountChecks:
         def one_more_light(g, w=None):
             r = real(g, w)
             assert r.core.n == 0
-            tails = list(r.peeled_tails)
+            tails = list(r.flow_tails)
             u, v = g.edges[0]
             tails[0] = u + v - tails[0]
-            return replace(r, peeled_tails=tuple(tails))
+            return replace(r, flow_tails=tuple(tails))
 
         monkeypatch.setattr(solver, "build_gprime", one_more_light)
         with pytest.raises(RuntimeError, match="internal error: objective recount") as ex:
