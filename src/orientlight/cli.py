@@ -26,6 +26,7 @@ from collections import Counter
 from fractions import Fraction
 
 from .graph import (
+    MAX_VERTICES,
     Graph,
     Orientation,
     VertexWeights,
@@ -329,6 +330,9 @@ def _parse_schedule(text: str) -> list[tuple[int, int]]:
         n, m = fields["n"], fields["m"]
         if n < 2 or m < 0:
             raise ValueError(f"schedule entry {part!r} needs n >= 2 and m >= 0")
+        if n > MAX_VERTICES:
+            # refused before any row, in random_graph's words
+            raise ValueError(f"{n} vertices exceed the limit of {MAX_VERTICES}")
         entries.append((n, m))
     if not entries:
         raise ValueError("empty schedule")

@@ -61,17 +61,17 @@ class Matching:
         mate = tuple(mate)
         if len(mate) != g.n:
             raise ValueError(f"mate covers {len(mate)} vertices, graph has {g.n}")
-        ids = set()
-        for v, w in enumerate(mate):
-            if w == -1:
-                continue
-            if not (0 <= w < g.n) or mate[w] != v:
-                raise ValueError(f"mate is not an involution at vertex {v}")
-            if v < w:
-                e = g.edge_ids.get((v, w))
-                if e is None:
+        # edges whose ends are each other's mates are vertex-disjoint, so
+        # mate is a matching of g exactly when they cover every vertex it
+        # does not leave exposed; otherwise the loop names the first fault
+        ids = [e for e, (u, w) in enumerate(g.edges) if mate[u] == w and mate[w] == u]
+        if 2 * len(ids) != g.n - mate.count(-1):
+            edges = set(g.edges)
+            for v, w in enumerate(mate):
+                if w != -1 and (not 0 <= w < g.n or mate[w] != v):
+                    raise ValueError(f"mate is not an involution at vertex {v}")
+                if v < w and (v, w) not in edges:
                     raise ValueError(f"matched pair ({v}, {w}) is not an edge")
-                ids.add(e)
         return cls(frozenset(ids), mate)
 
 
@@ -310,9 +310,6 @@ def max_weight_matching(g: Graph, edge_weights) -> Matching:
         # an engine bug, not bad input: name enough to reproduce it
         return RuntimeError(f"internal error: {what} (n={n}, m={m})")
 
-    def edge_id(x: int, y: int) -> int:
-        return g.edge_ids[(x, y) if x < y else (y, x)]
-
     def slack(x: int, y: int, w: int) -> int:
         return dual[x] + dual[y] - w
 
@@ -320,7 +317,8 @@ def max_weight_matching(g: Graph, edge_weights) -> Matching:
         # an outer-outer slack (a delta 3 candidate) is even; see above
         ks = slack(x, y, w)
         if ks % 2 != 0:
-            raise internal_error(f"odd slack {ks} on outer-outer edge {edge_id(x, y)} ({x}, {y})")
+            e = g.edges.index((min(x, y), max(x, y)))
+            raise internal_error(f"odd slack {ks} on outer-outer edge {e} ({x}, {y})")
         return ks // 2
 
     def vertices(b: int):
@@ -615,9 +613,10 @@ def max_weight_matching(g: Graph, edge_weights) -> Matching:
                     raise internal_error(f"even blossom with base {base_of[b]} has dual {z}")
                 for i, j in links[b][1::2]:
                     if mate[i] != j or mate[j] != i:
+                        e = g.edges.index((min(i, j), max(i, j)))
                         raise internal_error(
                             f"blossom with base {base_of[b]} and dual {z} is not full: "
-                            f"edge {edge_id(i, j)} ({i}, {j}) is unmatched"
+                            f"edge {e} ({i}, {j}) is unmatched"
                         )
 
     while True:

@@ -84,7 +84,7 @@ def two_core(g: Graph) -> Graph:
     while stack:
         v = stack.pop()
         for e in g.adjacency[v]:
-            w = g.other_end(e, v)
+            w = sum(g.edges[e]) - v  # e's other end
             deg[w] -= 1
             if alive[w] and deg[w] < 2:
                 alive[w] = False

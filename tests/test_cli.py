@@ -793,6 +793,12 @@ class TestBench:
             assert rc == 2, schedule
             assert "schedule" in err
 
+    def test_too_many_vertices_refused_before_any_row(self, capsys):
+        rc, out, err = run(capsys, "bench", "n=10,m=15;n=1000001,m=5")
+        assert rc == 2
+        assert out == ""
+        assert "1000001 vertices exceed the limit of 1000000" in err
+
     def test_empty_entries_are_skipped(self, capsys):
         rc, out, _ = run(capsys, "bench", "n=10,m=15;;n=12,m=20; ")
         assert rc == 0

@@ -62,13 +62,6 @@ class TestGraph:
         for v in range(g.n):
             assert list(g.adjacency[v]) == sorted(g.adjacency[v])
 
-    def test_other_end(self):
-        g = Graph(3, ((0, 2),))
-        assert g.other_end(0, 0) == 2
-        assert g.other_end(0, 2) == 0
-        with pytest.raises(ValueError):
-            g.other_end(0, 1)
-
 
 class TestParseGraph:
     def test_triangle(self):

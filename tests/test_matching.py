@@ -126,8 +126,10 @@ class TestMatchingType:
         assert Matching.from_mate(c4, m.mate) == m
 
     def test_from_mate_rejects_non_involution(self, k3):
-        with pytest.raises(ValueError, match="involution"):
-            Matching.from_mate(k3, (1, 2, 0))
+        # a cycle of partners, and a partner out of range
+        for mate in ((1, 2, 0), (5, -1, -1)):
+            with pytest.raises(ValueError, match="involution at vertex 0"):
+                Matching.from_mate(k3, mate)
 
     def test_from_mate_rejects_wrong_length(self, k3):
         with pytest.raises(ValueError, match="mate covers 2 vertices, graph has 3"):
@@ -135,7 +137,7 @@ class TestMatchingType:
 
     def test_from_mate_rejects_non_edge(self):
         g = Graph(4, ((0, 1), (2, 3)))
-        with pytest.raises(ValueError, match="not an edge"):
+        with pytest.raises(ValueError, match=r"^matched pair \(0, 2\) is not an edge$"):
             Matching.from_mate(g, (2, 3, 0, 1))
 
     def test_weight_units(self, c4):

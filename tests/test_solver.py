@@ -130,9 +130,7 @@ class TestNormalizeGadgetMatching:
         # yet its bucket is locally maximal: the inner vertex covers one
         # port and the two free ports have covered connectors
         r = build_gprime(k4)
-        inner = r.inner(0)[0]
-        port0 = r.port_at(0, 0)
-        e_inner = r.gprime.edge_ids[(min(inner, port0), max(inner, port0))]
+        e_inner = r.band_edge(0, 0, 0)
         other_sides = [r.side_edge(k4.edges[e][1], e) for e in (0, 1, 2)]
         m = Matching.from_edge_ids(r.gprime, [e_inner] + other_sides)
         n = normalize_gadget_matching(r, m, 0)
@@ -169,9 +167,7 @@ class TestNormalizeGadgetMatching:
         # the repack case of test_repack_case_adds_one_edge, with the
         # repacked matching losing its parity edge
         r = build_gprime(k4)
-        inner = r.inner(0)[0]
-        port0 = r.port_at(0, 0)
-        e_inner = r.gprime.edge_ids[(min(inner, port0), max(inner, port0))]
+        e_inner = r.band_edge(0, 0, 0)
         other_sides = [r.side_edge(k4.edges[e][1], e) for e in (0, 1, 2)]
         m = Matching.from_edge_ids(r.gprime, [e_inner] + other_sides)
         real = Matching.from_edge_ids
@@ -581,11 +577,12 @@ class TestSolveProperties:
     def test_monotone_under_edge_addition(self):
         for seed in range(10):
             g = random_graph(7, 0.4, seed)
+            present = set(g.edges)
             missing = [
                 (u, v)
                 for u in range(g.n)
                 for v in range(u + 1, g.n)
-                if (u, v) not in g.edge_ids
+                if (u, v) not in present
             ]
             if not missing:
                 continue
