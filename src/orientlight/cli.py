@@ -258,20 +258,19 @@ def cmd_verify(args: argparse.Namespace) -> int:
         for p in problems:
             print(f"verify: FAIL: {p}")
         return 1
-    if not args.no_oracle:
-        from .oracle import BudgetExceededError, brute_force_min_light
+    from .oracle import BudgetExceededError, brute_force_min_light
 
-        try:
-            optimum, _ = brute_force_min_light(g, weights)
-        except BudgetExceededError as ex:
-            print(f"verify: optimality not checked ({ex})")
-        else:
-            if claimed["objective"] != optimum:
-                print(
-                    f"verify: FAIL: objective {_num(claimed['objective'])} is not optimal "
-                    f"(optimum is {_num(optimum)})"
-                )
-                return 1
+    try:
+        optimum, _ = brute_force_min_light(g, weights)
+    except BudgetExceededError as ex:
+        print(f"verify: optimality not checked ({ex})")
+    else:
+        if claimed["objective"] != optimum:
+            print(
+                f"verify: FAIL: objective {_num(claimed['objective'])} is not optimal "
+                f"(optimum is {_num(optimum)})"
+            )
+            return 1
     print("verify: OK")
     return 0
 
@@ -407,12 +406,6 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     p.add_argument("graph")
     p.add_argument("solution", help="solution JSON, as produced by solve --json")
     p.add_argument("--weights")
-    p.add_argument(
-        "--no-oracle",
-        action="store_true",
-        help="skip the exhaustive optimality check (it is capped by "
-        "ORIENT_LIGHT_ORACLE_BUDGET anyway)",
-    )
     p.set_defaults(func=cmd_verify)
 
     p = commands["gen"] = sub.add_parser("gen", help="generate a reproducible random instance")

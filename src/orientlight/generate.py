@@ -37,11 +37,6 @@ class SplitMix64:
             if x < limit:
                 return x % bound
 
-    def shuffle(self, items: list) -> None:
-        for i in range(len(items) - 1, 0, -1):
-            j = self.next_below(i + 1)
-            items[i], items[j] = items[j], items[i]
-
 
 def random_graph(n: int, p: float, seed: int) -> Graph:
     """Random simple graph: each of the n*(n-1)/2 pairs kept with probability p.

@@ -123,9 +123,12 @@ def size_formulas(r) -> tuple[int, int]:
 
 
 def random_maximal_matching(g: Graph, seed: int) -> Matching:
-    """Greedy matching over a seeded shuffle of the edge ids."""
+    """Greedy matching over a seeded Fisher-Yates shuffle of the edge ids."""
     order = list(range(g.m))
-    SplitMix64(seed).shuffle(order)
+    rng = SplitMix64(seed)
+    for i in range(g.m - 1, 0, -1):
+        j = rng.next_below(i + 1)
+        order[i], order[j] = order[j], order[i]
     mate = [-1] * g.n
     ids = []
     for e in order:

@@ -312,33 +312,39 @@ class TestVerify:
         assert rc == 1
         assert "not optimal" in out
 
-    def test_no_oracle_accepts_consistent_claim(self, capsys, tmp_path, k3_file):
-        sol = self.write_solution(tmp_path, self.cyclic_suboptimal())
-        rc, out, _ = run(capsys, "verify", k3_file, sol, "--no-oracle")
-        assert rc == 0
+    def all_light_claim(self, tmp_path, n, edges):
+        """A graph file of n vertices and the 1-based edges, and a
+        consistent claim that orients each edge as listed: no vertex then
+        leaves more than one edge, so all n are light."""
+        g = tmp_path / "g.txt"
+        g.write_text(f"{n} {len(edges)}\n" + "".join(f"{u} {v}\n" for u, v in edges))
+        doc = {
+            "objective": n,
+            "light": list(range(1, n + 1)),
+            "orientation": [list(e) for e in edges],
+            "certificate": {"matching_value": 0, "constant": n, "offset": 0},
+        }
+        return g, self.write_solution(tmp_path, doc)
 
-    def test_budget_skip_notes_and_passes(self, capsys, tmp_path, k3_file, monkeypatch):
-        monkeypatch.setenv("ORIENT_LIGHT_ORACLE_BUDGET", "1")
-        sol = self.write_solution(tmp_path, self.cyclic_suboptimal())
-        rc, out, _ = run(capsys, "verify", k3_file, sol)
-        assert rc == 0
-        assert "optimality not checked" in out
+    def test_oracle_at_the_cap_rejects_suboptimal(self, capsys, tmp_path):
+        # C20 has exactly as many edges as the oracle takes
+        g, sol = self.all_light_claim(tmp_path, 20, [(v, v % 20 + 1) for v in range(1, 21)])
+        rc, out, err = run(capsys, "verify", g, sol)
+        assert (rc, out, err) == (
+            1, "verify: FAIL: objective 20 is not optimal (optimum is 10)\n", ""
+        )
 
-    def test_budget_above_the_ceiling_is_usage_error(self, capsys, tmp_path, k3_file, monkeypatch):
-        # 2^30-bit masks would take 128 MB apiece: refused, not attempted
-        monkeypatch.setenv("ORIENT_LIGHT_ORACLE_BUDGET", "30")
-        sol = self.write_solution(tmp_path, self.cyclic_suboptimal())
-        rc, out, err = run(capsys, "verify", k3_file, sol)
-        assert rc == 2
-        assert "limit of 24" in err
-        assert "verify: OK" not in out
-
-    def test_budget_pair_is_usage_error(self, capsys, tmp_path, k3_file, monkeypatch):
-        monkeypatch.setenv("ORIENT_LIGHT_ORACLE_BUDGET", "1,1")
-        sol = self.write_solution(tmp_path, self.cyclic_suboptimal())
-        rc, out, err = run(capsys, "verify", k3_file, sol)
-        assert (rc, out) == (2, "")
-        assert "ORIENT_LIGHT_ORACLE_BUDGET must be one integer" in err
+    def test_budget_skip_notes_and_passes(self, capsys, tmp_path):
+        # one edge past the cap: the claim is consistent, so it passes
+        # with its optimality left unchecked
+        g, sol = self.all_light_claim(tmp_path, 22, [(v, v + 1) for v in range(1, 22)])
+        rc, out, err = run(capsys, "verify", g, sol)
+        assert (rc, out, err) == (
+            0,
+            "verify: optimality not checked (21 edges exceeds the oracle cap of 20)\n"
+            "verify: OK\n",
+            "",
+        )
 
     def test_rejects_wrong_light_set(self, capsys, tmp_path, k3_file):
         doc = self.cyclic_suboptimal()
@@ -577,7 +583,7 @@ class TestVerify:
     )
     def test_rejects_malformed_documents(self, capsys, tmp_path, k3_file, change, problem):
         sol = self.write_solution(tmp_path, change(self.cyclic_suboptimal()))
-        rc, out, err = run(capsys, "verify", k3_file, sol, "--no-oracle")
+        rc, out, err = run(capsys, "verify", k3_file, sol)
         assert (rc, err) == (1, "")
         assert f"verify: FAIL: {problem}\n" in out
 
@@ -599,7 +605,7 @@ class TestVerify:
         # entry 0, [1, 3], is not the endpoints of edge 1 2, but a shape
         # problem anywhere in the document is all that verify reports
         sol = self.write_solution(tmp_path, {**self.cyclic_suboptimal(), **changes})
-        rc, out, err = run(capsys, "verify", k3_file, sol, "--no-oracle")
+        rc, out, err = run(capsys, "verify", k3_file, sol)
         assert (rc, out, err) == (1, f"verify: FAIL: {problem}\n", "")
 
     def test_crlf_files_read_as_their_lf_twins(self, capsys, tmp_path):
@@ -910,8 +916,7 @@ PINNED = {
     "verify g": (
         2,
         "",
-        "usage: orientlight verify [-h] [--weights WEIGHTS] [--no-oracle]\n"
-        "                          graph solution\n"
+        "usage: orientlight verify [-h] [--weights WEIGHTS] graph solution\n"
         "orientlight verify: error: the following arguments are required: solution\n",
     ),
     "gen x 0.5": (

@@ -25,14 +25,6 @@ class TestSplitMix64:
         with pytest.raises(ValueError):
             SplitMix64(1).next_below(0)
 
-    def test_shuffle_deterministic_permutation(self):
-        items = list(range(10))
-        SplitMix64(9).shuffle(items)
-        again = list(range(10))
-        SplitMix64(9).shuffle(again)
-        assert items == again
-        assert sorted(items) == list(range(10))
-
 
 class TestRandomGraph:
     def test_determinism(self):

@@ -10,9 +10,9 @@ from time import perf_counter
 
 import pytest
 
-from conftest import complete_graph, path_graph
+from conftest import complete_graph, cycle_graph, path_graph
 import orientlight
-from orientlight import Graph, Orientation, VertexWeights
+from orientlight import Graph, Orientation, VertexWeights, solve_min_light
 from orientlight.generate import random_graph
 from orientlight.graph import light_vertices
 from orientlight.oracle import (
@@ -22,93 +22,33 @@ from orientlight.oracle import (
 )
 
 
-ENV = "ORIENT_LIGHT_ORACLE_BUDGET"
-
-
 def edges_graph(m):
     """A path with m edges, too long for a cap below m."""
     return path_graph(m + 1)
 
 
 class TestBudget:
-    def test_defaults(self, monkeypatch):
-        monkeypatch.delenv(ENV, raising=False)
+    def test_defaults(self):
         with pytest.raises(BudgetExceededError, match="21 edges exceeds the oracle cap of 20"):
             brute_force_min_light(edges_graph(21))
         assert len(brute_force_max_matching(edges_graph(18)).matched_edge_ids) == 9
         with pytest.raises(BudgetExceededError, match="matching oracle cap of 18"):
             brute_force_max_matching(edges_graph(19))
 
-    def test_rejects_nonpositive(self, k3):
-        with pytest.raises(ValueError, match="budget caps must be positive"):
-            brute_force_min_light(k3, max_edges=0)
-
-    def test_rejects_max_edges_above_the_ceiling(self, k3):
-        assert brute_force_min_light(k3, max_edges=24)[0] == 2
-        with pytest.raises(ValueError, match="max_edges 25 exceeds .* limit of 24"):
-            brute_force_min_light(k3, max_edges=25)
-
-    def test_env_above_the_ceiling_rejected(self, monkeypatch, k3):
-        monkeypatch.setenv(ENV, "30")
-        with pytest.raises(ValueError, match="ORIENT_LIGHT_ORACLE_BUDGET=30: .* limit of 24"):
-            brute_force_min_light(k3)
-
-    def test_env_never_reaches_the_matching_oracle(self, monkeypatch, k4):
-        # the variable caps the orientation sweep alone
-        for raw in ("30", "lots", "1"):
-            monkeypatch.setenv(ENV, raw)
-            assert len(brute_force_max_matching(k4).matched_edge_ids) == 2
-
-    def test_env_single_value(self, monkeypatch):
-        monkeypatch.setenv(ENV, "12")
-        assert brute_force_min_light(edges_graph(12))[0] == 7
-        with pytest.raises(BudgetExceededError, match="oracle cap of 12"):
-            brute_force_min_light(edges_graph(13))
-
-    def test_env_pair_rejected(self, monkeypatch, k3):
-        monkeypatch.setenv(ENV, "15,10")
-        with pytest.raises(ValueError, match="ORIENT_LIGHT_ORACLE_BUDGET must be one integer"):
-            brute_force_min_light(k3)
-
-    def test_env_unset_gives_defaults(self, monkeypatch):
-        monkeypatch.delenv(ENV, raising=False)
-        with pytest.raises(BudgetExceededError, match="oracle cap of 20"):
-            brute_force_min_light(edges_graph(21))
-        for blank in ("", "  "):
-            monkeypatch.setenv(ENV, blank)
-            with pytest.raises(BudgetExceededError, match="oracle cap of 20"):
-                brute_force_min_light(edges_graph(21))
-
-    def test_env_garbage_rejected(self, monkeypatch, k3):
-        monkeypatch.setenv(ENV, "lots")
-        with pytest.raises(ValueError, match="ORIENT_LIGHT_ORACLE_BUDGET"):
-            brute_force_min_light(k3)
-
-    def test_env_nonpositive_rejected(self, monkeypatch, k3):
-        monkeypatch.setenv(ENV, "0")
-        with pytest.raises(ValueError, match="ORIENT_LIGHT_ORACLE_BUDGET=0: budget caps"):
-            brute_force_min_light(k3)
-
-    def test_explicit_cap_wins_over_the_env(self, monkeypatch, k3):
-        monkeypatch.setenv(ENV, "lots")
-        assert brute_force_min_light(k3, max_edges=3)[0] == 2
-        with pytest.raises(BudgetExceededError, match="oracle cap of 2"):
-            brute_force_min_light(k3, max_edges=2)
+    def test_sweeps_exactly_twenty_edges(self):
+        # C20 sits on the cap: swept, and its optimum is the solver's
+        g = cycle_graph(20)
+        assert brute_force_min_light(g)[0] == 10 == solve_min_light(g).objective
 
     def test_orientation_budget_enforced(self):
-        g = random_graph(12, 0.9, 1)
-        assert g.m > 6
-        with pytest.raises(BudgetExceededError):
-            brute_force_min_light(g, max_edges=6)
+        g = complete_graph(7)
+        assert g.m == 21
+        with pytest.raises(BudgetExceededError, match="21 edges exceeds the oracle cap of 20"):
+            brute_force_min_light(g)
 
     def test_matching_budget_enforced(self, k4):
         with pytest.raises(BudgetExceededError):
             brute_force_max_matching(k4, max_edges=3)
-
-    def test_env_budget_reaches_oracle(self, monkeypatch, k4):
-        monkeypatch.setenv(ENV, "2")
-        with pytest.raises(BudgetExceededError):
-            brute_force_min_light(k4)
 
 
 class TestMinLightOracle:
@@ -288,6 +228,13 @@ class TestMatchingOracle:
         with pytest.raises(ValueError):
             brute_force_max_matching(k3, (1, 2))
 
+    def test_rejects_non_integer_weights(self):
+        # the same refusal, in the same words, as max_weight_matching
+        g = Graph(2, ((0, 1),))
+        for w in (True, 0.5):
+            with pytest.raises(ValueError, match=f"^edge weight {w} at id 0 is not an integer$"):
+                brute_force_max_matching(g, (w,))
+
     def test_complete_graph_perfect(self):
         g = complete_graph(6)
         assert brute_force_max_matching(g).size == 3
@@ -295,10 +242,9 @@ class TestMatchingOracle:
 
 def fresh_interpreter(code, *args):
     """What a fresh interpreter running code with args prints, with the
-    package on its path and the oracle's budget at its default."""
+    package on its path."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(orientlight.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
-    env.pop("ORIENT_LIGHT_ORACLE_BUDGET", None)
     out = subprocess.run(
         [sys.executable, "-c", code, *map(str, args)],
         env=env, capture_output=True, text=True, check=True, timeout=60,
