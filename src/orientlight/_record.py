@@ -11,19 +11,26 @@ default and is left out of the repr, equality and hashing.  replace
 copies a record with some fields changed, running __post_init__ again.
 
 __init__ is compiled from source once per class, as dataclasses does,
-so constructing a record costs one plain function call.  The other
-methods are closures over one attrgetter of the shown fields, which
-spares a compile per class.  The module imports only operator:
-dataclasses itself pulls in inspect, ast, dis and tokenize, which made
-up about a fifth of the command line's start-up.  Inheritance between
-records is not supported.
+so constructing a record costs one plain function call, and it stores
+each field straight into the instance dict, past the frozen
+__setattr__.  The other methods are closures over one attrgetter of
+the shown fields, which spares a compile per class.  The module
+imports only operator: dataclasses itself pulls in inspect, ast, dis
+and tokenize, which made up about a fifth of the command line's
+start-up.  Inheritance between records is not supported.
+
+lazy is functools' cached property without its lock: on first read it
+computes the value and stores it in the instance dict, where every
+later read finds it before the descriptor.  On Python 3.10 and 3.11
+the functools one takes an RLock on each first read, which cost about
+a microsecond on every solve's fresh core Graph.
 """
 
 from __future__ import annotations
 
 from operator import attrgetter
 
-__all__ = ["field", "record", "replace"]
+__all__ = ["field", "lazy", "record", "replace"]
 
 _MISSING = object()
 _HIDDEN = object()
@@ -52,11 +59,11 @@ def record(cls: type) -> type:
                 defaults[name] = default
 
     params = ", ".join(f"{name}=_dflt_{name}" if name in defaults else name for name in names)
-    body = [f"    _set(self, {name!r}, {name})" for name in names]
+    body = ["    _record_dict = self.__dict__"]
+    body += [f"    _record_dict[{name!r}] = {name}" for name in names]
     if "__post_init__" in cls.__dict__:
         body.append("    self.__post_init__()")
-    namespace = {"_set": object.__setattr__}
-    namespace.update((f"_dflt_{name}", default) for name, default in defaults.items())
+    namespace = {f"_dflt_{name}": default for name, default in defaults.items()}
     source = "\n".join([f"def __init__(self, {params}):", *body])
     exec(compile(source, f"<record {cls.__qualname__}>", "exec"), namespace)
     methods = _value_methods(tuple(shown))
@@ -95,6 +102,25 @@ def _value_methods(shown: tuple[str, ...]) -> dict:
         raise AttributeError(f"cannot delete field {name!r}")
 
     return {fn.__name__: fn for fn in (__eq__, __hash__, __repr__, __setattr__, __delattr__)}
+
+
+class lazy:
+    """Method decorator: an attribute computed on first read, then kept.
+
+    A non-data descriptor, so the value stored under the method's name
+    in the instance dict shadows it from the second read on.
+    """
+
+    def __init__(self, compute):
+        self.compute = compute
+        self.name = compute.__name__
+        self.__doc__ = compute.__doc__
+
+    def __get__(self, obj: object, owner: type | None = None) -> object:
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.compute(obj)
+        return value
 
 
 def replace(obj: object, /, **changes: object) -> object:

@@ -8,10 +8,9 @@ from __future__ import annotations
 
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
-from functools import cached_property
 from itertools import repeat
 
-from ._record import record
+from ._record import lazy, record
 
 __all__ = [
     "MAX_VERTICES",
@@ -77,7 +76,7 @@ class Graph:
     def m(self) -> int:
         return len(self.edges)
 
-    @cached_property
+    @lazy
     def adjacency(self) -> tuple[tuple[int, ...], ...]:
         """Per-vertex tuple of incident edge indices, ascending."""
         adj: list[list[int]] = [[] for _ in range(self.n)]
@@ -392,10 +391,13 @@ def light_vertices(g: Graph, o: Orientation) -> frozenset[int]:
     if len(tails) != len(edges):
         raise ValueError(f"orientation covers {len(tails)} edges, graph has {len(edges)}")
     out = [0] * g.n
-    for e, t in enumerate(tails):
-        if t not in edges[e]:
-            u, v = edges[e]
-            raise ValueError(f"tail {t} of edge {e} is not one of its endpoints ({u}, {v})")
+    for t, uv in zip(tails, edges):
+        if t not in uv:
+            # edges holds no pair twice, so index finds this edge's id
+            u, v = uv
+            raise ValueError(
+                f"tail {t} of edge {edges.index(uv)} is not one of its endpoints ({u}, {v})"
+            )
         out[t] += 1
     return frozenset([v for v, d in enumerate(out) if d <= 1])
 

@@ -99,6 +99,8 @@ def max_cardinality_matching(g: Graph) -> Matching:
     them removed.  Its root stays exposed for good, so one pass over the
     vertices suffices.
     """
+    if not g.edges:  # most gadgets of sparse inputs: skip the set-up below
+        return Matching.empty(g)
     n = g.n
     nbr: list[list[int]] = [[] for _ in range(n)]
     for u, v in g.edges:

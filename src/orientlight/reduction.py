@@ -149,15 +149,16 @@ def build_gprime(g: Graph, weights: VertexWeights | None = None) -> ReducedGraph
     """Shrinks the input graph to a core and builds the core's gadget graph.
 
     The kernel is one flow.  Every vertex gets a target, 0 when its
-    degree is below 2 or its cost is 0 and 2 otherwise, and
-    _deficient_region orients every edge so that only a
-    predecessor-closed region R can fall short of its target.  R is the
-    core.  Every vertex outside R meets its target with edges outside R
-    and every edge between R and the rest leaves R, so those edges keep
-    the flow's direction (ReducedGraph gives the lemma) and each R
-    vertex's demand is 2 minus its out-edges leaving R.  A flow edge
-    entering R or an R vertex with 2 out-edges leaving R is an internal
-    error.
+    degree is below 2 or its cost is 0 and 2 otherwise.  The flow starts
+    from each vertex's excess, its out-degree minus its target, which is
+    0 or -2 before any edge is oriented, and _deficient_region orients
+    every edge so that only a predecessor-closed region R can fall short
+    of its target.  R is the core.  Every vertex outside R meets its
+    target with edges outside R and every edge between R and the rest
+    leaves R, so those edges keep the flow's direction (ReducedGraph
+    gives the lemma) and each R vertex's demand is 2 minus its out-edges
+    leaving R.  A flow edge entering R or an R vertex with 2 out-edges
+    leaving R is an internal error.
 
     The kernel makes one pass over the edges, the flow's greedy start,
     and counts no out-degrees; everything else touches only the edges of
@@ -181,8 +182,8 @@ def build_gprime(g: Graph, weights: VertexWeights | None = None) -> ReducedGraph
     edges = g.edges
     adj = g.adjacency
 
-    target = [0 if len(a) < 2 or c == 0 else 2 for a, c in zip(adj, units)]
-    tails, in_region = _deficient_region(g, target)
+    excess = [-2 if len(a) > 1 and c else 0 for a, c in zip(adj, units)]
+    tails, in_region = _deficient_region(g, excess)
     core_to_input = tuple(compress(range(n), in_region))  # R is the core
     out = [0] * n  # out-edges leaving R, per vertex of R
     core_edges = []
@@ -248,14 +249,16 @@ def build_gprime(g: Graph, weights: VertexWeights | None = None) -> ReducedGraph
     )
 
 
-def _deficient_region(g: Graph, target: list[int]) -> tuple[list[int], list[bool]]:
+def _deficient_region(g: Graph, excess: list[int]) -> tuple[list[int], list[bool]]:
     """Orients every edge so that few vertices miss their targets.
 
-    Starting from a greedy orientation that gives each edge to the
-    endpoint further below its target, every vertex v below its target
-    searches backwards over its in-edges for a vertex above its target
-    and reverses that path, which raises v's out-degree by one and
-    changes no inner vertex's (Hakimi's out-degree lower bound
+    excess holds each vertex's start excess, its target negated since no
+    edge is oriented yet, and is kept in place as out-degree minus
+    target.  Starting from a greedy orientation that gives each edge to
+    the endpoint further below its target, every vertex v below its
+    target searches backwards over its in-edges for a vertex above its
+    target and reverses that path, which raises v's out-degree by one
+    and changes no inner vertex's (Hakimi's out-degree lower bound
     orientation).  A search that fails reaches a set closed under
     predecessors with no vertex above its target; no later reversal
     touches an edge of that set or an edge leaving it, so the whole set
@@ -269,7 +272,6 @@ def _deficient_region(g: Graph, target: list[int]) -> tuple[list[int], list[bool
     """
     edges = g.edges
     adj = g.adjacency
-    excess = [-t for t in target]  # out-degree minus target
     tails = []
     for u, w in edges:
         t = u if excess[u] <= excess[w] else w

@@ -183,6 +183,13 @@ class TestLightVertices:
         with pytest.raises(ValueError, match=rf"tail {tail} of edge 0 is not one of its endpoints"):
             light_vertices(k3, Orientation((tail, 1, 0)))
 
+    def test_names_the_id_of_a_bad_tail_after_edge_0(self, k3):
+        # edges 0 and 1 hold vertex 0; edge 2 is (1, 2)
+        with pytest.raises(
+            ValueError, match=r"^tail 0 of edge 2 is not one of its endpoints \(1, 2\)$"
+        ):
+            light_vertices(k3, Orientation((0, 0, 0)))
+
 
 class TestVertexWeights:
     def test_rejects_negative_with_hardness_note(self):

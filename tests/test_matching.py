@@ -185,8 +185,9 @@ class TestMaxCardinality:
         assert max_cardinality_matching(r.gprime).size == 4
 
     def test_empty_graph(self):
-        g = Graph(4, ())
-        assert max_cardinality_matching(g).size == 0
+        for n in (0, 1, 3, 5):
+            g = Graph(n, ())
+            assert max_cardinality_matching(g) == Matching.empty(g)
 
     def test_deterministic(self):
         g = random_graph(10, 0.5, 77)

@@ -12,7 +12,7 @@ from orientlight import (
 )
 from orientlight.matching import Matching
 from orientlight.reduction import build_gprime
-from orientlight._record import field, record, replace
+from orientlight._record import field, lazy, record, replace
 
 K3 = Graph(3, ((0, 1), (1, 2), (0, 2)))
 
@@ -129,6 +129,30 @@ class TestValueSemantics:
         assert g.adjacency is first
         assert g.degree(1) == 2
         assert g.adjacency is first
+
+    def test_the_instance_dict_holds_exactly_the_fields(self):
+        # replace constructs anew: every_type's K3 has read its adjacency
+        for obj in every_type():
+            assert list(vars(replace(obj))) == list(obj.__record_fields__)
+
+    def test_adjacency_is_stored_in_the_instance_on_first_read(self):
+        g = Graph(3, ((0, 1), (1, 2)))
+        assert "adjacency" not in vars(g)
+        first = g.adjacency
+        assert vars(g)["adjacency"] is first
+        assert list(vars(g)) == ["n", "edges", "adjacency"]
+
+    def test_adjacency_read_on_the_class_is_the_descriptor(self):
+        assert isinstance(Graph.adjacency, lazy)
+        assert Graph.adjacency.__doc__.startswith("Per-vertex tuple of incident edge indices")
+
+    def test_replace_builds_a_fresh_adjacency(self):
+        g = Graph(3, ((0, 1), (1, 2)))
+        assert g.adjacency == ((0,), (0, 1), (1,))
+        h = replace(g, edges=((0, 2),))
+        assert "adjacency" not in vars(h)
+        assert h.adjacency == ((0,), (), (0,))
+        assert g.adjacency == ((0,), (0, 1), (1,))
 
 
 class TestDecorator:
