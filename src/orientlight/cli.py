@@ -42,11 +42,12 @@ __all__ = ["main"]
 
 
 def _read(path: str) -> str:
-    """The file's text, decoded as UTF-8.  Newlines are not translated:
-    every reader splits lines with str.splitlines, str.split or JSON's
-    whitespace, which all take CRLF and a lone CR as a line break."""
+    """The file's text, decoded as UTF-8 with a leading byte-order mark
+    skipped.  Newlines are not translated: every reader splits lines with
+    str.splitlines, str.split or JSON's whitespace, which all take CRLF
+    and a lone CR as a line break."""
     with open(path, "rb") as f:
-        return f.read().decode("utf-8")
+        return f.read().decode("utf-8-sig")
 
 
 def _write_all(files: list[tuple[str, str]]) -> None:

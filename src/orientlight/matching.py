@@ -161,8 +161,7 @@ def max_cardinality_matching(g: Graph) -> Matching:
             for w in nbr[v]:
                 if retired[w] or base[v] == base[w] or mate[v] == w:
                     continue
-                # w is even iff it is the root or its mate hangs in the tree
-                if w == root or (mate[w] != -1 and parent[mate[w]] != -1):
+                if in_tree[w]:  # w is even: an odd cycle closes
                     b = cycle_base(v, w)
                     relink_path(v, b, w)
                     relink_path(w, b, v)
@@ -432,13 +431,7 @@ def max_weight_matching(g: Graph, edge_weights) -> Matching:
                     best_to[bj] = k
             best_edge[child] = None
         best_to_peers[b] = peers = list(best_to.values())
-        best_edge[b] = None
-        best_slack = None
-        for k in peers:
-            ks = slack(*k)
-            if best_slack is None or ks < best_slack:
-                best_slack = ks
-                best_edge[b] = k
+        best_edge[b] = min(peers, key=lambda k: slack(*k), default=None)
 
     def expand_blossom(b: int, endstage: bool) -> None:
         # at the end of a stage, sub-blossoms with zero dual expand too;
@@ -459,40 +452,25 @@ def max_weight_matching(g: Graph, edge_weights) -> Matching:
             if t != b:
                 forget_blossom(t)
         if (not endstage) and label[b] == 2:
-            # mid-stage expansion of an inner blossom: walk from the child
-            # through which b was reached around to the base, relabeling
-            kids, lks = children[b], links[b]
-            entry = in_blossom[label_edge[b][1]]
-            j = kids.index(entry)
-            if j & 1:
-                j -= len(kids)
-                jstep = 1
-            else:
-                jstep = -1
+            # mid-stage expansion of an inner blossom: relabel the children
+            # on cycle_path from the one through which b was reached to
+            # the base, alternately inner and outer
+            j = children[b].index(in_blossom[label_edge[b][1]])
+            plinks = cycle_path(b, j)[1]
             x, y = label_edge[b]
-            while j != 0:
-                if jstep == 1:
-                    q = lks[j][1]
-                else:
-                    q = lks[j - 1][0]
-                label[y] = 0
-                label[q] = 0
+            for (_, q), link in zip(plinks[0::2], plinks[1::2]):
+                # y's child turns inner; q, its base's mate, turns outer
+                label[y] = label[q] = 0
                 assign_label(y, 2, x)
-                j += jstep
-                if jstep == 1:
-                    x, y = lks[j]
-                else:
-                    y, x = lks[j - 1]
-                j += jstep
-            child = kids[j]
+                x, y = link
+            child = children[b][0]  # the base child, reached by (x, y)
             label[y] = label[child] = 2
             label_edge[y] = label_edge[child] = (x, y)
             best_edge[child] = None
-            j += jstep
-            while kids[j] != entry:
-                child = kids[j]
+            # on the other, odd-length way round, a child turns inner
+            # through the edge that reached one of its vertices, if any
+            for child in children[b][1:j] if j & 1 else children[b][:j:-1]:
                 if label[child] == 1:
-                    j += jstep
                     continue
                 for v in vertices(child):
                     if label[v]:
@@ -503,7 +481,6 @@ def max_weight_matching(g: Graph, edge_weights) -> Matching:
                     label[v] = 0
                     label[mate[base_of[child]]] = 0
                     assign_label(v, 2, label_edge[v][0])
-                j += jstep
         forget_blossom(b)
 
     def forget_blossom(b: int) -> None:
@@ -511,40 +488,37 @@ def max_weight_matching(g: Graph, edge_weights) -> Matching:
         del blossom_dual[b]
         unused_ids.append(b)
 
+    def cycle_path(b: int, j: int):
+        # b's children on the even-length way round its cycle from child
+        # j to the base, and the links between them, each link (x, y)
+        # with x in the earlier child: forward for odd j, backward for
+        # even j.  In a full blossom its links 0, 2, 4, ... are matched.
+        kids, lks = children[b], links[b]
+        if j & 1:
+            return kids[j:] + kids[:1], lks[j:]
+        return kids[j::-1], [(y, x) for x, y in reversed(lks[:j])]
+
     def augment_through(b: int, v: int) -> None:
-        # flip matched edges inside b along the even path from v to the
-        # base, then rotate the cycle so v becomes the new base.  Nested
-        # blossoms on that path get the same treatment from an explicit
-        # stack: each one flips only its own vertices' mates, and every
-        # cycle is rotated after the blossoms inside it, so its new base
-        # is already v when it is read.
+        # flip matched edges inside b along cycle_path from v's child to
+        # the base, then rotate the cycle so v becomes the new base.
+        # Nested blossoms on that path get the same treatment from an
+        # explicit stack: each one flips only its own vertices' mates,
+        # and every cycle is rotated after the blossoms inside it, so its
+        # new base is already v when it is read.
         todo = [(b, v)]
         rotations = []
         while todo:
             b, v = todo.pop()
-            kids, lks = children[b], links[b]
             t = v
             while parent_of[t] != b:
                 t = parent_of[t]
             if t >= n:
                 todo.append((t, v))
-            i = j = kids.index(t)
-            if i & 1:
-                j -= len(kids)
-                jstep = 1
-            else:
-                jstep = -1
-            while j != 0:
-                j += jstep
-                t = kids[j]
-                if jstep == 1:
-                    x, y = lks[j]
-                else:
-                    y, x = lks[j - 1]
-                if t >= n:
-                    todo.append((t, x))
-                j += jstep
-                t = kids[j]
+            i = children[b].index(t)
+            path, plinks = cycle_path(b, i)
+            for (x, y), s, t in zip(plinks[1::2], path[1::2], path[2::2]):
+                if s >= n:
+                    todo.append((s, x))
                 if t >= n:
                     todo.append((t, y))
                 mate[x] = y

@@ -628,6 +628,32 @@ class TestVerify:
             assert run(capsys, "verify", g, sol, "--weights", w) == (0, "verify: OK\n", "")
         assert outs[0] == outs[1]
 
+    def test_files_with_a_byte_order_mark_read_as_their_unmarked_twins(self, capsys, tmp_path):
+        texts = {
+            "g.txt": "5 7\n1 2\n1 3\n1 4\n2 3\n2 4\n3 4\n4 5\n",
+            "w.txt": "1 0.5\n2 1.25\n3 2\n4 1\n5 3\n",
+        }
+        results = []
+        for mark in (b"", b"\xef\xbb\xbf"):
+            d = tmp_path / f"mark{len(mark)}"
+            d.mkdir()
+            for name, text in texts.items():
+                (d / name).write_bytes(mark + text.encode())
+            g, w, plain, weighted = d / "g.txt", d / "w.txt", d / "plain.json", d / "weighted.json"
+            got = [
+                run(capsys, "solve", g),
+                run(capsys, "solve", g, "--json"),
+                run(capsys, "solve", g, "--weights", w, "--json"),
+            ]
+            plain.write_bytes(mark + got[1][1].encode())
+            weighted.write_bytes(mark + got[2][1].encode())
+            got.append(run(capsys, "verify", g, plain))
+            got.append(run(capsys, "verify", g, weighted, "--weights", w))
+            results.append(got)
+        assert [rc for rc, _, _ in results[0]] == [0] * 5
+        assert results[0][3:] == [(0, "verify: OK\n", "")] * 2
+        assert results[1] == results[0]
+
     def test_rejects_missing_keys(self, capsys, tmp_path, k3_file):
         sol = self.write_solution(tmp_path, {"objective": 2})
         rc, out, _ = run(capsys, "verify", k3_file, sol)

@@ -263,6 +263,31 @@ class TestMaxCardinality:
         assert r.gprime.n >= {21: 1882, 22: 1978}[seed]
         self._check_against_networkx(r.gprime)
 
+    # the first 16 hex digits of sha256(repr(mate)) on the unweighted
+    # gadgets of TestMaxWeight's pinned graphs: graph n, d for p = d / n
+    # and graph seed.  A change to which maximum matching the engine
+    # returns fails here.
+    @pytest.mark.parametrize(
+        "case, digest",
+        [
+            ((8, 3.9, 62), "084a6e4e8a39c15b"),
+            ((30, 3.0, 7), "480b1c3ed1743ea1"),
+            ((40, 3.0, 11), "5eb8767f8a736dd8"),
+            ((40, 3.4, 13), "60ab37abd1a30620"),
+        ],
+    )
+    def test_returns_the_pinned_matching(self, case, digest):
+        n, d, graph_seed = case
+        r = build_gprime(random_graph(n, d / n, graph_seed))
+        assert mate_digest(max_cardinality_matching(r.gprime)) == digest
+
+    def test_returns_the_pinned_matching_on_a_sub_critical_gadget(self):
+        # the unweighted gadget of sub_critical_weighted_gadget's graph
+        n = 300
+        r = build_gprime(random_graph(n, 435 / (n * (n - 1) // 2), 1))
+        assert r.gprime.n == 1411
+        assert mate_digest(max_cardinality_matching(r.gprime)) == "2d1a2389f6f6459f"
+
     @staticmethod
     def _check_against_networkx(g):
         nx = pytest.importorskip("networkx")
