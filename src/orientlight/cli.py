@@ -1,9 +1,9 @@
-"""Command-line front end: solve, verify, gen, and bench subcommands.
+"""Command-line front end: solve, verify and gen subcommands.
 
-Exit codes: 0 success, 1 a verification or benchmark check failed or
-stdout was closed before the output was written (`solve g.txt | head -1`),
-2 bad usage or unreadable/unparseable input.  A closed stdout prints
-nothing on stderr.  main() leaves file descriptor 1 alone, so it can be
+Exit codes: 0 success, 1 a verification check failed or stdout was
+closed before the output was written (`solve g.txt | head -1`), 2 bad
+usage or unreadable/unparseable input.  A closed stdout prints nothing
+on stderr.  main() leaves file descriptor 1 alone, so it can be
 called in-process; only entry_point, the process entry point, points it
 at os.devnull once the reader is gone, so that the interpreter's flush
 at exit has nothing left to fail on.
@@ -26,7 +26,6 @@ from collections import Counter
 from fractions import Fraction
 
 from .graph import (
-    MAX_VERTICES,
     Graph,
     Orientation,
     VertexWeights,
@@ -289,6 +288,9 @@ def cmd_gen(args: argparse.Namespace) -> int:
             raise ValueError("--weights-max requires --weights-out")
         if args.weights_max < 0:
             raise ValueError("--weights-max must be nonnegative")
+        if args.weights_max >= 1 << 64:
+            # random_weights draws each cost from one 64-bit word
+            raise ValueError("--weights-max must be below 2**64")
     elif args.weights_out:
         raise ValueError("--weights-out requires --weights-max")
     if args.out and args.weights_out:
@@ -303,75 +305,6 @@ def cmd_gen(args: argparse.Namespace) -> int:
     _write_all(files)  # before stdout, so a failed write prints nothing
     if not args.out:
         sys.stdout.write(text)
-    return 0
-
-
-def _parse_schedule(text: str) -> list[tuple[int, int]]:
-    """Parses "n=50,m=150;n=100,m=300" into [(50, 150), (100, 300)]."""
-    entries = []
-    for part in text.split(";"):
-        part = part.strip()
-        if not part:
-            continue
-        fields = {}
-        for item in part.split(","):
-            if "=" not in item:
-                raise ValueError(f"schedule entry {part!r} must look like n=50,m=150")
-            key, _, val = item.partition("=")
-            key = key.strip()
-            if key in fields:
-                raise ValueError(f"schedule entry {part!r} sets {key} twice")
-            try:
-                fields[key] = int(val)
-            except ValueError:
-                raise ValueError(f"schedule value {val!r} is not an integer") from None
-        if set(fields) != {"n", "m"}:
-            raise ValueError(f"schedule entry {part!r} must set exactly n and m")
-        n, m = fields["n"], fields["m"]
-        if n < 2 or m < 0:
-            raise ValueError(f"schedule entry {part!r} needs n >= 2 and m >= 0")
-        if n > MAX_VERTICES:
-            # refused before any row, in random_graph's words
-            raise ValueError(f"{n} vertices exceed the limit of {MAX_VERTICES}")
-        entries.append((n, m))
-    if not entries:
-        raise ValueError("empty schedule")
-    return entries
-
-
-def cmd_bench(args: argparse.Namespace) -> int:
-    from .generate import random_graph, random_weights
-
-    entries = _parse_schedule(args.schedule)
-    if args.weights_max is not None and args.weights_max < 0:
-        raise ValueError("--weights-max must be nonnegative")
-    for i, (n, m_target) in enumerate(entries):
-        pairs = n * (n - 1) // 2
-        p = min(1.0, m_target / pairs)
-        g = random_graph(n, p, args.seed + i)
-        weights = VertexWeights.ones(n)
-        if args.weights_max is not None:
-            # the costs gen draws for a graph generated from the same seed
-            weights = random_weights(n, args.weights_max, args.seed + i + 1)
-        sol, stats = solve_with_stats(g, weights)
-        cert = sol.certificate
-        # the gadget the solve built must satisfy the closed-form formulas
-        r = stats.reduction
-        want_v = 5 * r.core.m - sum(r.demand)
-        want_e = 2 * r.core.m + sum(
-            (b + 1) * (r.core.degree(c) - b) + (b == 2) for c, b in enumerate(r.demand)
-        )
-        if (r.gprime.n, r.gprime.m) != (want_v, want_e):
-            print(f"bench: reduced sizes disagree with the formulas on n={n} m={g.m}")
-            return 1
-        print(
-            f"n={g.n:>5}  m={g.m:>6}  core_n={stats.core_vertices:>5}  "
-            f"core_m={stats.core_edges:>6}  |V'|={stats.reduced_vertices:>6}  "
-            f"|E'|={stats.reduced_edges:>7}  reduce={stats.reduce_seconds:7.3f}s  "
-            f"match={stats.match_seconds:7.3f}s  recover={stats.recover_seconds:7.3f}s  "
-            f"objective={_num(sol.objective)}  "
-            f"[{_num(cert.constant)} - {_num(cert.matching_value)} + {_num(cert.offset)}]"
-        )
     return 0
 
 
@@ -418,22 +351,6 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     p.add_argument("--weights-out", help="where to write the generated costs")
     p.set_defaults(func=cmd_gen)
 
-    p = commands["bench"] = sub.add_parser("bench", help="time the solver on random instances")
-    p.add_argument(
-        "schedule",
-        nargs="?",
-        default="n=50,m=150;n=100,m=300",
-        help="semicolon-separated n=..,m=.. entries",
-    )
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument(
-        "--weights-max",
-        type=int,
-        metavar="W",
-        help="draw integer costs in [0, W] (as gen does for the same seed) "
-        "and solve the weighted problem",
-    )
-    p.set_defaults(func=cmd_bench)
     return parser, commands
 
 

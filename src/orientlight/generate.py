@@ -28,9 +28,12 @@ class SplitMix64:
         return z ^ (z >> 31)
 
     def next_below(self, bound: int) -> int:
-        """Uniform integer in [0, bound), rejection-sampled to avoid bias."""
-        if bound <= 0:
-            raise ValueError("bound must be positive")
+        """Uniform integer in [0, bound), rejection-sampled to avoid bias.
+
+        bound is at most 2**64: one 64-bit word is drawn per try.
+        """
+        if not 0 < bound <= _U64 + 1:
+            raise ValueError("bound must lie in [1, 2**64]")
         limit = (_U64 + 1) - (_U64 + 1) % bound
         while True:
             x = self.next_u64()

@@ -14,13 +14,11 @@ import pytest
 
 import orientlight
 from conftest import size_formulas
-from orientlight import Graph, cli, parse_graph, parse_weights, solve_min_light
-from orientlight._record import replace
+from orientlight import parse_graph, parse_weights, solve_min_light
 from orientlight.cli import main
 from orientlight.generate import SplitMix64, random_graph
 from orientlight.graph import MAX_VERTICES, render_graph
 from orientlight.reduction import build_gprime
-from orientlight.solver import solve_with_stats
 
 K3_TEXT = "3 3\n1 2\n2 3\n1 3\n"
 
@@ -783,9 +781,7 @@ class TestGen:
         rc, _, err = run(capsys, "gen", "6", "1.7")
         assert rc == 2
 
-    @pytest.mark.parametrize(
-        "argv", [("gen", MAX_VERTICES + 1, "0"), ("bench", f"n={MAX_VERTICES + 1},m=5")]
-    )
+    @pytest.mark.parametrize("argv", [("gen", MAX_VERTICES + 1, "0")])
     def test_vertex_count_above_the_limit_draws_nothing(self, capsys, monkeypatch, argv):
         # solve would refuse the header, so the quadratic draw must not start
         def no_draw(self):
@@ -796,89 +792,30 @@ class TestGen:
         assert (rc, out) == (2, "")
         assert err == f"error: {MAX_VERTICES + 1} vertices exceed the limit of {MAX_VERTICES}\n"
 
+    def test_weights_max_of_2_64_draws_nothing(self, capsys, tmp_path, monkeypatch):
+        # a cost is drawn from one 64-bit word: a larger range is refused
+        # before the draw, which would otherwise never end
+        def no_draw(self):
+            raise AssertionError("the generator was stepped")
 
-class TestBench:
-    def test_two_rows(self, capsys):
-        rc, out, _ = run(capsys, "bench", "n=10,m=15;n=12,m=20")
-        assert rc == 0
-        rows = out.strip().splitlines()
-        assert len(rows) == 2
-        assert all("objective=" in row for row in rows)
-        assert all("core_n=" in row for row in rows)
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(SplitMix64, "next_u64", no_draw)
+        argv = ["gen", "3", "1", "--weights-max", str(1 << 64), "--weights-out", "w.txt"]
+        rc, out, err = run(capsys, *argv)
+        assert (rc, out, err) == (2, "", "error: --weights-max must be below 2**64\n")
+        assert list(tmp_path.iterdir()) == []
 
-    def test_deterministic(self, capsys):
-        args = ("bench", "n=9,m=14", "--seed", "5")
-        rc1, out1, _ = run(capsys, *args)
-        rc2, out2, _ = run(capsys, *args)
-        assert rc1 == rc2 == 0
-        # timings vary between runs; objectives must not
-        obj1 = [row.split("objective=")[1] for row in out1.strip().splitlines()]
-        obj2 = [row.split("objective=")[1] for row in out2.strip().splitlines()]
-        assert obj1 == obj2
-
-    def test_bad_schedule(self, capsys):
-        # a key set twice is refused, not overwritten by its last value
-        for schedule in (
-            "n=10", "n=5,m=10,n=6", "n10,m=5", "n=x,m=5", "n=1,m=0", "n=5,m=-1", "", " ; ",
-        ):
-            rc, _, err = run(capsys, "bench", schedule)
-            assert rc == 2, schedule
-            assert "schedule" in err
-
-    def test_too_many_vertices_refused_before_any_row(self, capsys):
-        rc, out, err = run(capsys, "bench", "n=10,m=15;n=1000001,m=5")
-        assert rc == 2
-        assert out == ""
-        assert "1000001 vertices exceed the limit of 1000000" in err
-
-    def test_empty_entries_are_skipped(self, capsys):
-        rc, out, _ = run(capsys, "bench", "n=10,m=15;;n=12,m=20; ")
-        assert rc == 0
-        assert len(out.strip().splitlines()) == 2
-
-    def test_gadget_size_off_the_formulas_fails(self, capsys, monkeypatch):
-        def one_vertex_too_many(g, weights):
-            sol, stats = solve_with_stats(g, weights)
-            r = stats.reduction
-            r = replace(r, gprime=Graph(r.gprime.n + 1, r.gprime.edges))
-            return sol, replace(stats, reduction=r)
-
-        monkeypatch.setattr(cli, "solve_with_stats", one_vertex_too_many)
-        rc, out, err = run(capsys, "bench", "n=10,m=15;n=12,m=20")
-        assert (rc, err) == (1, "")
-        assert out.startswith("bench: reduced sizes disagree with the formulas on n=10 m=")
-        assert len(out.splitlines()) == 1
-
-    def test_weighted_rows(self, capsys):
-        rc, out, _ = run(capsys, "bench", "n=10,m=15;n=12,m=20;n=8,m=12", "--weights-max", "9")
-        assert rc == 0
-        rows = out.strip().splitlines()
-        assert len(rows) == 3
-        assert all("objective=" in row for row in rows)
-
-    def test_weighted_matches_solve_on_gen_instance(self, capsys, tmp_path):
-        # bench entry i uses the graph and costs gen draws from seed S + i
-        rc, out, _ = run(capsys, "bench", "n=9,m=36;n=9,m=36", "--seed", "4", "--weights-max", "7")
-        assert rc == 0
-        bench_objective = out.strip().splitlines()[1].split("objective=")[1].split()[0]
-        g, w = tmp_path / "g.graph", tmp_path / "w.txt"
-        rc, _, _ = run(
-            capsys, "gen", "9", "1", "--seed", "5", "--out", g,
-            "--weights-max", "7", "--weights-out", w,
+    def test_weights_max_of_2_64_minus_1_draws_whole_words(self, capsys, tmp_path, monkeypatch):
+        # the widest range gen takes: each cost is one generator word
+        monkeypatch.chdir(tmp_path)
+        argv = ["gen", "3", "1", "--weights-max", str((1 << 64) - 1), "--weights-out", "w.txt"]
+        assert run(capsys, *argv) == (0, "3 3\n1 2\n1 3\n2 3\n", "")
+        assert (tmp_path / "w.txt").read_text() == (
+            "1 10451216379200822465\n2 13757245211066428519\n3 17911839290282890590\n"
         )
-        assert rc == 0
-        rc, out, _ = run(capsys, "solve", g, "--weights", w, "--json")
-        assert rc == 0
-        assert str(json.loads(out)["objective"]) == bench_objective
-
-    def test_negative_weights_max_is_usage_error(self, capsys):
-        rc, out, err = run(capsys, "bench", "n=10,m=15", "--weights-max", "-1")
-        assert rc == 2
-        assert out == ""
-        assert "--weights-max" in err
 
 
-TOP_USAGE = "usage: orientlight [-h] {solve,verify,gen,bench} ...\n"
+TOP_USAGE = "usage: orientlight [-h] {solve,verify,gen} ...\n"
 SOLVE_USAGE = (
     "usage: orientlight solve [-h] [--weights WEIGHTS] [--json]\n"
     "                         [--dump-reduction PATH]\n"
@@ -896,14 +833,13 @@ PINNED = {
         "total cost as possible) end up with out-degree at most 1.\n"
         "\n"
         "positional arguments:\n"
-        "  {solve,verify,gen,bench}\n"
-        "    solve               solve one instance\n"
-        "    verify              check a solution document against its instance\n"
-        "    gen                 generate a reproducible random instance\n"
-        "    bench               time the solver on random instances\n"
+        "  {solve,verify,gen}\n"
+        "    solve             solve one instance\n"
+        "    verify            check a solution document against its instance\n"
+        "    gen               generate a reproducible random instance\n"
         "\n"
         "options:\n"
-        "  -h, --help            show this help message and exit\n",
+        "  -h, --help          show this help message and exit\n",
         "",
     ),
     "frobnicate": (
@@ -911,7 +847,14 @@ PINNED = {
         "",
         TOP_USAGE
         + "orientlight: error: argument command: invalid choice: 'frobnicate' "
-        "(choose from 'solve', 'verify', 'gen', 'bench')\n",
+        "(choose from 'solve', 'verify', 'gen')\n",
+    ),
+    "bench": (
+        2,
+        "",
+        TOP_USAGE
+        + "orientlight: error: argument command: invalid choice: 'bench' "
+        "(choose from 'solve', 'verify', 'gen')\n",
     ),
     "solve": (
         2,

@@ -25,6 +25,18 @@ class TestSplitMix64:
         with pytest.raises(ValueError):
             SplitMix64(1).next_below(0)
 
+    def test_next_below_takes_bounds_up_to_2_64(self, monkeypatch):
+        # a bound of 2**64 accepts every word; a larger one is refused
+        # before a draw, as its rejection loop would never accept one
+        assert SplitMix64(9).next_below(1 << 64) == SplitMix64(9).next_u64()
+
+        def no_draw(self):
+            raise AssertionError("the generator was stepped")
+
+        monkeypatch.setattr(SplitMix64, "next_u64", no_draw)
+        with pytest.raises(ValueError):
+            SplitMix64(9).next_below((1 << 64) + 1)
+
 
 class TestRandomGraph:
     def test_determinism(self):

@@ -84,8 +84,8 @@ def pendant_heavy_weighted_gadget() -> tuple[Graph, tuple[int, ...]]:
 
 
 def sub_critical_weighted_gadget() -> tuple[Graph, tuple[int, ...]]:
-    # the gadget of the n=300 row of `orientlight bench "n=300,m=435"
-    # --seed 1 --weights-max 1000`: m = 1.4n, below the density at which
+    # the gadget of random_graph(300, 435 / 44850, 1) with the costs
+    # random_weights(300, 1000, 2): m = 1.4n, below the density at which
     # the flow kernel settles almost everything, so a core of 232
     # vertices (45 of demand 1) and a gadget of 1411 vertices remain
     n = 300
