@@ -6,11 +6,14 @@ Vertices are 0-based and contiguous internally; the text formats use
 
 from __future__ import annotations
 
-from decimal import Decimal, InvalidOperation
-from fractions import Fraction
 from itertools import repeat
 
 from ._record import lazy, record
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:  # annotations only; _fraction and _decimal load them on first use
+    from decimal import Decimal
+    from fractions import Fraction
 
 __all__ = [
     "MAX_VERTICES",
@@ -144,11 +147,22 @@ class VertexWeights:
     def as_value(self, units: int) -> int | Fraction:
         """Converts a unit total back to an exact number (int when whole)."""
         whole, rest = divmod(units, self.scale)
-        return Fraction(units, self.scale) if rest else whole
+        return _fraction(units, self.scale) if rest else whole
 
     @classmethod
     def ones(cls, n: int) -> "VertexWeights":
         return _valid_weights((1,) * n, 1)
+
+
+def _fraction(numerator: int, denominator: int) -> Fraction:
+    """Fraction(numerator, denominator).  The first call imports fractions
+    (which imports decimal) and rebinds this name to the class itself, so
+    a process whose totals are all whole loads neither module and every
+    later call is the class's own."""
+    global _fraction
+    from fractions import Fraction as _fraction
+
+    return _fraction(numerator, denominator)
 
 
 def _valid_weights(units: tuple[int, ...], scale: int) -> VertexWeights:
@@ -319,10 +333,7 @@ def _decimal_cost(cost: str, v: int) -> tuple[int, int]:
     Raises ValueError, without a line number, unless cost is a finite,
     nonnegative decimal within the digit bounds.
     """
-    try:
-        d = Decimal(cost)
-    except InvalidOperation:
-        raise ValueError(f"cost {cost!r} is not a decimal number") from None
+    d = _decimal(cost)
     if not d.is_finite():
         raise ValueError("cost must be finite")
     if d < 0:
@@ -336,6 +347,23 @@ def _decimal_cost(cost: str, v: int) -> tuple[int, int]:
     if len(digits) + exponent >= _COST_DIGITS:
         raise ValueError(f"cost has {_COST_DIGITS} or more integer digits")
     return int("".join(map(str, digits))), exponent
+
+
+def _decimal(cost: str) -> Decimal:
+    """Decimal(cost), or ValueError when cost is not a decimal number.
+    The first call imports decimal and rebinds this name to the reader
+    it defines, so decimal loads only for a cost that is not plain digits
+    with at most one point, and no later call imports anything."""
+    global _decimal
+    from decimal import Decimal, InvalidOperation
+
+    def _decimal(cost: str) -> Decimal:
+        try:
+            return Decimal(cost)
+        except InvalidOperation:
+            raise ValueError(f"cost {cost!r} is not a decimal number") from None
+
+    return _decimal(cost)
 
 
 def _weights_fault(text: str, n: int) -> Exception:

@@ -18,10 +18,12 @@ swept.  The sweep needs no library beyond Python itself.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .graph import Graph, Orientation, VertexWeights
 from .matching import Matching
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:  # annotations only: fractions loads when a total is not whole
+    from fractions import Fraction
 
 __all__ = [
     "BudgetExceededError",

@@ -16,13 +16,17 @@ settled light, raises an internal error.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from time import perf_counter
 
+from . import matching as engines
 from ._record import field, record
 from .graph import Graph, Orientation, VertexWeights, light_vertices
-from .matching import Matching, max_cardinality_matching, max_weight_matching
+from .matching import Matching
 from .reduction import ReducedGraph, build_gprime
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:  # annotations only: fractions loads when a total is not whole
+    from fractions import Fraction
 
 __all__ = [
     "Certificate",
@@ -229,9 +233,9 @@ def solve_with_stats(
 
     # with every gadget edge of one weight a maximum matching has maximum weight
     if len(set(r.edge_weights)) < 2:
-        matching = max_cardinality_matching(r.gprime)
+        matching = engines.max_cardinality_matching(r.gprime)
     else:
-        matching = max_weight_matching(r.gprime, r.edge_weights)
+        matching = engines.max_weight_matching(r.gprime, r.edge_weights)
     matching_units = matching.weight_units(r.edge_weights)
     t2 = perf_counter()
 

@@ -226,7 +226,7 @@ class TestVertexWeights:
         assert VertexWeights.ones(0) == VertexWeights((), 1)
 
     def test_as_value_builds_no_fraction_when_whole(self, monkeypatch):
-        monkeypatch.setattr("orientlight.graph.Fraction", None)
+        monkeypatch.setattr("orientlight.graph._fraction", None)
         assert VertexWeights.ones(2).as_value(7) == 7
         assert VertexWeights((150,), 100).as_value(300) == 3
 

@@ -32,7 +32,7 @@ from orientlight.solver import (
     normalize_gadget_matching,
     recover_orientation,
 )
-from orientlight import reduction, solver
+from orientlight import matching, reduction, solver
 from orientlight._record import replace
 
 
@@ -460,7 +460,7 @@ class TestRecountChecks:
     @pytest.mark.parametrize("weights", [None, VertexWeights((2, 7, 3))])
     def test_matching_short_of_an_edge_fails_the_core_recount(self, monkeypatch, k3, weights):
         engine = "max_cardinality_matching" if weights is None else "max_weight_matching"
-        real = getattr(solver, engine)
+        real = getattr(matching, engine)
 
         def one_edge_short(gp, *args):
             ids = sorted(real(gp, *args).matched_edge_ids)
@@ -470,7 +470,7 @@ class TestRecountChecks:
             return Matching.from_edge_ids(gp, ids[:-1])
 
         assert solve_with_stats(k3, weights)[1].core_vertices == 3
-        monkeypatch.setattr(solver, engine, one_edge_short)
+        monkeypatch.setattr(matching, engine, one_edge_short)
         with pytest.raises(RuntimeError, match="internal error: core recount") as ex:
             solve_with_stats(k3, weights)
         assert str(ex.value).endswith("(n=3, m=3)")
@@ -554,7 +554,7 @@ class TestSolveProperties:
         def refuse(gp, weights):
             raise Reached
 
-        monkeypatch.setattr(solver, "max_weight_matching", refuse)
+        monkeypatch.setattr(matching, "max_weight_matching", refuse)
         g = wheel_graph(6)
         sol, stats = solve_with_stats(g, VertexWeights((5,) * g.n))
         assert stats.core_vertices == g.n
