@@ -10,7 +10,7 @@ from __future__ import annotations
 from .graph import Graph
 from .matching import Matching
 
-__all__ = ["max_weight_matching"]
+__all__ = ["max_weight_matching", "verify_optimum"]
 
 
 def max_weight_matching(g: Graph, edge_weights) -> Matching:
@@ -119,10 +119,6 @@ def max_weight_matching(g: Graph, edge_weights) -> Matching:
     blossom_dual: dict[int, int] = {}
     queue: list[int] = []
 
-    def internal_error(what: str) -> RuntimeError:
-        # an engine bug, not bad input: name enough to reproduce it
-        return RuntimeError(f"internal error: {what} (n={n}, m={m})")
-
     def slack(x: int, y: int, w: int) -> int:
         return dual[x] + dual[y] - w
 
@@ -131,7 +127,7 @@ def max_weight_matching(g: Graph, edge_weights) -> Matching:
         ks = slack(x, y, w)
         if ks % 2 != 0:
             e = g.edges.index((min(x, y), max(x, y)))
-            raise internal_error(f"odd slack {ks} on outer-outer edge {e} ({x}, {y})")
+            raise _internal_error(f"odd slack {ks} on outer-outer edge {e} ({x}, {y})", n, m)
         return ks // 2
 
     def vertices(b: int):
@@ -365,48 +361,6 @@ def max_weight_matching(g: Graph, edge_weights) -> Matching:
                 augment_through(bp, t)
             mate[t] = s
 
-    def verify_optimum() -> None:
-        # complementary slackness for the final duals; any failure here
-        # is an engine bug, not bad input
-        for v in range(n):
-            if dual[v] < 0:
-                raise internal_error(f"negative dual {dual[v]} at vertex {v}")
-        for b, z in blossom_dual.items():
-            if z < 0:
-                raise internal_error(f"negative dual on the blossom with base {base_of[b]}")
-        for e, (i, j) in enumerate(g.edges):
-            s = dual[i] + dual[j] - 4 * edge_weights[e]
-            chain_i = [i]
-            chain_j = [j]
-            while parent_of[chain_i[-1]] != -1:
-                chain_i.append(parent_of[chain_i[-1]])
-            while parent_of[chain_j[-1]] != -1:
-                chain_j.append(parent_of[chain_j[-1]])
-            chain_i.reverse()
-            chain_j.reverse()
-            for bi, bj in zip(chain_i, chain_j):
-                if bi != bj:
-                    break
-                s += 2 * blossom_dual[bi]
-            if s < 0:
-                raise internal_error(f"negative slack {s} on edge {e} ({i}, {j})")
-            if (mate[i] == j or mate[j] == i) and s != 0:
-                raise internal_error(f"matched edge {e} ({i}, {j}) has slack {s}")
-        for v in range(n):
-            if mate[v] == -1 and dual[v] != 0:
-                raise internal_error(f"exposed vertex {v} has dual {dual[v]}")
-        for b, z in blossom_dual.items():
-            if z > 0:
-                if len(links[b]) % 2 != 1:
-                    raise internal_error(f"even blossom with base {base_of[b]} has dual {z}")
-                for i, j in links[b][1::2]:
-                    if mate[i] != j or mate[j] != i:
-                        e = g.edges.index((min(i, j), max(i, j)))
-                        raise internal_error(
-                            f"blossom with base {base_of[b]} and dual {z} is not full: "
-                            f"edge {e} ({i}, {j}) is unmatched"
-                        )
-
     while True:
         # one stage per augmentation or retired root
         label[:] = [0] * ids
@@ -543,5 +497,66 @@ def max_weight_matching(g: Graph, edge_weights) -> Matching:
         for b in list(blossom_dual):
             if parent_of[b] == -1 and label[b] == 1 and blossom_dual[b] == 0:
                 expand_blossom(b, True)
-    verify_optimum()
+    verify_optimum(g.edges, edge_weights, mate, dual, blossom_dual, parent_of, base_of, links)
     return Matching.from_mate(g, mate)
+
+
+def verify_optimum(
+    edges, edge_weights, mate, dual, blossom_dual, parent_of, base_of, links
+) -> None:
+    """Checks complementary slackness for max_weight_matching's final state.
+
+    The state is the engine's, as plain values: edges and their integer
+    weights, mate (-1 for an exposed vertex), the doubled vertex duals
+    (an edge's slack is dual[i] + dual[j] - 4 w), and, per blossom id,
+    blossom_dual (live blossoms only), parent_of (-1 at the top),
+    base_of and links (the edges between consecutive children, from
+    the base child round).  Every failure raises RuntimeError naming
+    the first broken condition: an engine bug, not bad input.
+    """
+    n, m = len(mate), len(edges)
+    for v in range(n):
+        if dual[v] < 0:
+            raise _internal_error(f"negative dual {dual[v]} at vertex {v}", n, m)
+    for b, z in blossom_dual.items():
+        if z < 0:
+            raise _internal_error(f"negative dual on the blossom with base {base_of[b]}", n, m)
+    for e, (i, j) in enumerate(edges):
+        s = dual[i] + dual[j] - 4 * edge_weights[e]
+        chain_i = [i]
+        chain_j = [j]
+        while parent_of[chain_i[-1]] != -1:
+            chain_i.append(parent_of[chain_i[-1]])
+        while parent_of[chain_j[-1]] != -1:
+            chain_j.append(parent_of[chain_j[-1]])
+        chain_i.reverse()
+        chain_j.reverse()
+        for bi, bj in zip(chain_i, chain_j):
+            if bi != bj:
+                break
+            s += 2 * blossom_dual[bi]
+        if s < 0:
+            raise _internal_error(f"negative slack {s} on edge {e} ({i}, {j})", n, m)
+        if (mate[i] == j or mate[j] == i) and s != 0:
+            raise _internal_error(f"matched edge {e} ({i}, {j}) has slack {s}", n, m)
+    for v in range(n):
+        if mate[v] == -1 and dual[v] != 0:
+            raise _internal_error(f"exposed vertex {v} has dual {dual[v]}", n, m)
+    for b, z in blossom_dual.items():
+        if z > 0:
+            if len(links[b]) % 2 != 1:
+                raise _internal_error(f"even blossom with base {base_of[b]} has dual {z}", n, m)
+            for i, j in links[b][1::2]:
+                if mate[i] != j or mate[j] != i:
+                    e = edges.index((min(i, j), max(i, j)))
+                    raise _internal_error(
+                        f"blossom with base {base_of[b]} and dual {z} is not full: "
+                        f"edge {e} ({i}, {j}) is unmatched",
+                        n,
+                        m,
+                    )
+
+
+def _internal_error(what: str, n: int, m: int) -> RuntimeError:
+    # an engine bug, not bad input: name enough to reproduce it
+    return RuntimeError(f"internal error: {what} (n={n}, m={m})")

@@ -16,6 +16,8 @@ from conftest import (
 )
 from orientlight import Graph, VertexWeights, solve_min_light
 from orientlight.generate import SplitMix64, random_graph, random_weights
+from orientlight import _weighted
+from orientlight._weighted import verify_optimum
 from orientlight.matching import Matching, max_cardinality_matching, max_weight_matching
 from orientlight.oracle import brute_force_max_matching, brute_force_min_light
 from orientlight.reduction import build_gprime
@@ -526,6 +528,74 @@ class TestMaxWeight:
             got = max_weight_matching(g, wts).weight_units(wts)
             want = brute_force_max_matching(g, wts, max_edges=32).weight_units(wts)
             assert got == want
+
+
+def edge_state(**changes):
+    """verify_optimum's arguments for the optimum of one edge of weight 1
+    (the duals are doubled, so each end holds 2), with changes applied."""
+    state = dict(
+        edges=((0, 1),), edge_weights=(1,), mate=[1, 0], dual=[2, 2],
+        blossom_dual={}, parent_of=[-1] * 4, base_of=[0, 1, -1, -1], links=[None] * 4,
+    )
+    return {**state, **changes}
+
+
+def blossom_state(**changes):
+    """The optimum of a triangle of weight-1 edges as a blossom (id 3,
+    base 0, dual 2) whose duals all sit on the blossom: the edge (1, 2)
+    is matched, vertex 0 exposed with dual 0, and every slack is 0."""
+    state = dict(
+        edges=((0, 1), (0, 2), (1, 2)), edge_weights=(1, 1, 1), mate=[-1, 2, 1],
+        dual=[0, 0, 0], blossom_dual={3: 2}, parent_of=[3, 3, 3, -1, -1, -1],
+        base_of=[0, 1, 2, 0, -1, -1], links=[None, None, None, [(0, 1), (1, 2), (2, 0)], None, None],
+    )
+    return {**state, **changes}
+
+
+class TestVerifyOptimum:
+    """The weighted engine's closing optimality check on hand-made states:
+    each broken condition raises its own internal error."""
+
+    @pytest.mark.parametrize("state", [edge_state(), blossom_state()], ids=["edge", "blossom"])
+    def test_an_optimal_state_passes(self, state):
+        assert verify_optimum(**state) is None
+
+    @pytest.mark.parametrize(
+        "state, message",
+        [
+            (edge_state(dual=[-1, 5]), "negative dual -1 at vertex 0 (n=2, m=1)"),
+            (
+                blossom_state(blossom_dual={3: -1}),
+                "negative dual on the blossom with base 0 (n=3, m=3)",
+            ),
+            (edge_state(dual=[1, 1]), "negative slack -2 on edge 0 (0, 1) (n=2, m=1)"),
+            (edge_state(dual=[3, 3]), "matched edge 0 (0, 1) has slack 2 (n=2, m=1)"),
+            (edge_state(mate=[-1, -1]), "exposed vertex 0 has dual 2 (n=2, m=1)"),
+            (
+                blossom_state(links=[None, None, None, [(0, 1), (1, 2)], None, None]),
+                "even blossom with base 0 has dual 2 (n=3, m=3)",
+            ),
+            (
+                blossom_state(mate=[-1, -1, -1]),
+                "blossom with base 0 and dual 2 is not full: edge 2 (1, 2) is unmatched "
+                "(n=3, m=3)",
+            ),
+        ],
+        ids=["vertex-dual", "blossom-dual", "slack", "matched-slack", "exposed-dual",
+             "even-blossom", "not-full"],
+    )
+    def test_each_broken_condition_is_an_internal_error(self, state, message):
+        with pytest.raises(RuntimeError) as ex:
+            verify_optimum(**state)
+        assert str(ex.value) == "internal error: " + message
+
+    def test_the_engine_checks_its_final_state(self, monkeypatch, k3):
+        seen = []
+        monkeypatch.setattr(_weighted, "verify_optimum", lambda *state: seen.append(state))
+        m = max_weight_matching(k3, (1, 2, 3))
+        assert len(seen) == 1
+        edges, weights, mate = seen[0][:3]
+        assert (edges, weights, tuple(mate)) == (k3.edges, (1, 2, 3), m.mate)
 
 
 class TestMaximalMatchingHelper:
