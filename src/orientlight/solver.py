@@ -73,7 +73,9 @@ class SolveStats:
     """Instance and phase statistics for one solve.
 
     core_* is the core the flow kernel leaves for the gadget, and
-    reduced_* the gadget graph, which reduction holds.
+    reduced_* the gadget graph, which reduction holds.  The first
+    mixed-cost solve in a process also loads the weighted engine, and
+    its match_seconds include that import.
     """
 
     n: int
