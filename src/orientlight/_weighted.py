@@ -2,7 +2,8 @@
 
 orientlight.matching exports max_weight_matching and imports this module
 on first access; solves whose gadget edges all share one weight take the
-cardinality engine and leave it unloaded.
+cardinality engine and leave it unloaded.  verify_optimum, the engine's
+closing optimality check, takes the final state as plain values.
 """
 
 from __future__ import annotations
