@@ -20,6 +20,8 @@ from .graph import Graph, VertexWeights, _valid_graph
 
 __all__ = ["ReducedGraph", "build_gprime"]
 
+_EMPTY = _valid_graph(0, ())  # core and gadget of every input the flow settles whole
+
 
 @record
 class ReducedGraph:
@@ -158,7 +160,9 @@ def build_gprime(g: Graph, weights: VertexWeights | None = None) -> ReducedGraph
     leaves R, so those edges keep the flow's direction (ReducedGraph
     gives the lemma) and each R vertex's demand is 2 minus its out-edges
     leaving R.  A flow edge entering R or an R vertex with 2 out-edges
-    leaving R is an internal error.
+    leaving R is an internal error.  An empty R returns at once: one
+    shared empty graph as core and gadget, the offsets (0,) and the
+    flow's tails, the record the construction below builds for it.
 
     The kernel makes one pass over the edges, the flow's greedy start,
     and counts no out-degrees; everything else touches only the edges of
@@ -185,6 +189,18 @@ def build_gprime(g: Graph, weights: VertexWeights | None = None) -> ReducedGraph
     excess = [-2 if len(a) > 1 and c else 0 for a, c in zip(adj, units)]
     tails, in_region = _deficient_region(g, excess)
     core_to_input = tuple(compress(range(n), in_region))  # R is the core
+    if not core_to_input:
+        return ReducedGraph(
+            core=_EMPTY,
+            core_to_input=(),
+            core_edge_to_input=(),
+            demand=(),
+            flow_tails=tuple(tails),
+            gprime=_EMPTY,
+            edge_weights=(),
+            inner_start=(0,),
+            band_start=(0,),
+        )
     out = [0] * n  # out-edges leaving R, per vertex of R
     core_edges = []
     for x in core_to_input:

@@ -5,13 +5,14 @@ graph (build_gprime: one flow that settles every vertex with no
 directed path to a vertex left short of its target and keeps the
 others as the core), compute one maximum matching, read the core
 orientation back off the matching, and map it onto the input edges
-next to the tails the kernel fixed.  Without costs every vertex costs
-1.  On the core the optimal light cost is Q - w(M) (2m - |M| at unit
-costs), and the vertices of degree below 2 contribute the offset.  The
-kernel is sound because some optimal orientation agrees with every
-tail it fixes (see ReducedGraph).  Both identities are recounted on
-the final orientation; a mismatch, such as a costly vertex the kernel
-settled light, raises an internal error.
+next to the tails the kernel fixed.  An empty core has no gadget to
+match, and the kernel's tails are the orientation.  Without costs
+every vertex costs 1.  On the core the optimal light cost is Q - w(M)
+(2m - |M| at unit costs), and the vertices of degree below 2
+contribute the offset.  The kernel is sound because some optimal
+orientation agrees with every tail it fixes (see ReducedGraph).  Both
+identities are recounted on the final orientation; a mismatch, such
+as a costly vertex the kernel settled light, raises an internal error.
 """
 
 from __future__ import annotations
@@ -73,7 +74,8 @@ class SolveStats:
     """Instance and phase statistics for one solve.
 
     core_* is the core the flow kernel leaves for the gadget, and
-    reduced_* the gadget graph, which reduction holds.  The first
+    reduced_* the gadget graph, which reduction holds.  An empty core
+    runs no engine, so its match_seconds are about 0.  The first
     mixed-cost solve in a process also loads the weighted engine, and
     its match_seconds include that import.
     """
@@ -224,7 +226,13 @@ def solve_min_light(g: Graph, weights: VertexWeights | None = None) -> Solution:
 def solve_with_stats(
     g: Graph, weights: VertexWeights | None = None
 ) -> tuple[Solution, SolveStats]:
-    """solve_min_light plus instance sizes and per-phase timings."""
+    """solve_min_light plus instance sizes and per-phase timings.
+
+    When the kernel leaves an empty core, no engine runs and no core
+    orientation is recovered: the flow's tails are the orientation, and
+    the recount checks that its objective is the certificate's
+    0 - 0 + offset.
+    """
     if weights is None:
         weights = VertexWeights.ones(g.n)
     units, as_value = weights.units, weights.as_value
@@ -233,21 +241,27 @@ def solve_with_stats(
     r = build_gprime(g, weights)
     t1 = perf_counter()
 
-    # with every gadget edge of one weight a maximum matching has maximum weight
-    if len(set(r.edge_weights)) < 2:
-        matching = engines.max_cardinality_matching(r.gprime)
-    else:
-        matching = engines.max_weight_matching(r.gprime, r.edge_weights)
-    matching_units = matching.weight_units(r.edge_weights)
-    t2 = perf_counter()
-
-    # map the core orientation onto the input edges in place of the flow's
-    o_core = recover_orientation(r, matching)
     core_to_input = r.core_to_input
-    tails = list(r.flow_tails)
-    for e, t in zip(r.core_edge_to_input, o_core.tails):
-        tails[e] = core_to_input[t]
-    orientation = Orientation(tuple(tails))
+    if r.core.m:
+        # with every gadget edge of one weight a maximum matching has maximum weight
+        if len(set(r.edge_weights)) < 2:
+            matching = engines.max_cardinality_matching(r.gprime)
+        else:
+            matching = engines.max_weight_matching(r.gprime, r.edge_weights)
+        matching_units = matching.weight_units(r.edge_weights)
+        t2 = perf_counter()
+
+        # map the core orientation onto the input edges in place of the flow's
+        o_core = recover_orientation(r, matching)
+        tails = list(r.flow_tails)
+        for e, t in zip(r.core_edge_to_input, o_core.tails):
+            tails[e] = core_to_input[t]
+        orientation = Orientation(tuple(tails))
+    else:
+        # the kernel settled every vertex: the empty gadget's matching is empty
+        matching_units = 0
+        t2 = perf_counter()
+        orientation = Orientation(r.flow_tails)
     light = light_vertices(g, orientation)
 
     # Q is the connecting edges' weight; Certificate gives the offset rule

@@ -20,7 +20,7 @@ from orientlight.cli import main
 from orientlight.generate import random_graph, random_weights
 from orientlight.graph import render_graph
 from orientlight.oracle import brute_force_min_light
-from orientlight.reduction import build_gprime
+from orientlight.reduction import ReducedGraph, build_gprime
 from orientlight import reduction
 
 
@@ -140,6 +140,25 @@ class TestPeel:
         assert set(settled_light(g, r)) >= {0, 2, 4, 5, 7, 8, 9, 10}
         assert r.core_edge_to_input == ()
         assert all(t in g.edges[e] for e, t in enumerate(r.flow_tails))
+
+    @pytest.mark.parametrize("weights", [None, VertexWeights((3, 1, 4, 1, 5))])
+    def test_settled_input_leaves_the_empty_record(self, weights):
+        # K5's 10 edges give every vertex out-degree 2: the record is the
+        # one the gadget construction builds over an empty core
+        g = complete_graph(5)
+        r = build_gprime(g, weights)
+        assert r == ReducedGraph(
+            core=Graph(0, ()),
+            core_to_input=(),
+            core_edge_to_input=(),
+            demand=(),
+            flow_tails=r.flow_tails,
+            gprime=Graph(0, ()),
+            edge_weights=(),
+            inner_start=(0,),
+            band_start=(0,),
+        )
+        assert fixed_out(g, r) == [2] * 5
 
     def test_zero_cost_cycle_empties_core(self):
         # zero-cost vertices have target 0, so the flow can give each

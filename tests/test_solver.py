@@ -562,6 +562,39 @@ class TestSolveProperties:
         with pytest.raises(Reached):
             solve_min_light(g, VertexWeights(tuple(range(1, g.n + 1))))
 
+    def test_empty_core_reaches_no_engine_and_no_recovery(self, monkeypatch):
+        # the flow settles each graph whole, so there is no gadget to match
+        # and the certificate reads 0 - 0 + offset
+        def refuse(*args):
+            raise AssertionError("an empty core reached the matching stage")
+
+        monkeypatch.setattr(matching, "max_cardinality_matching", refuse)
+        monkeypatch.setattr(matching, "max_weight_matching", refuse)
+        monkeypatch.setattr(solver, "recover_orientation", refuse)
+        # a seeded tree whose every inner vertex has 2 or 3 children: each
+        # inner vertex orients to two of them, and only the leaves stay light
+        rng = SplitMix64(33)
+        edges, leaves = [], [0]
+        for _ in range(4):
+            v = leaves.pop(rng.next_below(len(leaves)))
+            for _ in range(2 + rng.next_below(2)):
+                leaves.append(len(edges) + 1)
+                edges.append((v, len(edges) + 1))
+        k5 = complete_graph(5)
+        cases = [
+            (k5, None),
+            (k5, parse_weights("1 0\n2 1.5\n3 0.25\n4 2\n5 0.75\n", 5)),
+            (Graph(4, ()), None),
+            (Graph(len(edges) + 1, tuple(edges)), None),
+        ]
+        for g, w in cases:
+            sol, stats = solve_with_stats(g, w)
+            offset = sol.certificate.offset
+            assert sol.objective == offset
+            assert sol.certificate == Certificate(0, 0, offset)
+            assert stats.core_vertices == stats.reduced_vertices == 0
+            assert sol.objective == brute_force_min_light(g, w)[0]
+
     def test_scale_invariance(self):
         for seed in range(8):
             g = random_graph(7, 0.45, seed)
