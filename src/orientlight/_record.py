@@ -18,19 +18,13 @@ the shown fields, which spares a compile per class.  The module
 imports only operator: dataclasses itself pulls in inspect, ast, dis
 and tokenize, which made up about a fifth of the command line's
 start-up.  Inheritance between records is not supported.
-
-lazy is functools' cached property without its lock: on first read it
-computes the value and stores it in the instance dict, where every
-later read finds it before the descriptor.  On Python 3.10 and 3.11
-the functools one takes an RLock on each first read, which cost about
-a microsecond on every solve's fresh core Graph.
 """
 
 from __future__ import annotations
 
 from operator import attrgetter
 
-__all__ = ["field", "lazy", "record", "replace"]
+__all__ = ["field", "record", "replace"]
 
 _MISSING = object()
 _HIDDEN = object()
@@ -102,25 +96,6 @@ def _value_methods(shown: tuple[str, ...]) -> dict:
         raise AttributeError(f"cannot delete field {name!r}")
 
     return {fn.__name__: fn for fn in (__eq__, __hash__, __repr__, __setattr__, __delattr__)}
-
-
-class lazy:
-    """Method decorator: an attribute computed on first read, then kept.
-
-    A non-data descriptor, so the value stored under the method's name
-    in the instance dict shadows it from the second read on.
-    """
-
-    def __init__(self, compute):
-        self.compute = compute
-        self.name = compute.__name__
-        self.__doc__ = compute.__doc__
-
-    def __get__(self, obj: object, owner: type | None = None) -> object:
-        if obj is None:
-            return self
-        value = obj.__dict__[self.name] = self.compute(obj)
-        return value
 
 
 def replace(obj: object, /, **changes: object) -> object:

@@ -6,9 +6,10 @@ Vertices are 0-based and contiguous internally; the text formats use
 
 from __future__ import annotations
 
+from functools import cached_property
 from itertools import repeat
 
-from ._record import lazy, record
+from ._record import record
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:  # annotations only; _fraction and _decimal load them on first use
@@ -79,7 +80,11 @@ class Graph:
     def m(self) -> int:
         return len(self.edges)
 
-    @lazy
+    # stored in the instance dict on first read, past the frozen
+    # __setattr__.  On 3.10 and 3.11 that first read takes a lock, about
+    # 1 us per fresh graph; only input graphs and non-empty cores are
+    # read, so a solve pays it at most twice
+    @cached_property
     def adjacency(self) -> tuple[tuple[int, ...], ...]:
         """Per-vertex tuple of incident edge indices, ascending."""
         adj: list[list[int]] = [[] for _ in range(self.n)]

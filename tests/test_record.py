@@ -1,5 +1,7 @@
 """The frozen value records the package's types are built from."""
 
+import functools
+
 import pytest
 
 from orientlight import (
@@ -12,7 +14,7 @@ from orientlight import (
 )
 from orientlight.matching import Matching
 from orientlight.reduction import build_gprime
-from orientlight._record import field, lazy, record, replace
+from orientlight._record import field, record, replace
 
 K3 = Graph(3, ((0, 1), (1, 2), (0, 2)))
 
@@ -143,7 +145,7 @@ class TestValueSemantics:
         assert list(vars(g)) == ["n", "edges", "adjacency"]
 
     def test_adjacency_read_on_the_class_is_the_descriptor(self):
-        assert isinstance(Graph.adjacency, lazy)
+        assert isinstance(Graph.adjacency, functools.cached_property)
         assert Graph.adjacency.__doc__.startswith("Per-vertex tuple of incident edge indices")
 
     def test_replace_builds_a_fresh_adjacency(self):
