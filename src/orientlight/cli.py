@@ -19,11 +19,9 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import os
 import sys
 from collections import Counter
-from fractions import Fraction
 
 from .graph import (
     Graph,
@@ -36,6 +34,10 @@ from .graph import (
 )
 from .reduction import ReducedGraph
 from .solver import Solution, solve_with_stats
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:  # annotations only; verify loads fractions on its first decimal
+    from fractions import Fraction
 
 __all__ = ["main"]
 
@@ -91,25 +93,33 @@ def _exact(literal: str) -> Fraction:
     refused: Fraction("1e999999999") would build a billion-digit integer."""
     if "e" in literal or "E" in literal:
         raise ValueError(f"number {literal} has an exponent; write it as a plain decimal")
+    from fractions import Fraction
+
     return Fraction(literal)
 
 
 def _is_number(x: object) -> bool:
-    """An int or a Fraction, as verify reads numbers; json.loads yields
-    NaN and Infinity as floats, which are refused."""
-    return isinstance(x, (int, Fraction)) and not isinstance(x, bool)
+    """An int or a Fraction, as verify reads numbers: an exact rational
+    that is not a bool.  json.loads yields NaN and Infinity as floats,
+    which are refused."""
+    from numbers import Rational
+
+    return isinstance(x, Rational) and not isinstance(x, bool)
 
 
 def _solution_to_json(g: Graph, sol: Solution) -> str:
     """The solution document, one line per top-level key, numbers as
     exact decimals."""
     cert = sol.certificate
+    light = ", ".join(map(str, sorted(v + 1 for v in sol.light_set)))
     # the head of edge (u, v) with tail t is u + v - t
-    orientation = [[t + 1, u + v - t + 1] for (u, v), t in zip(g.edges, sol.orientation.tails)]
+    orientation = ", ".join(
+        f"[{t + 1}, {u + v - t + 1}]" for (u, v), t in zip(g.edges, sol.orientation.tails)
+    )
     return (
         f'{{\n  "objective": {_num(sol.objective)},\n'
-        f'  "light": {json.dumps(sorted(v + 1 for v in sol.light_set))},\n'
-        f'  "orientation": {json.dumps(orientation)},\n'
+        f'  "light": [{light}],\n'
+        f'  "orientation": [{orientation}],\n'
         f'  "certificate": {{"matching_value": {_num(cert.matching_value)}, '
         f'"constant": {_num(cert.constant)}, "offset": {_num(cert.offset)}}}\n}}'
     )
@@ -121,6 +131,8 @@ def _dump_reduction(r: ReducedGraph, weights: VertexWeights, path: str) -> None:
     The sidecar uses 1-based vertex labels (matching the graph file) and
     0-based edge indices into that file's edge list.
     """
+    import json
+
     core = r.core
     owner = {eid: v + 1 for v in range(core.n) for eid in r.gadget_bucket(v)}
     sidecar = {
@@ -247,6 +259,8 @@ def _document_problems(g: Graph, weights: VertexWeights, claimed: object) -> lis
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    import json
+
     g = parse_graph(_read(args.graph))
     weights = parse_weights(_read(args.weights), g.n) if args.weights else VertexWeights.ones(g.n)
     try:

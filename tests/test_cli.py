@@ -90,6 +90,22 @@ class TestSolve:
         assert out == "{\n" + inner + "\n}\n"
         assert '  "orientation": [[1, 2], [2, 3], [1, 3]],\n' in out
 
+    @pytest.mark.parametrize(
+        "text",
+        ["3 0\n", "5 10\n" + "".join(f"{u} {v}\n" for u in range(1, 6) for v in range(u + 1, 6))],
+        ids=["edgeless", "k5"],
+    )
+    def test_json_lists_are_the_bytes_json_dumps_writes(self, capsys, tmp_path, text):
+        # an edgeless graph has no orientation entries, and K5 no light vertex
+        g = tmp_path / "g.txt"
+        g.write_text(text)
+        rc, out, _ = run(capsys, "solve", g, "--json")
+        assert rc == 0
+        doc = json.loads(out)
+        assert [] in (doc["light"], doc["orientation"])
+        inner = ",\n".join(f"  {json.dumps(key)}: {json.dumps(doc[key])}" for key in doc)
+        assert out == "{\n" + inner + "\n}\n"
+
     def test_fractional_weights_round_trip(self, capsys, tmp_path, k3_file):
         w = tmp_path / "w.txt"
         w.write_text("1 0.5\n2 0.25\n3 0.25\n")

@@ -117,7 +117,8 @@ def test_an_unweighted_solve_does_not_load(unweighted_modules, module):
 
 @pytest.fixture(scope="module")
 def instance_files(tmp_path_factory):
-    """K3 with mixed whole costs, and its solution document."""
+    """K3 with mixed whole costs and its solution document, k3.json, and
+    the unweighted solution document, k3.plain.json."""
     d = tmp_path_factory.mktemp("k3")
     (d / "k3.txt").write_text(K3_TEXT)
     (d / "k3.costs").write_text("1 1\n2 2\n3 3\n")
@@ -125,6 +126,9 @@ def instance_files(tmp_path_factory):
         argv = ["solve", str(d / "k3.txt"), "--weights", str(d / "k3.costs"), "--json"]
         assert cli.main(argv) == 0
     (d / "k3.json").write_text(out.getvalue())
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        assert cli.main(["solve", str(d / "k3.txt"), "--json"]) == 0
+    (d / "k3.plain.json").write_text(out.getvalue())
     return d
 
 
@@ -145,6 +149,27 @@ def test_the_command_line_does_not_load_the_weighted_engine(instance_files, argv
     )
     assert "orientlight.cli" in modules
     assert "orientlight._weighted" not in modules
+
+
+@pytest.mark.parametrize(
+    "argv", [["solve", "k3.txt", "--json"], ["solve", "k3.txt"]], ids=["json", "text"]
+)
+def test_solve_on_the_command_line_loads_neither_json_nor_fractions(instance_files, argv):
+    modules = fresh_modules(
+        f"from orientlight import cli\nassert cli.main({argv!r}) == 0\n", cwd=instance_files
+    )
+    assert "orientlight.cli" in modules
+    assert not {"json", "fractions", "decimal"} & modules
+
+
+def test_an_unweighted_verify_does_not_load_fractions(instance_files):
+    # a document without decimal literals reads no number as a Fraction
+    argv = ["verify", "k3.txt", "k3.plain.json"]
+    modules = fresh_modules(
+        f"from orientlight import cli\nassert cli.main({argv!r}) == 0\n", cwd=instance_files
+    )
+    assert "json" in modules
+    assert not {"fractions", "decimal"} & modules
 
 
 def test_a_mixed_cost_solve_loads_the_weighted_engine_and_not_fractions():
