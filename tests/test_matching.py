@@ -75,6 +75,59 @@ def mate_digest(m: Matching) -> str:
     return hashlib.sha256(repr(m.mate).encode()).hexdigest()[:16]
 
 
+# the costs of a blossom tower's outermost cycle, from x round to y
+OUTER_CYCLE_COSTS = (12, 3, 8, 3, 11)
+# (depth, pendant) for every tower of the family, all drawn from one seed
+BLOSSOM_TOWERS = [(depth, pendant) for depth in range(1, 5) for pendant in (False, True)]
+TOWER_SEED = 123
+
+
+def blossom_tower(
+    depth: int, pendant: bool, seed: int = TOWER_SEED
+) -> tuple[Graph, tuple[int, ...]]:
+    """Odd cycles nested depth deep, and edge costs for the weighted engine.
+
+    A 5-cycle, then depth - 1 times a new 5-cycle with one vertex
+    replaced by everything built so far: the new cycle runs from a vertex
+    x through four new vertices to a vertex y, x and y drawn from the
+    seed and maybe equal.  With pendant, a path of two new vertices hangs
+    off a drawn vertex: its first vertex is labelled 0, so its edge comes
+    first and the cardinality engine's greedy start matches it, leaving
+    the path's last vertex, labelled last, exposed.
+
+    Every edge of the inner cycles costs 20, so all of them are tight at
+    the weighted engine's start and contract into nested blossoms at
+    once.  The outermost cycle starts lighter, so that blossom grows a
+    dual before a path through it augments, and ends 1 lighter still, so
+    in the next stage the blossom is reached as an inner one and expands
+    mid-stage.  The seed was picked so that every tower of depth 2 or
+    more makes a mid-stage expansion, and every one of depth 3 or more
+    also augments through nested blossoms in the weighted engine and
+    contracts earlier blossoms again in the cardinality engine.
+    """
+    rng = SplitMix64(seed)
+    edges = [((i, (i + 1) % 5), 20) for i in range(5)]
+    n = 5
+    for level in range(1, depth):
+        x, y = rng.next_below(n), rng.next_below(n)
+        cycle = (x, n, n + 1, n + 2, n + 3, y)
+        costs = OUTER_CYCLE_COSTS if level == depth - 1 else (20,) * 5
+        edges += [((cycle[i], cycle[i + 1]), costs[i]) for i in range(5)]
+        n += 4
+    if pendant:
+        x = rng.next_below(n) + 1
+        edges = [((u + 1, v + 1), c) for (u, v), c in edges]
+        edges += [((0, x), 12), ((0, n + 1), 8)]
+        n += 2
+    edges = sorted((tuple(sorted(uv)), c) for uv, c in edges)
+    return Graph(n, tuple(uv for uv, _ in edges)), tuple(c for _, c in edges)
+
+
+def family_digest(matchings) -> str:
+    """mate_digest over a whole family's matchings, in order."""
+    return hashlib.sha256(repr([m.mate for m in matchings]).encode()).hexdigest()[:16]
+
+
 def pendant_heavy_weighted_gadget() -> tuple[Graph, tuple[int, ...]]:
     # a core with 128 demand-1 vertices, kept whole; a gadget of 945
     # vertices
@@ -289,6 +342,22 @@ class TestMaxCardinality:
         r = build_gprime(random_graph(n, 435 / (n * (n - 1) // 2), 1))
         assert r.gprime.n == 1411
         assert mate_digest(max_cardinality_matching(r.gprime)) == "2d1a2389f6f6459f"
+
+    def test_returns_the_pinned_matchings_on_the_blossom_towers(self):
+        towers = [blossom_tower(*case)[0] for case in BLOSSOM_TOWERS]
+        assert family_digest(map(max_cardinality_matching, towers)) == "deecd97562964911"
+
+    @pytest.mark.parametrize("depth, pendant", BLOSSOM_TOWERS)
+    def test_agrees_with_brute_force_on_a_blossom_tower(self, depth, pendant):
+        g, _ = blossom_tower(depth, pendant)
+        m = max_cardinality_matching(g)
+        assert Matching.from_mate(g, m.mate) == m
+        # the deepest tower with its path has 22 edges, past the default cap
+        assert m.size == brute_force_max_matching(g, max_edges=22).size == g.n // 2
+
+    @pytest.mark.parametrize("depth, pendant", BLOSSOM_TOWERS)
+    def test_agrees_with_networkx_on_a_blossom_tower(self, depth, pendant):
+        self._check_against_networkx(blossom_tower(depth, pendant)[0])
 
     @staticmethod
     def _check_against_networkx(g):
@@ -506,6 +575,23 @@ class TestMaxWeight:
     def test_returns_the_pinned_matching_on_a_sub_critical_gadget(self):
         g, wts = sub_critical_weighted_gadget()
         assert mate_digest(max_weight_matching(g, wts)) == "8c295a72b399b214"
+
+    def test_returns_the_pinned_matchings_on_the_blossom_towers(self):
+        towers = [blossom_tower(*case) for case in BLOSSOM_TOWERS]
+        matchings = [max_weight_matching(g, wts) for g, wts in towers]
+        assert family_digest(matchings) == "591483d988eaa316"
+
+    @pytest.mark.parametrize("depth, pendant", BLOSSOM_TOWERS)
+    def test_agrees_with_brute_force_on_a_blossom_tower(self, depth, pendant):
+        g, wts = blossom_tower(depth, pendant)
+        m = max_weight_matching(g, wts)
+        assert Matching.from_mate(g, m.mate) == m
+        want = brute_force_max_matching(g, wts, max_edges=22).weight_units(wts)
+        assert m.weight_units(wts) == want
+
+    @pytest.mark.parametrize("depth, pendant", BLOSSOM_TOWERS)
+    def test_agrees_with_networkx_on_a_blossom_tower(self, depth, pendant):
+        self._check_against_networkx(*blossom_tower(depth, pendant))
 
     @staticmethod
     def _check_against_networkx(g, wts):
