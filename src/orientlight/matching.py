@@ -43,10 +43,6 @@ class Matching:
         return sum(edge_weights[e] for e in self.matched_edge_ids)
 
     @classmethod
-    def empty(cls, g: Graph) -> "Matching":
-        return cls(frozenset(), (-1,) * g.n)
-
-    @classmethod
     def from_edge_ids(cls, g: Graph, ids) -> "Matching":
         ids = sorted(ids)  # ids may be an iterator: read it once
         mate = [-1] * g.n

@@ -196,22 +196,16 @@ def normalize_gadget_matching(r: ReducedGraph, m: Matching, v: int) -> Matching:
 def recover_orientation(r: ReducedGraph, m: Matching) -> Orientation:
     """Reads a core orientation off a matching of the gadget graph.
 
-    A matched lower-side connecting edge orients the core edge away from
-    its lower endpoint, a matched higher-side edge away from the higher
-    one, and an exposed connector orients lower to higher.
+    Both connecting edges of core edge e meet at its connector, so the
+    connector's mate alone decides: matched to the higher endpoint's
+    port, e leaves the higher endpoint; matched to the lower endpoint's
+    port or exposed, it leaves the lower one.
     """
-    matched = m.matched_edge_ids
-    tails = []
-    for e, (u, v) in enumerate(r.core.edges):
-        in_lo = r.side_edge(u, e) in matched
-        in_hi = r.side_edge(v, e) in matched
-        if in_lo and in_hi:
-            raise ValueError(f"both connecting edges of core edge {e} are matched")
-        if in_hi:
-            tails.append(v)
-        else:
-            tails.append(u)
-    return Orientation(tuple(tails))
+    mate = m.mate
+    return Orientation(tuple(
+        v if mate[r.connector(e)] == r.port_at(v, e) else u
+        for e, (u, v) in enumerate(r.core.edges)
+    ))
 
 
 def solve_min_light(g: Graph, weights: VertexWeights | None = None) -> Solution:

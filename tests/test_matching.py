@@ -13,6 +13,7 @@ from conftest import (
     random_core,
     random_maximal_matching,
     star_graph,
+    wheel_graph,
 )
 from orientlight import Graph, VertexWeights, solve_min_light
 from orientlight.generate import SplitMix64, random_graph, random_weights
@@ -126,6 +127,71 @@ def blossom_tower(
 def family_digest(matchings) -> str:
     """mate_digest over a whole family's matchings, in order."""
     return hashlib.sha256(repr([m.mate for m in matchings]).encode()).hexdigest()[:16]
+
+
+def triangle_chain(k: int, pendant: bool) -> Graph:
+    """k triangles in a row, each joined to the next by one edge.
+
+    Triangle i is 3i, 3i + 1, 3i + 2, and the edge (3i + 2, 3i + 3)
+    joins it to triangle i + 1.  With pendant, new vertices 3k and
+    3k + 1 hang off the chain's two ends, 0 and 3k - 1.
+    """
+    edges = [(3 * i + a, 3 * i + b) for i in range(k) for a, b in ((0, 1), (0, 2), (1, 2))]
+    edges += [(3 * i + 2, 3 * i + 3) for i in range(k - 1)]
+    n = 3 * k
+    if pendant:
+        edges += [(0, n), (n - 1, n + 1)]
+        n += 2
+    return Graph(n, tuple(sorted(edges)))
+
+
+def hub_paths(k: int, length: int) -> Graph:
+    """A hub, vertex 0, joined to the first vertex of each of k disjoint
+    paths of length vertices."""
+    edges = []
+    for i in range(k):
+        first = 1 + i * length
+        edges += [(0, first)] + [(first + j, first + j + 1) for j in range(length - 1)]
+    return Graph(1 + k * length, tuple(edges))
+
+
+def cycling_costs(count: int) -> tuple[int, ...]:
+    """1, 2, ..., 7, 1, 2, ...: the edge weights of a raw graph of the
+    chain and hub families, and the vertex costs of its gadget.  On the
+    raw triangle chains they make the weighted engine expand blossoms
+    whose dual is still 0 at the end of a stage."""
+    return tuple(i % 7 + 1 for i in range(count))
+
+
+def cost_gadget(g: Graph) -> tuple[Graph, tuple[int, ...]]:
+    r = build_gprime(g, VertexWeights(cycling_costs(g.n)))
+    return r.gprime, r.edge_weights
+
+
+# the second torture family, every graph at most 22 edges so brute force
+# takes it: chains of triangles, whose augmenting paths run the length of
+# the chain, and hub shapes, where one core vertex owns many ports
+TRIANGLE_CHAINS = {
+    f"{k}-triangles" + ("-pendants" if pendant else ""): triangle_chain(k, pendant)
+    for k in range(1, 6)
+    for pendant in (False, True)
+}
+HUB_SHAPES = {
+    **{
+        f"hub-{k}-paths-of-{length}": hub_paths(k, length)
+        for length, ks in ((2, (3, 6, 11)), (3, (3, 7)), (4, (3, 5)))
+        for k in ks
+    },
+    **{
+        f"K2,{k}": Graph(k + 2, tuple(sorted((a, 2 + i) for i in range(k) for a in (0, 1))))
+        for k in (3, 6, 11)
+    },
+    **{f"wheel{k}": wheel_graph(k) for k in (3, 6, 11)},
+}
+CHAINS_AND_HUBS = {**TRIANGLE_CHAINS, **HUB_SHAPES}
+chains_and_hubs = pytest.mark.parametrize(
+    "g", CHAINS_AND_HUBS.values(), ids=CHAINS_AND_HUBS.keys()
+)
 
 
 def pendant_heavy_weighted_gadget() -> tuple[Graph, tuple[int, ...]]:
@@ -242,7 +308,7 @@ class TestMaxCardinality:
     def test_empty_graph(self):
         for n in (0, 1, 3, 5):
             g = Graph(n, ())
-            assert max_cardinality_matching(g) == Matching.empty(g)
+            assert max_cardinality_matching(g) == Matching.from_edge_ids(g, ())
 
     def test_deterministic(self):
         g = random_graph(10, 0.5, 77)
@@ -359,6 +425,26 @@ class TestMaxCardinality:
     def test_agrees_with_networkx_on_a_blossom_tower(self, depth, pendant):
         self._check_against_networkx(blossom_tower(depth, pendant)[0])
 
+    @pytest.mark.parametrize(
+        "family, digest",
+        [(TRIANGLE_CHAINS, "c668c477e203a2a1"), (HUB_SHAPES, "3ed0bcb0d69cfc6d")],
+        ids=["chains", "hubs"],
+    )
+    def test_returns_the_pinned_matchings_on_chains_and_hubs(self, family, digest):
+        graphs = [h for g in family.values() for h in (g, build_gprime(g).gprime)]
+        assert family_digest(map(max_cardinality_matching, graphs)) == digest
+
+    @chains_and_hubs
+    def test_agrees_with_brute_force_on_chains_and_hubs(self, g):
+        m = max_cardinality_matching(g)
+        assert Matching.from_mate(g, m.mate) == m
+        assert m.size == brute_force_max_matching(g, max_edges=22).size
+
+    @chains_and_hubs
+    def test_agrees_with_networkx_on_chains_and_hubs_and_their_gadgets(self, g):
+        self._check_against_networkx(g)
+        self._check_against_networkx(build_gprime(g).gprime)
+
     @staticmethod
     def _check_against_networkx(g):
         nx = pytest.importorskip("networkx")
@@ -414,7 +500,7 @@ class TestMaxWeight:
     def test_empty_graph(self):
         for n in (0, 1, 3, 5):
             g = Graph(n, ())
-            assert max_weight_matching(g, ()) == Matching.empty(g)
+            assert max_weight_matching(g, ()) == Matching.from_edge_ids(g, ())
 
     def test_deterministic(self):
         g = random_graph(9, 0.5, 31)
@@ -592,6 +678,29 @@ class TestMaxWeight:
     @pytest.mark.parametrize("depth, pendant", BLOSSOM_TOWERS)
     def test_agrees_with_networkx_on_a_blossom_tower(self, depth, pendant):
         self._check_against_networkx(*blossom_tower(depth, pendant))
+
+    @pytest.mark.parametrize(
+        "family, digest",
+        [(TRIANGLE_CHAINS, "e25d08e50debe429"), (HUB_SHAPES, "0f5f62f7b8d34cc1")],
+        ids=["chains", "hubs"],
+    )
+    def test_returns_the_pinned_matchings_on_chains_and_hubs(self, family, digest):
+        cases = [c for g in family.values() for c in ((g, cycling_costs(g.m)), cost_gadget(g))]
+        matchings = [max_weight_matching(g, wts) for g, wts in cases]
+        assert family_digest(matchings) == digest
+
+    @chains_and_hubs
+    def test_agrees_with_brute_force_on_chains_and_hubs(self, g):
+        wts = cycling_costs(g.m)
+        m = max_weight_matching(g, wts)
+        assert Matching.from_mate(g, m.mate) == m
+        want = brute_force_max_matching(g, wts, max_edges=22).weight_units(wts)
+        assert m.weight_units(wts) == want
+
+    @chains_and_hubs
+    def test_agrees_with_networkx_on_chains_and_hubs_and_their_gadgets(self, g):
+        self._check_against_networkx(g, cycling_costs(g.m))
+        self._check_against_networkx(*cost_gadget(g))
 
     @staticmethod
     def _check_against_networkx(g, wts):

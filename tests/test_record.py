@@ -33,7 +33,7 @@ def every_type():
         K3,
         sol.orientation,
         VertexWeights((1, 2, 3)),
-        Matching.empty(K3),
+        Matching.from_edge_ids(K3, ()),
         AllDefaults(),
         stats.reduction,
         sol.certificate,

@@ -192,7 +192,7 @@ class TestNormalizeGadgetMatching:
     def test_rejects_non_maximal(self, k3):
         r = build_gprime(k3)
         with pytest.raises(ValueError, match="not maximal"):
-            normalize_gadget_matching(r, Matching.empty(r.gprime), 0)
+            normalize_gadget_matching(r, Matching.from_edge_ids(r.gprime, ()), 0)
 
     def test_rejects_vertex_out_of_range(self, k3):
         r = build_gprime(k3)
@@ -329,7 +329,7 @@ class TestHubCores:
 class TestRecoverOrientation:
     def test_empty_matching_orients_low_to_high(self, c4):
         r = build_gprime(c4)
-        o = recover_orientation(r, Matching.empty(r.gprime))
+        o = recover_orientation(r, Matching.from_edge_ids(r.gprime, ()))
         assert o.tails == tuple(u for u, v in c4.edges)
 
     def test_round_trip_through_matching(self):
@@ -346,11 +346,30 @@ class TestRecoverOrientation:
             assert recover_orientation(r, m).tails == o.tails
             built += 1
 
-    def test_rejects_both_connecting_edges(self, k3):
-        r = build_gprime(k3)
-        corrupt = Matching(frozenset({0, 1}), (-1,) * r.gprime.n)
-        with pytest.raises(ValueError, match="both connecting edges"):
-            recover_orientation(r, corrupt)
+    @pytest.mark.parametrize("weighted", [False, True], ids=["unweighted", "weighted"])
+    def test_tail_is_the_end_whose_side_edge_is_matched(self, weighted):
+        # random maximal matchings are rarely normalized and leave some
+        # connectors exposed; the tail is the end whose connecting edge
+        # is matched, and the lower end when neither is
+        built = exposed = 0
+        seed = 7300
+        while built < 40:
+            g = random_graph(14, 3.0 / 13, seed)
+            costs = random_weights(g.n, 4, seed) if weighted else None
+            seed += 1
+            r = build_gprime(g, costs)
+            if not r.core.m:
+                continue
+            m = random_maximal_matching(r.gprime, seed)
+            tails = recover_orientation(r, m).tails
+            for e, (u, v) in enumerate(r.core.edges):
+                in_lo = r.side_edge(u, e) in m.matched_edge_ids
+                in_hi = r.side_edge(v, e) in m.matched_edge_ids
+                assert not (in_lo and in_hi)
+                assert tails[e] == (v if in_hi else u)
+                exposed += not (in_lo or in_hi)
+            built += 1
+        assert exposed > 0
 
     def test_side_counts_bounded_by_out_degree(self):
         built = 0
