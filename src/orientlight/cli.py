@@ -2,11 +2,13 @@
 
 Exit codes: 0 success, 1 a verification check failed or stdout was
 closed before the output was written (`solve g.txt | head -1`), 2 bad
-usage or unreadable/unparseable input.  A closed stdout prints nothing
-on stderr.  main() leaves file descriptor 1 alone, so it can be
-called in-process; only entry_point, the process entry point, points it
-at os.devnull once the reader is gone, so that the interpreter's flush
-at exit has nothing left to fail on.
+usage or unreadable/unparseable input, 3 an internal error: one of the
+solver's own checks failed, reported on one stderr line that names each
+input file with its sha256.  A closed stdout prints nothing on stderr.
+main() leaves file descriptor 1 alone, so it can be called in-process;
+only entry_point, the process entry point, points it at os.devnull once
+the reader is gone, so that the interpreter's flush at exit has nothing
+left to fail on.
 
 main hands an argument list that starts with a subcommand's name
 straight to that subcommand's parser, so each call runs one argparse
@@ -96,6 +98,20 @@ def _exact(literal: str) -> Fraction:
     from fractions import Fraction
 
     return Fraction(literal)
+
+
+def _unique_keys(path: str):
+    """A json.loads object_pairs_hook that refuses an object naming a
+    key twice, which json.loads would otherwise read as its last value."""
+
+    def hook(pairs: list[tuple[str, object]]) -> dict:
+        obj = dict(pairs)
+        if len(obj) < len(pairs):
+            key = next(k for k, c in Counter(k for k, _ in pairs).items() if c > 1)
+            raise ValueError(f"{path}: solution repeats the key {key!r}")
+        return obj
+
+    return hook
 
 
 def _is_number(x: object) -> bool:
@@ -264,9 +280,19 @@ def cmd_verify(args: argparse.Namespace) -> int:
     g = parse_graph(_read(args.graph))
     weights = parse_weights(_read(args.weights), g.n) if args.weights else VertexWeights.ones(g.n)
     try:
-        claimed = json.loads(_read(args.solution), parse_float=_exact)
+        claimed = json.loads(
+            _read(args.solution), parse_float=_exact, object_pairs_hook=_unique_keys(args.solution)
+        )
     except RecursionError:
         raise ValueError(f"{args.solution}: solution JSON is nested too deeply") from None
+    except ValueError as ex:
+        # int() refuses a digit string past sys.get_int_max_str_digits(),
+        # for integer literals and for _exact's Fraction alike, with a hint
+        # to raise the limit; anything else is reported as raised
+        if type(ex) is not ValueError or not str(ex).startswith("Exceeds the limit"):
+            raise
+        limit = sys.get_int_max_str_digits()
+        raise ValueError(f"{args.solution}: a number has more than {limit} digits") from None
     problems = _document_problems(g, weights, claimed)
     if problems:
         for p in problems:
@@ -368,6 +394,23 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     return parser, commands
 
 
+def _input_digests(args: argparse.Namespace) -> str:
+    """Each input file the command read, with the sha256 of its bytes."""
+    import hashlib
+
+    parts = []
+    for name in ("graph", "weights", "solution"):
+        path = getattr(args, name, None)
+        if path:
+            try:
+                with open(path, "rb") as f:
+                    digest = hashlib.sha256(f.read()).hexdigest()
+            except OSError as ex:
+                digest = f"unreadable ({ex.strerror})"
+            parts.append(f"{name} {path} sha256 {digest}")
+    return ", ".join(parts)
+
+
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
@@ -390,6 +433,11 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError) as ex:
         print(f"error: {ex}", file=sys.stderr)
         return 2
+    except RuntimeError as ex:
+        # a failed self-check; the digests let the run be reproduced
+        what = str(ex).removeprefix("internal error: ")
+        print(f"error: internal error: {what}; {_input_digests(args)}", file=sys.stderr)
+        return 3
 
 
 def entry_point() -> int:

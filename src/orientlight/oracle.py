@@ -1,13 +1,11 @@
-"""Exhaustive baselines, used as ground truth in tests.
+"""Exhaustive baseline, used as ground truth by verify and in tests.
 
-Both oracles enumerate the full search space outright (every orientation
-or every independent edge subset); there is no pruning, which is the
-point: their correctness is plain to see.  The orientation oracle takes
-at most 20 edges, a fixed cap, and the matching oracle 18 unless its
-caller raises that; overshooting a cap is an explicit error, never a
-silent skip.
+The oracle enumerates the full search space outright, every
+orientation; there is no pruning, which is the point: its correctness
+is plain to see.  It takes at most 20 edges, a fixed cap, and
+overshooting the cap is an explicit error, never a silent skip.
 
-The orientation oracle sweeps all 2^m orientations at once on Python
+The oracle sweeps all 2^m orientations at once on Python
 ints used as 2^m-bit planes: bit k of a plane belongs to orientation k.
 Each vertex's light orientations come out as one such mask, and the
 costs add up in a bit-sliced sum, one plane per bit of the totals, so
@@ -19,7 +17,6 @@ swept.  The sweep needs no library beyond Python itself.
 from __future__ import annotations
 
 from .graph import Graph, Orientation, VertexWeights
-from .matching import Matching
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:  # annotations only: fractions loads when a total is not whole
@@ -27,7 +24,6 @@ if TYPE_CHECKING:  # annotations only: fractions loads when a total is not whole
 
 __all__ = [
     "BudgetExceededError",
-    "brute_force_max_matching",
     "brute_force_min_light",
 ]
 
@@ -129,50 +125,3 @@ def brute_force_min_light(
         bit = (best >> (m - 1 - e)) & 1
         tails.append(u if bit == 0 else w)
     return weights.as_value(constant + total), Orientation(tuple(tails))
-
-
-def brute_force_max_matching(
-    g: Graph,
-    edge_weights=None,
-    max_edges: int = 18,
-) -> Matching:
-    """Exact optimum matching by enumerating independent edge subsets.
-
-    Maximizes total weight; without edge_weights every edge weighs 1.
-    Graphs with more than max_edges edges are refused.  Shares no
-    algorithmic code with the matching module.
-    """
-    if g.m > max_edges:
-        raise BudgetExceededError(f"{g.m} edges exceeds the matching oracle cap of {max_edges}")
-    if edge_weights is None:
-        edge_weights = (1,) * g.m
-    if len(edge_weights) != g.m:
-        raise ValueError(f"{len(edge_weights)} weights for {g.m} edges")
-    for e, w in enumerate(edge_weights):
-        if type(w) is not int:  # a bool would pass as the int 0 or 1
-            raise ValueError(f"edge weight {w!r} at id {e} is not an integer")
-        if w < 0:
-            raise ValueError("negative edge weight")
-    best_value = -1
-    best_ids: tuple[int, ...] = ()
-    used = bytearray(g.n)
-    chosen: list[int] = []
-
-    def explore(e: int, value: int) -> None:
-        nonlocal best_value, best_ids
-        if e == g.m:
-            if value > best_value:
-                best_value = value
-                best_ids = tuple(chosen)
-            return
-        explore(e + 1, value)
-        u, v = g.edges[e]
-        if not used[u] and not used[v]:
-            used[u] = used[v] = 1
-            chosen.append(e)
-            explore(e + 1, value + edge_weights[e])
-            chosen.pop()
-            used[u] = used[v] = 0
-
-    explore(0, 0)
-    return Matching.from_edge_ids(g, best_ids)

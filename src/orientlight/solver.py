@@ -34,7 +34,6 @@ __all__ = [
     "Solution",
     "SolveStats",
     "matching_from_orientation",
-    "normalize_gadget_matching",
     "recover_orientation",
     "solve_min_light",
     "solve_with_stats",
@@ -143,54 +142,6 @@ def _gadget_fill(r: ReducedGraph, v: int, free: list[int]) -> list[int]:
         fill.append(r.band_edge(v, i, j))
         i += 1
     return fill
-
-
-def normalize_gadget_matching(r: ReducedGraph, m: Matching, v: int) -> Matching:
-    """Rebalances the matching inside one gadget, leaving the rest alone.
-
-    With k matched side edges at core vertex v of degree d and demand b,
-    the result holds exactly d - 1 + [k >= b] matched edges among v's
-    gadget and side edges: v meets its demand in the core orientation
-    read off the matching exactly when its gadget holds d edges.  A
-    gadget that already holds that many is returned unchanged, as a
-    maximum matching's always is; otherwise v's gadget and parity edges
-    are swapped for _gadget_fill's, which keeps every side edge.
-    Requires a maximal matching.  With every gadget normalized, the
-    matching's weight is Q (2m at unit costs) minus the core's light
-    total; the vertices the kernel removed are already settled, since
-    the tails it fixed never hurt a core vertex and their own status was
-    fixed when removed.
-    """
-    core = r.core
-    if not 0 <= v < core.n:
-        raise ValueError(f"vertex {v} out of range 0..{core.n - 1}")
-    if len(m.mate) != r.gprime.n:
-        raise ValueError("matching does not belong to the gadget graph")
-    mate = m.mate
-    bucket = r.gadget_bucket(v)
-    for eid in bucket:
-        a, b = r.gprime.edges[eid]
-        if mate[a] == -1 and mate[b] == -1:
-            raise ValueError(
-                f"matching is not maximal: edge {eid} near vertex {v} could be added"
-            )
-    matched = m.matched_edge_ids
-    sides = r.side_edges(v)
-    free = [j for j, eid in enumerate(sides) if eid not in matched]
-    expected = core.degree(v) - 1 + (core.degree(v) - len(free) >= r.demand[v])
-    out = m
-    if sum(1 for eid in bucket if eid in matched) != expected:
-        internal = set(bucket).difference(sides)
-        out = Matching.from_edge_ids(
-            r.gprime, (matched - internal).union(_gadget_fill(r, v, free))
-        )
-    got = sum(1 for eid in bucket if eid in out.matched_edge_ids)
-    if got != expected:
-        raise RuntimeError(
-            f"internal error: gadget of vertex {v} holds {got} matched edges, "
-            f"expected {expected} (n={core.n}, m={core.m})"
-        )
-    return out
 
 
 def recover_orientation(r: ReducedGraph, m: Matching) -> Orientation:

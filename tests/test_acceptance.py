@@ -22,9 +22,10 @@ from orientlight import Graph, solve_min_light, solve_with_stats
 from orientlight.generate import SplitMix64, random_graph, random_weights
 from orientlight.graph import light_cost, out_degree
 from orientlight.matching import Matching, max_cardinality_matching, max_weight_matching
-from orientlight.oracle import brute_force_max_matching, brute_force_min_light
+from orientlight.oracle import brute_force_min_light
 from orientlight.reduction import build_gprime
-from orientlight.solver import normalize_gadget_matching, recover_orientation
+from orientlight.solver import recover_orientation
+from support import brute_force_max_matching, normalize_gadget_matching
 
 ORACLE_EDGE_CAP = 20
 MATCHING_ORACLE_CAP = 18

@@ -1,5 +1,6 @@
 """End-to-end CLI behavior through main()."""
 
+import hashlib
 import io
 import json
 import os
@@ -14,10 +15,11 @@ import pytest
 
 import orientlight
 from conftest import size_formulas
-from orientlight import parse_graph, parse_weights, solve_min_light
+from orientlight import matching, parse_graph, parse_weights, solve_min_light
 from orientlight.cli import main
 from orientlight.generate import SplitMix64, random_graph
 from orientlight.graph import MAX_VERTICES, render_graph
+from orientlight.matching import Matching
 from orientlight.reduction import build_gprime
 
 K3_TEXT = "3 3\n1 2\n2 3\n1 3\n"
@@ -688,6 +690,33 @@ class TestVerify:
         assert out == ""
         assert err.startswith("error: ") and "nested too deeply" in err
 
+    @pytest.mark.parametrize(
+        "old, new, key",
+        [
+            ('"objective": 3,', '"objective": 2, "objective": 3,', "objective"),
+            ('"offset": 0}', '"offset": 0, "offset": 1}', "offset"),
+        ],
+        ids=["top-level", "certificate"],
+    )
+    def test_repeated_key_is_usage_error(self, capsys, tmp_path, k3_file, old, new, key):
+        # json.loads alone keeps the last value, so one document would show two
+        sol = tmp_path / "claim.json"
+        sol.write_text(json.dumps(self.cyclic_suboptimal()).replace(old, new))
+        rc, out, err = run(capsys, "verify", k3_file, sol)
+        assert (rc, out) == (2, "")
+        assert err == f"error: {sol}: solution repeats the key {key!r}\n"
+
+    @pytest.mark.parametrize("literal", ["7" * 5000, "0." + "7" * 5000], ids=["integer", "decimal"])
+    def test_over_long_number_is_reported_in_plain_words(self, capsys, tmp_path, k3_file, literal):
+        # int() refuses more than sys.get_int_max_str_digits() digits
+        sol = tmp_path / "claim.json"
+        doc = json.dumps(self.cyclic_suboptimal())
+        sol.write_text(doc.replace('"offset": 0', f'"offset": {literal}'))
+        rc, out, err = run(capsys, "verify", k3_file, sol)
+        assert (rc, out) == (2, "")
+        limit = sys.get_int_max_str_digits()
+        assert err == f"error: {sol}: a number has more than {limit} digits\n"
+
 
 class TestGen:
     def test_stdout_p_zero(self, capsys):
@@ -942,6 +971,35 @@ class TestMainPlumbing:
         sol.write_text(out)
         assert cli("verify", k3_file, sol) == (0, "verify: OK\n", "")
         assert cli("frobnicate") == PINNED["frobnicate"]
+
+    @pytest.mark.parametrize("costs", [None, "1 2\n2 7\n3 3\n"], ids=["unweighted", "weighted"])
+    def test_internal_error_exits_3_naming_the_inputs(
+        self, capsys, monkeypatch, tmp_path, k3_file, costs
+    ):
+        # a planted fault: the engine drops a parity edge, so the core recount fails
+        engine = "max_cardinality_matching" if costs is None else "max_weight_matching"
+        real = getattr(matching, engine)
+
+        def one_edge_short(gp, *args):
+            ids = sorted(real(gp, *args).matched_edge_ids)
+            return Matching.from_edge_ids(gp, ids[:-1])
+
+        monkeypatch.setattr(matching, engine, one_edge_short)
+        args, files = [k3_file], [("graph", k3_file)]
+        if costs is not None:
+            w = tmp_path / "k3.costs"
+            w.write_text(costs)
+            args += ["--weights", w]
+            files.append(("weights", w))
+        rc, out, err = run(capsys, "solve", *args, "--json")
+        assert (rc, out) == (3, "")
+        assert err.startswith("error: internal error: core recount ")
+        assert err.count("\n") == 1
+        digests = ", ".join(
+            f"{name} {path} sha256 {hashlib.sha256(path.read_bytes()).hexdigest()}"
+            for name, path in files
+        )
+        assert err.endswith(f"(n=3, m=3); {digests}\n")
 
     def test_closed_stdout_is_not_a_usage_error(self, capsys, monkeypatch, k3_file):
         # a reader that stops early: exit 1 with nothing on stderr, and an

@@ -20,8 +20,9 @@ from orientlight.generate import SplitMix64, random_graph, random_weights
 from orientlight import _weighted
 from orientlight._weighted import verify_optimum
 from orientlight.matching import Matching, max_cardinality_matching, max_weight_matching
-from orientlight.oracle import brute_force_max_matching, brute_force_min_light
+from orientlight.oracle import brute_force_min_light
 from orientlight.reduction import build_gprime
+from support import brute_force_max_matching
 
 
 def pendant_heavy_graph(n: int, chords: int, seed: int) -> Graph:

@@ -15,11 +15,8 @@ import orientlight
 from orientlight import Graph, Orientation, VertexWeights, solve_min_light
 from orientlight.generate import random_graph
 from orientlight.graph import light_vertices
-from orientlight.oracle import (
-    BudgetExceededError,
-    brute_force_max_matching,
-    brute_force_min_light,
-)
+from orientlight.oracle import BudgetExceededError, brute_force_min_light
+from support import brute_force_max_matching
 
 
 def edges_graph(m):

@@ -81,6 +81,23 @@ def test_every_module_name_resolves(module):
         getattr(module, name)
 
 
+def test_solver_and_oracle_export_only_what_the_package_runs():
+    # the gadget normalizer and the matching oracle live in tests/support.py
+    assert solver.__all__ == [
+        "Certificate",
+        "Solution",
+        "SolveStats",
+        "matching_from_orientation",
+        "recover_orientation",
+        "solve_min_light",
+        "solve_with_stats",
+    ]
+    assert oracle.__all__ == ["BudgetExceededError", "brute_force_min_light"]
+    assert not hasattr(solver, "normalize_gadget_matching")
+    assert not hasattr(oracle, "brute_force_max_matching")
+    assert not hasattr(oracle, "Matching")
+
+
 def fresh_modules(code: str, cwd=None) -> set[str]:
     """Modules a fresh interpreter holds after running code in cwd; code
     may print lines of its own before the module list."""

@@ -104,6 +104,8 @@ class TestGraphCases:
         "  # indented\n3 2\n   \n1 2\n\t\n2 3\n",
         "+12 3\n007 1_0\n٣ +2\n1 12\n",
         "4 2\n٣ ١\n1 4",
+        "3 1\n2 ３\n",
+        "3 1\n1\u00a02\n",
         "0 0\n",
         "5 0\n# no edges\n",
         f"{MAX_VERTICES} 1\n1 {MAX_VERTICES}\n",

@@ -27,11 +27,8 @@ from orientlight.graph import light_cost, light_vertices, out_degree
 from orientlight.matching import Matching, max_cardinality_matching, max_weight_matching
 from orientlight.oracle import brute_force_min_light
 from orientlight.reduction import build_gprime
-from orientlight.solver import (
-    matching_from_orientation,
-    normalize_gadget_matching,
-    recover_orientation,
-)
+from orientlight.solver import matching_from_orientation, recover_orientation
+from support import normalize_gadget_matching
 from orientlight import matching, reduction, solver
 from orientlight._record import replace
 
