@@ -2,9 +2,11 @@
 
 Exit codes: 0 success, 1 a verification check failed or stdout was
 closed before the output was written (`solve g.txt | head -1`), 2 bad
-usage or unreadable/unparseable input, 3 an internal error: one of the
-solver's own checks failed, reported on one stderr line that names each
-input file with its sha256.  A closed stdout prints nothing on stderr.
+usage, an input file that cannot be opened (the OS's message) or one
+that cannot be decoded or parsed (`error: <path>: <reason>`), 3 an
+internal error: one of the solver's own checks failed, reported on one
+stderr line that names each input file with its sha256.  A closed
+stdout prints nothing on stderr.
 main() leaves file descriptor 1 alone, so it can be called in-process;
 only entry_point, the process entry point, points it at os.devnull once
 the reader is gone, so that the interpreter's flush at exit has nothing
@@ -43,14 +45,19 @@ if TYPE_CHECKING:  # annotations only; verify loads fractions on its first decim
 
 __all__ = ["main"]
 
+_INPUTS = ("graph", "weights", "solution")  # the argparse names of input files
 
-def _read(path: str) -> str:
-    """The file's text, decoded as UTF-8 with a leading byte-order mark
-    skipped.  Newlines are not translated: every reader splits lines with
-    str.splitlines, str.split or JSON's whitespace, which all take CRLF
-    and a lone CR as a line break."""
+
+def _load(path: str, parse, *extra):
+    """parse(text, *extra) of the file decoded as UTF-8, a leading byte-order
+    mark dropped and newlines left as they are (every parser splits at CRLF
+    and a lone CR).  A ValueError from either step is raised naming the path."""
     with open(path, "rb") as f:
-        return f.read().decode("utf-8-sig")
+        data = f.read()
+    try:
+        return parse(data.decode("utf-8-sig"), *extra)
+    except ValueError as ex:
+        raise ValueError(f"{path}: {ex}") from None
 
 
 def _write_all(files: list[tuple[str, str]]) -> None:
@@ -100,18 +107,29 @@ def _exact(literal: str) -> Fraction:
     return Fraction(literal)
 
 
-def _unique_keys(path: str):
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
     """A json.loads object_pairs_hook that refuses an object naming a
     key twice, which json.loads would otherwise read as its last value."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        key = next(k for k, c in Counter(k for k, _ in pairs).items() if c > 1)
+        raise ValueError(f"solution repeats the key {key!r}")
+    return obj
 
-    def hook(pairs: list[tuple[str, object]]) -> dict:
-        obj = dict(pairs)
-        if len(obj) < len(pairs):
-            key = next(k for k, c in Counter(k for k, _ in pairs).items() if c > 1)
-            raise ValueError(f"{path}: solution repeats the key {key!r}")
-        return obj
 
-    return hook
+def _parse_solution(text: str) -> object:
+    """The solution document, every number an int or an exact Fraction."""
+    import json
+
+    try:
+        return json.loads(text, parse_float=_exact, object_pairs_hook=_unique_keys)
+    except RecursionError:
+        raise ValueError("solution JSON is nested too deeply") from None
+    except ValueError as ex:
+        # int()'s digit limit, which integer and decimal literals both reach
+        if type(ex) is not ValueError or not str(ex).startswith("Exceeds the limit"):
+            raise
+        raise ValueError(f"a number has more than {sys.get_int_max_str_digits()} digits") from None
 
 
 def _is_number(x: object) -> bool:
@@ -180,11 +198,12 @@ def cmd_solve(args: argparse.Namespace) -> int:
     dump = args.dump_reduction
     if dump:
         outputs = {os.path.realpath(dump), os.path.realpath(dump + ".json")}
-        for name, path in (("graph", args.graph), ("weights", args.weights)):
+        for name in _INPUTS:
+            path = getattr(args, name, None)
             if path and os.path.realpath(path) in outputs:
                 raise ValueError(f"--dump-reduction would overwrite the {name} file {path}")
-    g = parse_graph(_read(args.graph))
-    weights = parse_weights(_read(args.weights), g.n) if args.weights else VertexWeights.ones(g.n)
+    g = _load(args.graph, parse_graph)
+    weights = _load(args.weights, parse_weights, g.n) if args.weights else VertexWeights.ones(g.n)
     sol, stats = solve_with_stats(g, weights)
     if dump:
         _dump_reduction(stats.reduction, weights, dump)
@@ -253,14 +272,9 @@ def _document_problems(g: Graph, weights: VertexWeights, claimed: object) -> lis
     recount = light_vertices(g, Orientation(tuple(tails)))
     actual_light = {v + 1 for v in recount}
     if claimed_light != actual_light:
-        extra = sorted(claimed_light - actual_light)
-        missing = sorted(actual_light - claimed_light)
-        parts = []
-        if extra:
-            parts.append(f"not light: {extra}")
-        if missing:
-            parts.append(f"missing: {missing}")
-        out.append("light set disagrees with the orientation (" + "; ".join(parts) + ")")
+        diffs = {"not light": claimed_light - actual_light, "missing": actual_light - claimed_light}
+        parts = "; ".join(f"{what}: {sorted(vs)}" for what, vs in diffs.items() if vs)
+        out.append(f"light set disagrees with the orientation ({parts})")
     objective = weights.as_value(sum(weights.unit(v) for v in recount))
     if claimed["objective"] != objective:
         out.append(
@@ -275,24 +289,9 @@ def _document_problems(g: Graph, weights: VertexWeights, claimed: object) -> lis
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    import json
-
-    g = parse_graph(_read(args.graph))
-    weights = parse_weights(_read(args.weights), g.n) if args.weights else VertexWeights.ones(g.n)
-    try:
-        claimed = json.loads(
-            _read(args.solution), parse_float=_exact, object_pairs_hook=_unique_keys(args.solution)
-        )
-    except RecursionError:
-        raise ValueError(f"{args.solution}: solution JSON is nested too deeply") from None
-    except ValueError as ex:
-        # int() refuses a digit string past sys.get_int_max_str_digits(),
-        # for integer literals and for _exact's Fraction alike, with a hint
-        # to raise the limit; anything else is reported as raised
-        if type(ex) is not ValueError or not str(ex).startswith("Exceeds the limit"):
-            raise
-        limit = sys.get_int_max_str_digits()
-        raise ValueError(f"{args.solution}: a number has more than {limit} digits") from None
+    g = _load(args.graph, parse_graph)
+    weights = _load(args.weights, parse_weights, g.n) if args.weights else VertexWeights.ones(g.n)
+    claimed = _load(args.solution, _parse_solution)
     problems = _document_problems(g, weights, claimed)
     if problems:
         for p in problems:
@@ -399,7 +398,7 @@ def _input_digests(args: argparse.Namespace) -> str:
     import hashlib
 
     parts = []
-    for name in ("graph", "weights", "solution"):
+    for name in _INPUTS:
         path = getattr(args, name, None)
         if path:
             try:

@@ -156,7 +156,7 @@ class TestSolve:
         rc, out, err = run(capsys, "solve", k3_file, "--weights", w)
         assert rc == 2
         assert out == ""
-        assert err.startswith("error: line 1: cost has ")
+        assert err.startswith(f"error: {w}: line 1: cost has ")
 
     def test_dump_reduction(self, capsys, tmp_path, k3_file):
         target = tmp_path / "gprime.graph"
@@ -603,6 +603,18 @@ class TestVerify:
         assert (rc, err) == (1, "")
         assert f"verify: FAIL: {problem}\n" in out
 
+    def test_each_problem_on_a_line_of_its_own(self, capsys, tmp_path, k3_file):
+        # 1 -> 2, 2 -> 3, 1 -> 3 leaves 2 and 3 light, not the claimed 1 and 2
+        doc = self.cyclic_suboptimal()
+        doc.update(light=[1, 2], orientation=[[1, 2], [2, 3], [1, 3]])
+        rc, out, err = run(capsys, "verify", k3_file, self.write_solution(tmp_path, doc))
+        assert (rc, err) == (1, "")
+        assert out == (
+            "verify: FAIL: light set disagrees with the orientation "
+            "(not light: [1]; missing: [3])\n"
+            "verify: FAIL: objective 3 disagrees with the recomputed value 2\n"
+        )
+
     @pytest.mark.parametrize(
         "changes, problem",
         [
@@ -716,6 +728,59 @@ class TestVerify:
         assert (rc, out) == (2, "")
         limit = sys.get_int_max_str_digits()
         assert err == f"error: {sol}: a number has more than {limit} digits\n"
+
+
+# (fault, file, bytes, the reason printed after the file's path)
+INPUT_FAULTS = [
+    ("edge-short", "graph", b"3 3\n1 2\n2 3\n", "header promises 3 edges, found 2"),
+    ("utf8", "graph", b"3 3\n1 \xff\n", "'utf-8' codec can't decode byte 0xff"),
+    ("cost-line", "weights", b"1 x\n", "line 1: cost 'x' is not a decimal number"),
+    ("utf8", "weights", b"1 \xff\n", "'utf-8' codec can't decode byte 0xff"),
+    ("utf8", "solution", b"{\xff}", "'utf-8' codec can't decode byte 0xff"),
+    ("syntax", "solution", b"{not json", "Expecting property name enclosed in double quotes"),
+    ("exponent", "solution", b'{"objective": 1e5}', "number 1e5 has an exponent"),
+]
+
+
+def write_inputs(tmp_path):
+    # a well-formed graph, cost file and JSON object, by input name: each
+    # test breaks or removes one, and no command gets past the broken one
+    paths = {name: tmp_path / f"{name}.txt" for name in ("graph", "weights", "solution")}
+    paths["graph"].write_text(K3_TEXT)
+    paths["weights"].write_text("1 5\n2 1\n3 1\n")
+    paths["solution"].write_text("{}")
+    return paths
+
+
+@pytest.mark.parametrize(
+    "command, name, text, reason",
+    [
+        pytest.param(command, name, text, reason, id=f"{command}-{name}-{fault}")
+        for command in ("solve", "verify")
+        for fault, name, text, reason in INPUT_FAULTS
+        if command == "verify" or name != "solution"
+    ],
+)
+def test_an_input_fault_is_reported_under_its_file(capsys, tmp_path, command, name, text, reason):
+    # solve g --weights w and verify g sol --weights w, one file broken at a time
+    paths = write_inputs(tmp_path)
+    paths[name].write_bytes(text)
+    argv = [command, paths["graph"]] + [paths["solution"]] * (command == "verify")
+    rc, out, err = run(capsys, *argv, "--weights", paths["weights"])
+    assert (rc, out) == (2, "")
+    assert err.startswith(f"error: {paths[name]}: {reason}")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("name", ["graph", "weights", "solution"])
+def test_a_missing_input_file_is_reported_as_the_os_names_it(capsys, tmp_path, name):
+    paths = write_inputs(tmp_path)
+    paths[name].unlink()
+    rc, out, err = run(
+        capsys, "verify", paths["graph"], paths["solution"], "--weights", paths["weights"]
+    )
+    assert (rc, out) == (2, "")
+    assert err == f"error: [Errno 2] No such file or directory: '{paths[name]}'\n"
 
 
 class TestGen:
