@@ -9,9 +9,23 @@ from __future__ import annotations
 
 from .graph import MAX_VERTICES, Graph, Orientation, VertexWeights
 
-__all__ = ["SplitMix64", "random_graph", "random_orientation", "random_weights"]
+__all__ = [
+    "MAX_DRAW_EDGES",
+    "MAX_DRAW_PAIRS",
+    "SplitMix64",
+    "random_graph",
+    "random_orientation",
+    "random_weights",
+]
 
 _U64 = (1 << 64) - 1
+
+# random_graph steps the generator once for each vertex pair, about
+# 0.44-0.6 us a pair, and holds about 290 bytes for each edge it keeps
+# (the whole of `gen`, peak RSS at n = 2000, p = 0.5; CPython 3.11), so
+# these refuse a draw of more than about a minute or 0.6 GB
+MAX_DRAW_PAIRS = 100_000_000
+MAX_DRAW_EDGES = 2_000_000
 
 
 class SplitMix64:
@@ -45,7 +59,9 @@ def random_graph(n: int, p: float, seed: int) -> Graph:
     """Random simple graph: each of the n*(n-1)/2 pairs kept with probability p.
 
     Pairs are drawn in lexicographic order, one generator step per pair,
-    so the output is a pure function of (n, p, seed).
+    so the output is a pure function of (n, p, seed).  A draw of more
+    than MAX_DRAW_PAIRS pairs, or of more than MAX_DRAW_EDGES expected
+    edges, is refused before the generator is stepped.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -54,6 +70,18 @@ def random_graph(n: int, p: float, seed: int) -> Graph:
         raise ValueError(f"{n} vertices exceed the limit of {MAX_VERTICES}")
     if not 0.0 <= p <= 1.0:
         raise ValueError("edge probability must lie in [0, 1]")
+    pairs = n * (n - 1) // 2
+    if pairs > MAX_DRAW_PAIRS:
+        raise ValueError(
+            f"{n} vertices make {pairs} vertex pairs to draw, "
+            f"above the limit of {MAX_DRAW_PAIRS} pairs"
+        )
+    expected = p * pairs
+    if expected > MAX_DRAW_EDGES:
+        raise ValueError(
+            f"{n} vertices at p = {p} expect {expected:.0f} edges, "
+            f"above the limit of {MAX_DRAW_EDGES} edges"
+        )
     threshold = int(p * (_U64 + 1))
     rng = SplitMix64(seed)
     edges = []

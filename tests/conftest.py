@@ -70,6 +70,15 @@ def star13() -> Graph:
     return star_graph(3)
 
 
+def forbid_draws(monkeypatch) -> None:
+    """Makes any later step of the generator fail the test."""
+
+    def stepped(self):
+        raise AssertionError("the generator was stepped")
+
+    monkeypatch.setattr(SplitMix64, "next_u64", stepped)
+
+
 def two_core(g: Graph) -> Graph:
     """The largest subgraph of minimum degree 2, relabeled in vertex order.
 

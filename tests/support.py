@@ -1,18 +1,39 @@
-"""Test-only helpers: the matching oracle and the gadget normalizer.
+"""Test-only helpers: the matching oracle, the gadget normalizer and
+the child interpreter.
 
-Neither runs on any solve path or command.  brute_force_max_matching
-is the ground truth the matching engines are checked against, and
+None runs on any solve path or command.  brute_force_max_matching is
+the ground truth the matching engines are checked against,
 normalize_gadget_matching is the per-gadget step of the optimality
-argument, checked here on the matchings the engines return.
+argument, checked here on the matchings the engines return, and
+run_python starts every interpreter the tests spawn.
 """
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import orientlight
 from orientlight.graph import Graph
 from orientlight.matching import Matching
 from orientlight.oracle import BudgetExceededError
 from orientlight.reduction import ReducedGraph
 from orientlight.solver import _gadget_fill
+
+# the environment of a child interpreter: this checkout's package on its
+# path, and argparse's help text wrapped at a fixed width
+CHILD_ENV = dict(os.environ, PYTHONPATH=str(Path(orientlight.__file__).parents[1]), COLUMNS="80")
+
+
+def run_python(*args, cwd=None, check=True) -> subprocess.CompletedProcess:
+    """Runs a fresh interpreter with args in cwd and CHILD_ENV, its
+    output captured as text; with check, a nonzero exit raises."""
+    return subprocess.run(
+        [sys.executable, *map(str, args)],
+        cwd=cwd, env=CHILD_ENV, capture_output=True, text=True, check=check, timeout=60,
+    )
 
 
 def normalize_gadget_matching(r: ReducedGraph, m: Matching, v: int) -> Matching:

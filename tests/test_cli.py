@@ -9,18 +9,17 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
-import orientlight
-from conftest import size_formulas
+from conftest import forbid_draws, size_formulas
 from orientlight import matching, parse_graph, parse_weights, solve_min_light
 from orientlight.cli import main
-from orientlight.generate import SplitMix64, random_graph
+from orientlight.generate import MAX_DRAW_EDGES, MAX_DRAW_PAIRS, random_graph
 from orientlight.graph import MAX_VERTICES, render_graph
 from orientlight.matching import Matching
 from orientlight.reduction import build_gprime
+from support import CHILD_ENV, run_python
 
 K3_TEXT = "3 3\n1 2\n2 3\n1 3\n"
 
@@ -30,14 +29,6 @@ def k3_file(tmp_path):
     p = tmp_path / "k3.graph"
     p.write_text(K3_TEXT)
     return p
-
-
-def module_env() -> dict[str, str]:
-    # the environment for `python -m orientlight.cli` in a child process
-    src = str(Path(orientlight.__file__).parents[1])
-    env = dict(os.environ, COLUMNS="80")
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    return env
 
 
 def run(capsys, *argv):
@@ -894,22 +885,45 @@ class TestGen:
     @pytest.mark.parametrize("argv", [("gen", MAX_VERTICES + 1, "0")])
     def test_vertex_count_above_the_limit_draws_nothing(self, capsys, monkeypatch, argv):
         # solve would refuse the header, so the quadratic draw must not start
-        def no_draw(self):
-            raise AssertionError("the generator was stepped")
-
-        monkeypatch.setattr(SplitMix64, "next_u64", no_draw)
+        forbid_draws(monkeypatch)
         rc, out, err = run(capsys, *argv)
         assert (rc, out) == (2, "")
         assert err == f"error: {MAX_VERTICES + 1} vertices exceed the limit of {MAX_VERTICES}\n"
 
+    @pytest.mark.parametrize(
+        "argv,err",
+        [
+            (
+                ["gen", "1000000", "0.5"],
+                "1000000 vertices make 499999500000 vertex pairs to draw, "
+                f"above the limit of {MAX_DRAW_PAIRS} pairs",
+            ),
+            (
+                ["gen", "100000", "0.00003", "--out", "f.txt"],
+                "100000 vertices make 4999950000 vertex pairs to draw, "
+                f"above the limit of {MAX_DRAW_PAIRS} pairs",
+            ),
+            (
+                ["gen", "10000", "0.5", "--out", "f.txt"],
+                "10000 vertices at p = 0.5 expect 24997500 edges, "
+                f"above the limit of {MAX_DRAW_EDGES} edges",
+            ),
+        ],
+        ids=["pairs", "pairs-to-file", "edges"],
+    )
+    def test_a_draw_past_its_budget_draws_nothing(self, capsys, tmp_path, monkeypatch, argv, err):
+        # one generator step a pair and a few hundred bytes an edge: a
+        # draw that could not finish is refused before it starts
+        monkeypatch.chdir(tmp_path)
+        forbid_draws(monkeypatch)
+        assert run(capsys, *argv) == (2, "", f"error: {err}\n")
+        assert list(tmp_path.iterdir()) == []
+
     def test_weights_max_of_2_64_draws_nothing(self, capsys, tmp_path, monkeypatch):
         # a cost is drawn from one 64-bit word: a larger range is refused
         # before the draw, which would otherwise never end
-        def no_draw(self):
-            raise AssertionError("the generator was stepped")
-
         monkeypatch.chdir(tmp_path)
-        monkeypatch.setattr(SplitMix64, "next_u64", no_draw)
+        forbid_draws(monkeypatch)
         argv = ["gen", "3", "1", "--weights-max", str(1 << 64), "--weights-out", "w.txt"]
         rc, out, err = run(capsys, *argv)
         assert (rc, out, err) == (2, "", "error: --weights-max must be below 2**64\n")
@@ -1020,13 +1034,8 @@ class TestMainPlumbing:
 
     def test_module_entry_point(self, tmp_path, k3_file):
         # python -m orientlight.cli: main() reads its arguments from sys.argv
-        env = module_env()
-
         def cli(*argv):
-            done = subprocess.run(
-                [sys.executable, "-m", "orientlight.cli", *map(str, argv)],
-                capture_output=True, text=True, env=env, timeout=60,
-            )
+            done = run_python("-m", "orientlight.cli", *argv, check=False)
             return done.returncode, done.stdout, done.stderr
 
         code, out, err = cli("solve", k3_file, "--json")
@@ -1088,7 +1097,7 @@ class TestMainPlumbing:
         assert main(["gen", "400", "0.2", "--seed", "3", "--out", str(g)]) == 0
         proc = subprocess.Popen(
             [sys.executable, "-m", "orientlight.cli", "solve", str(g)],
-            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=module_env(),
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=CHILD_ENV,
         )
         assert proc.stdout.readline() == b"objective: 0\n"
         proc.stdout.close()

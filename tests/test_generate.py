@@ -2,6 +2,8 @@
 
 import pytest
 
+from conftest import forbid_draws
+from orientlight import generate
 from orientlight.generate import SplitMix64, random_graph, random_orientation, random_weights
 from orientlight.graph import light_vertices, render_graph
 
@@ -30,10 +32,7 @@ class TestSplitMix64:
         # before a draw, as its rejection loop would never accept one
         assert SplitMix64(9).next_below(1 << 64) == SplitMix64(9).next_u64()
 
-        def no_draw(self):
-            raise AssertionError("the generator was stepped")
-
-        monkeypatch.setattr(SplitMix64, "next_u64", no_draw)
+        forbid_draws(monkeypatch)
         with pytest.raises(ValueError):
             SplitMix64(9).next_below((1 << 64) + 1)
 
@@ -64,6 +63,22 @@ class TestRandomGraph:
     def test_rejects_empty_vertex_set(self):
         with pytest.raises(ValueError):
             random_graph(0, 0.5, 0)
+
+    def test_draws_up_to_its_budget(self, monkeypatch):
+        # 5 vertices make 10 pairs, and at p = 0.4 expect 4 edges: one
+        # more of either is refused before the generator is stepped
+        want = random_graph(5, 0.4, 3)
+        monkeypatch.setattr(generate, "MAX_DRAW_PAIRS", 10)
+        monkeypatch.setattr(generate, "MAX_DRAW_EDGES", 4)
+        assert random_graph(5, 0.4, 3) == want
+
+        forbid_draws(monkeypatch)
+        pairs = "^6 vertices make 15 vertex pairs to draw, above the limit of 10 pairs$"
+        with pytest.raises(ValueError, match=pairs):
+            random_graph(6, 0.0, 3)
+        edges = "^5 vertices at p = 0.5 expect 5 edges, above the limit of 4 edges$"
+        with pytest.raises(ValueError, match=edges):
+            random_graph(5, 0.5, 3)
 
 
 class TestRandomWeights:

@@ -1,17 +1,13 @@
 """The exhaustive baselines and their edge caps."""
 
 import itertools
-import os
 import random
-import subprocess
-import sys
 from fractions import Fraction
 from time import perf_counter
 
 import pytest
 
 from conftest import complete_graph, cycle_graph, path_graph
-import orientlight
 from orientlight import Graph, Orientation, VertexWeights, solve_min_light
 from orientlight.generate import random_graph
 from orientlight.graph import light_vertices
@@ -236,82 +232,3 @@ class TestMatchingOracle:
         g = complete_graph(6)
         assert brute_force_max_matching(g).size == 3
 
-
-def fresh_interpreter(code, *args):
-    """What a fresh interpreter running code with args prints, with the
-    package on its path."""
-    src = os.path.dirname(os.path.dirname(os.path.abspath(orientlight.__file__)))
-    env = dict(os.environ, PYTHONPATH=src)
-    out = subprocess.run(
-        [sys.executable, "-c", code, *map(str, args)],
-        env=env, capture_output=True, text=True, check=True, timeout=60,
-    )
-    return out.stdout
-
-
-@pytest.fixture(scope="module")
-def k3_files(tmp_path_factory):
-    """K3 and a cost file for it."""
-    tmp = tmp_path_factory.mktemp("k3")
-    k3_file, w_file = tmp / "k3.txt", tmp / "k3.w"
-    k3_file.write_text("3 3\n1 2\n2 3\n1 3\n")
-    w_file.write_text("1 0.5\n2 1\n3 1\n")
-    return k3_file, w_file
-
-
-@pytest.fixture(scope="module")
-def start_up_modules(k3_files):
-    """Modules a fresh interpreter holds after importing the package and
-    the command line and solving K3, unweighted and weighted, through
-    the library and through `solve`."""
-    code = (
-        "import io, sys, orientlight, orientlight.cli\n"
-        "g = orientlight.Graph(3, ((0, 1), (1, 2), (0, 2)))\n"
-        "orientlight.solve_min_light(g)\n"
-        "orientlight.solve_min_light(g, orientlight.VertexWeights((5, 10, 10), 10))\n"
-        "k3_file, w_file = sys.argv[1:]\n"
-        "sys.stdout = io.StringIO()\n"
-        "assert orientlight.cli.main(['solve', k3_file]) == 0\n"
-        "assert orientlight.cli.main(['solve', k3_file, '--weights', w_file]) == 0\n"
-        "print(' '.join(sys.modules), file=sys.__stdout__)\n"
-    )
-    return set(fresh_interpreter(code, *k3_files).split())
-
-
-@pytest.mark.parametrize(
-    "module", ["numpy", "dataclasses", "inspect", "orientlight.oracle", "orientlight.generate"]
-)
-def test_importing_the_package_does_not_load(start_up_modules, module):
-    # the value types are built by orientlight._record, not dataclasses,
-    # which would pull in inspect; solving calls neither the oracle nor
-    # the generator, so `solve` loads neither
-    assert "orientlight.cli" in start_up_modules
-    assert module not in start_up_modules
-
-
-@pytest.mark.parametrize("block_numpy", [False, True], ids=["numpy-importable", "numpy-blocked"])
-def test_verify_runs_the_oracle_without_numpy(k3_files, tmp_path, block_numpy):
-    # `verify` runs the oracle on K3, unweighted and weighted, and loads
-    # no numpy; with every numpy import made to fail it still passes
-    code = (
-        "import io, sys\n"
-        "k3_file, w_file, out, block = sys.argv[1:]\n"
-        "if block == 'True':\n"
-        "    sys.modules['numpy'] = None\n"
-        "import orientlight.cli\n"
-        "for extra in ([], ['--weights', w_file]):\n"
-        "    sys.stdout = io.StringIO()\n"
-        "    assert orientlight.cli.main(['solve', k3_file, '--json', *extra]) == 0\n"
-        "    with open(out, 'w') as f:\n"
-        "        f.write(sys.stdout.getvalue())\n"
-        "    sys.stdout = sys.__stdout__\n"
-        "    assert orientlight.cli.main(['verify', k3_file, out, *extra]) == 0\n"
-        "print(' '.join(sys.modules))\n"
-    )
-    out = fresh_interpreter(code, *k3_files, tmp_path / "k3.json", block_numpy)
-    lines = out.splitlines()
-    assert lines[:2] == ["verify: OK", "verify: OK"]
-    modules = set(lines[2].split())
-    assert "orientlight.oracle" in modules
-    if not block_numpy:
-        assert "numpy" not in modules
