@@ -9,7 +9,7 @@ closing optimality check, takes the final state as plain values.
 from __future__ import annotations
 
 from .graph import Graph
-from .matching import Matching
+from .matching import Matching, final_matching, internal_error
 
 __all__ = ["max_weight_matching", "verify_optimum"]
 
@@ -128,7 +128,7 @@ def max_weight_matching(g: Graph, edge_weights) -> Matching:
         ks = slack(x, y, w)
         if ks % 2 != 0:
             e = g.edges.index((min(x, y), max(x, y)))
-            raise _internal_error(f"odd slack {ks} on outer-outer edge {e} ({x}, {y})", n, m)
+            raise internal_error(f"odd slack {ks} on outer-outer edge {e} ({x}, {y})", n, m)
         return ks // 2
 
     def vertices(b: int):
@@ -499,7 +499,7 @@ def max_weight_matching(g: Graph, edge_weights) -> Matching:
             if parent_of[b] == -1 and label[b] == 1 and blossom_dual[b] == 0:
                 expand_blossom(b, True)
     verify_optimum(g.edges, edge_weights, mate, dual, blossom_dual, parent_of, base_of, links)
-    return Matching.from_mate(g, mate)
+    return final_matching(g, mate)
 
 
 def verify_optimum(
@@ -518,10 +518,10 @@ def verify_optimum(
     n, m = len(mate), len(edges)
     for v in range(n):
         if dual[v] < 0:
-            raise _internal_error(f"negative dual {dual[v]} at vertex {v}", n, m)
+            raise internal_error(f"negative dual {dual[v]} at vertex {v}", n, m)
     for b, z in blossom_dual.items():
         if z < 0:
-            raise _internal_error(f"negative dual on the blossom with base {base_of[b]}", n, m)
+            raise internal_error(f"negative dual on the blossom with base {base_of[b]}", n, m)
     for e, (i, j) in enumerate(edges):
         s = dual[i] + dual[j] - 4 * edge_weights[e]
         chain_i = [i]
@@ -537,27 +537,22 @@ def verify_optimum(
                 break
             s += 2 * blossom_dual[bi]
         if s < 0:
-            raise _internal_error(f"negative slack {s} on edge {e} ({i}, {j})", n, m)
+            raise internal_error(f"negative slack {s} on edge {e} ({i}, {j})", n, m)
         if (mate[i] == j or mate[j] == i) and s != 0:
-            raise _internal_error(f"matched edge {e} ({i}, {j}) has slack {s}", n, m)
+            raise internal_error(f"matched edge {e} ({i}, {j}) has slack {s}", n, m)
     for v in range(n):
         if mate[v] == -1 and dual[v] != 0:
-            raise _internal_error(f"exposed vertex {v} has dual {dual[v]}", n, m)
+            raise internal_error(f"exposed vertex {v} has dual {dual[v]}", n, m)
     for b, z in blossom_dual.items():
         if z > 0:
             if len(links[b]) % 2 != 1:
-                raise _internal_error(f"even blossom with base {base_of[b]} has dual {z}", n, m)
+                raise internal_error(f"even blossom with base {base_of[b]} has dual {z}", n, m)
             for i, j in links[b][1::2]:
                 if mate[i] != j or mate[j] != i:
                     e = edges.index((min(i, j), max(i, j)))
-                    raise _internal_error(
+                    raise internal_error(
                         f"blossom with base {base_of[b]} and dual {z} is not full: "
                         f"edge {e} ({i}, {j}) is unmatched",
                         n,
                         m,
                     )
-
-
-def _internal_error(what: str, n: int, m: int) -> RuntimeError:
-    # an engine bug, not bad input: name enough to reproduce it
-    return RuntimeError(f"internal error: {what} (n={n}, m={m})")

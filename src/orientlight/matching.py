@@ -4,7 +4,8 @@ Two engines share the Matching type: max_cardinality_matching runs one
 augmenting-path search per exposed vertex with blossom contraction, and
 max_weight_matching runs the primal-dual blossom method on nonnegative
 integer weights.  Both are deterministic: vertices and edges are always
-scanned in index order.
+scanned in index order, and both end in final_matching, whose check
+that the final mate is a matching raises an internal error.
 
 The weighted engine lives in orientlight._weighted and loads on first
 access to max_weight_matching here, so a process that solves only
@@ -196,7 +197,25 @@ def max_cardinality_matching(g: Graph) -> Matching:
                 base[i] = i
                 in_tree[i] = False
                 retired[i] = not augmented
-    return Matching.from_mate(g, tuple(mate))
+    return final_matching(g, mate)
+
+
+def final_matching(g: Graph, mate) -> Matching:
+    """The matching an engine ends with, from its own final mate.
+
+    Both engines end here.  The mate is the engine's state, not the
+    caller's input, so when it is not a matching of g the fault is an
+    engine bug: from_mate's ValueError becomes an internal error.
+    """
+    try:
+        return Matching.from_mate(g, mate)
+    except ValueError as ex:
+        raise internal_error(str(ex), g.n, g.m) from ex
+
+
+def internal_error(what: str, n: int, m: int) -> RuntimeError:
+    # a bug, not bad input: name enough to reproduce it
+    return RuntimeError(f"internal error: {what} (n={n}, m={m})")
 
 
 def __getattr__(name: str):

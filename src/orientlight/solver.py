@@ -12,7 +12,8 @@ every vertex costs 1.  On the core the optimal light cost is Q - w(M)
 contribute the offset.  The kernel is sound because some optimal
 orientation agrees with every tail it fixes (see ReducedGraph).  Both
 identities are recounted on the final orientation; a mismatch, such
-as a costly vertex the kernel settled light, raises an internal error.
+as a costly vertex the kernel settled light, raises an internal error,
+as does an orientation of the solver's own that light_vertices refuses.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from time import perf_counter
 from . import matching as engines
 from ._record import field, record
 from .graph import Graph, Orientation, VertexWeights, light_vertices
-from .matching import Matching
+from .matching import Matching, internal_error
 from .reduction import ReducedGraph, build_gprime
 
 TYPE_CHECKING = False
@@ -207,7 +208,11 @@ def solve_with_stats(
         matching_units = 0
         t2 = perf_counter()
         orientation = Orientation(r.flow_tails)
-    light = light_vertices(g, orientation)
+    try:
+        light = light_vertices(g, orientation)
+    except ValueError as ex:
+        # the orientation is the solver's own, so a fault in it is a bug
+        raise internal_error(str(ex), g.n, g.m) from ex
 
     # Q is the connecting edges' weight; Certificate gives the offset rule
     constant_units = r.connecting_weight()
@@ -215,15 +220,18 @@ def solve_with_stats(
     predicted_core = constant_units - matching_units
     core_count = sum([units[v] for v in core_to_input if v in light])
     if core_count != predicted_core:
-        raise RuntimeError(
-            f"internal error: core recount {core_count} disagrees with "
-            f"certificate value {predicted_core} (n={g.n}, m={g.m})"
+        raise internal_error(
+            f"core recount {core_count} disagrees with certificate value {predicted_core}",
+            g.n,
+            g.m,
         )
     objective_units = sum([units[v] for v in light])
     if objective_units != predicted_core + offset_units:
-        raise RuntimeError(
-            f"internal error: objective recount {objective_units} disagrees with "
-            f"certificate {predicted_core} plus offset {offset_units} (n={g.n}, m={g.m})"
+        raise internal_error(
+            f"objective recount {objective_units} disagrees with "
+            f"certificate {predicted_core} plus offset {offset_units}",
+            g.n,
+            g.m,
         )
     cert = Certificate(as_value(matching_units), as_value(constant_units), as_value(offset_units))
     t3 = perf_counter()

@@ -79,6 +79,21 @@ def forbid_draws(monkeypatch) -> None:
     monkeypatch.setattr(SplitMix64, "next_u64", stepped)
 
 
+def one_sided_mates(monkeypatch) -> None:
+    """Makes Matching.from_mate see every mate with the partner of its
+    first matched vertex left exposed, as an engine that forgot one end
+    of a matched edge would hand it over."""
+    real = Matching.from_mate.__func__
+
+    def one_sided(cls, g, mate):
+        mate = list(mate)
+        v = next(v for v, w in enumerate(mate) if w != -1)
+        mate[mate[v]] = -1
+        return real(cls, g, mate)
+
+    monkeypatch.setattr(Matching, "from_mate", classmethod(one_sided))
+
+
 def two_core(g: Graph) -> Graph:
     """The largest subgraph of minimum degree 2, relabeled in vertex order.
 

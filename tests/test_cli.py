@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import forbid_draws, size_formulas
+from conftest import forbid_draws, one_sided_mates, size_formulas
 from orientlight import matching, parse_graph, parse_weights, solve_min_light
 from orientlight.cli import main
 from orientlight.generate import MAX_DRAW_EDGES, MAX_DRAW_PAIRS, random_graph
@@ -111,13 +111,6 @@ class TestSolve:
         rc, out, _ = run(capsys, "verify", k3_file, sol, "--weights", w)
         assert rc == 0, out
 
-    def test_malformed_graph_names_line(self, capsys, tmp_path):
-        bad = tmp_path / "bad.graph"
-        bad.write_text("2 1\n1 1\n")
-        rc, _, err = run(capsys, "solve", bad)
-        assert rc == 2
-        assert "line 2" in err
-
     def test_missing_file(self, capsys, tmp_path):
         rc, _, err = run(capsys, "solve", tmp_path / "nope.graph")
         assert rc == 2
@@ -132,22 +125,6 @@ class TestSolve:
             rc, out, err = run(capsys, *argv)
             assert (rc, out) == (2, "")
             assert err.startswith("error: ") and "utf-8" in err
-
-    def test_negative_weights_rejected(self, capsys, tmp_path, k3_file):
-        w = tmp_path / "w.txt"
-        w.write_text("1 -3\n")
-        rc, _, err = run(capsys, "solve", k3_file, "--weights", w)
-        assert rc == 2
-        assert "NP-hard" in err
-
-    @pytest.mark.parametrize("cost", ["1" + "0" * 65 + ".5", "1e-1000000", "1e5000"])
-    def test_hostile_costs_are_usage_errors(self, capsys, tmp_path, k3_file, cost):
-        w = tmp_path / "w.txt"
-        w.write_text(f"1 {cost}\n")
-        rc, out, err = run(capsys, "solve", k3_file, "--weights", w)
-        assert rc == 2
-        assert out == ""
-        assert err.startswith(f"error: {w}: line 1: cost has ")
 
     def test_dump_reduction(self, capsys, tmp_path, k3_file):
         target = tmp_path / "gprime.graph"
@@ -289,14 +266,7 @@ class TestSolve:
         r = build_gprime(parse_graph(text))
         assert parse_graph(dump.read_text()).m == size_formulas(r)[1] < 6 * len(edges)
 
-    def test_huge_vertex_count_rejected(self, capsys, tmp_path):
-        # rejected at the header, before any per-vertex allocation
-        g = tmp_path / "huge.graph"
-        g.write_text("1000000000 0\n")
-        rc, out, err = run(capsys, "solve", g)
-        assert rc == 2
-        assert out == ""
-        assert "limit of 1000000" in err
+IDENTITY_FAILS = "certificate identity fails: objective != constant - matching_value + offset"
 
 
 class TestVerify:
@@ -312,12 +282,6 @@ class TestVerify:
             "orientation": [[1, 2], [2, 3], [3, 1]],
             "certificate": {"matching_value": 3, "constant": 6, "offset": 0},
         }
-
-    def test_rejects_suboptimal_via_oracle(self, capsys, tmp_path, k3_file):
-        sol = self.write_solution(tmp_path, self.cyclic_suboptimal())
-        rc, out, _ = run(capsys, "verify", k3_file, sol)
-        assert rc == 1
-        assert "not optimal" in out
 
     def all_light_claim(self, tmp_path, n, edges):
         """A graph file of n vertices and the 1-based edges, and a
@@ -353,99 +317,40 @@ class TestVerify:
             "",
         )
 
-    def test_rejects_wrong_light_set(self, capsys, tmp_path, k3_file):
-        doc = self.cyclic_suboptimal()
-        doc["light"] = [1]
-        sol = self.write_solution(tmp_path, doc)
-        rc, out, _ = run(capsys, "verify", k3_file, sol)
-        assert rc == 1
-        assert "light set" in out
-
-    def test_rejects_wrong_objective(self, capsys, tmp_path, k3_file):
-        doc = self.cyclic_suboptimal()
-        doc["objective"] = 1
-        doc["certificate"] = {"matching_value": 5, "constant": 6, "offset": 0}
-        sol = self.write_solution(tmp_path, doc)
-        rc, out, _ = run(capsys, "verify", k3_file, sol)
-        assert rc == 1
-        assert "objective" in out
-
-    def test_rejects_orientation_of_wrong_length(self, capsys, tmp_path, k3_file):
-        doc = self.cyclic_suboptimal()
-        doc["orientation"] = [[1, 2]]
-        sol = self.write_solution(tmp_path, doc)
-        rc, out, _ = run(capsys, "verify", k3_file, sol)
-        assert rc == 1
-        assert "orientation" in out
-
-    def test_rejects_pair_that_is_not_an_edge(self, capsys, tmp_path, k3_file):
-        doc = self.cyclic_suboptimal()
-        doc["orientation"][0] = [1, 3]
-        sol = self.write_solution(tmp_path, doc)
-        rc, out, _ = run(capsys, "verify", k3_file, sol)
-        assert rc == 1
-        assert "endpoints" in out
-
-    def test_rejects_broken_certificate_identity(self, capsys, tmp_path, k3_file):
-        doc = self.cyclic_suboptimal()
-        doc["certificate"]["offset"] = 5
-        sol = self.write_solution(tmp_path, doc)
-        rc, out, _ = run(capsys, "verify", k3_file, sol)
-        assert rc == 1
-        assert "certificate identity" in out
-
-    def test_certificate_identity_is_exact_on_large_integers(self, capsys, tmp_path):
-        # objective 10**10: a relative tolerance of 1e-9 would forgive an offset 7 off
+    @pytest.mark.parametrize(
+        "costs, objective, steps, problem",
+        [
+            # 10**10: a relative tolerance of 1e-9 would forgive an offset 7 off
+            ("1 5000000000\n2 5000000000\n", "10000000000", {"offset": 7}, IDENTITY_FAILS),
+            # a relative tolerance of 1e-9 would forgive 0.01 more; the
+            # certificate identity still holds, only the objective is wrong
+            (
+                "1 50000000.01\n2 50000000.01\n", "100000000.02",
+                {"objective": 0.01, "offset": 0.01},
+                "objective 100000000.03 disagrees with the recomputed value 100000000.02",
+            ),
+            # every term a multiple of 1/4, so exact as a float; a relative
+            # tolerance of 1e-9 would forgive an offset 7 off
+            ("1 5000000000.25\n2 5000000000.5\n", "10000000000.75", {"offset": 7}, IDENTITY_FAILS),
+        ],
+        ids=["large-integers", "non-integers", "large-decimals"],
+    )
+    def test_checks_are_exact(self, capsys, tmp_path, costs, objective, steps, problem):
         g, w = tmp_path / "p2.graph", tmp_path / "p2.costs"
         g.write_text("2 1\n1 2\n")
-        w.write_text("1 5000000000\n2 5000000000\n")
+        w.write_text(costs)
         rc, out, _ = run(capsys, "solve", g, "--weights", w, "--json")
         assert rc == 0
+        assert f'  "objective": {objective},\n' in out
         doc = json.loads(out)
-        assert doc["objective"] == 10**10
-        assert run(capsys, "verify", g, self.write_solution(tmp_path, doc), "--weights", w)[0] == 0
-        doc["certificate"]["offset"] += 7
-        rc, out, _ = run(capsys, "verify", g, self.write_solution(tmp_path, doc), "--weights", w)
-        assert rc == 1
-        assert "certificate identity" in out
-
-    def test_objective_is_exact_on_non_integers(self, capsys, tmp_path):
-        # objective 100000000.02: a relative tolerance of 1e-9 would forgive 0.01 more
-        g, w = tmp_path / "p2.graph", tmp_path / "p2.costs"
-        g.write_text("2 1\n1 2\n")
-        w.write_text("1 50000000.01\n2 50000000.01\n")
-        rc, out, _ = run(capsys, "solve", g, "--weights", w, "--json")
-        assert rc == 0
-        doc = json.loads(out)
-        assert doc["objective"] == 100000000.02
-        assert run(capsys, "verify", g, self.write_solution(tmp_path, doc), "--weights", w)[0] == 0
-        # the certificate identity still holds: only the objective is wrong
-        doc["objective"] += 0.01
-        doc["certificate"]["offset"] += 0.01
-        rc, out, _ = run(capsys, "verify", g, self.write_solution(tmp_path, doc), "--weights", w)
-        assert rc == 1
-        assert out == (
-            "verify: FAIL: objective 100000000.03 disagrees with the recomputed "
-            "value 100000000.02\n"
-        )
-
-    def test_certificate_identity_is_exact_on_large_decimals(self, capsys, tmp_path):
-        # objective 10000000000.75: a relative tolerance of 1e-9 would forgive an offset 7 off
-        g, w = tmp_path / "p2.graph", tmp_path / "p2.costs"
-        g.write_text("2 1\n1 2\n")
-        w.write_text("1 5000000000.25\n2 5000000000.5\n")
-        rc, out, _ = run(capsys, "solve", g, "--weights", w, "--json")
-        assert rc == 0
-        assert '  "objective": 10000000000.75,\n' in out
-        doc = json.loads(out)  # every term is a multiple of 1/4: exact as a float
-        assert run(capsys, "verify", g, self.write_solution(tmp_path, doc), "--weights", w)[0] == 0
-        doc["certificate"]["offset"] += 7
-        rc, out, _ = run(capsys, "verify", g, self.write_solution(tmp_path, doc), "--weights", w)
-        assert rc == 1
-        assert out == (
-            "verify: FAIL: certificate identity fails: "
-            "objective != constant - matching_value + offset\n"
-        )
+        sol = self.write_solution(tmp_path, doc)
+        assert run(capsys, "verify", g, sol, "--weights", w) == (0, "verify: OK\n", "")
+        for key, step in steps.items():
+            target = doc if key == "objective" else doc["certificate"]
+            target[key] += step
+        sol = self.write_solution(tmp_path, doc)
+        out = f"verify: FAIL: {problem}\n"
+        assert run(capsys, "verify", g, sol, "--weights", w) == (1, out, "")
 
     def test_writes_decimals_past_float_precision(self, capsys, tmp_path, k3_file):
         w = tmp_path / "k3.costs"
@@ -564,13 +469,23 @@ class TestVerify:
         assert (rc, out, err) == (0, "verify: OK\n", "")
 
     @pytest.mark.parametrize(
-        "change, problem",
+        "change, problems",
         [
+            (lambda doc: doc, "objective 3 is not optimal (optimum is 2)"),
             (lambda doc: [doc], "solution must be a JSON object"),
+            (
+                lambda doc: {"objective": 2},
+                "missing key 'light'\nmissing key 'orientation'\nmissing key 'certificate'",
+            ),
             (lambda doc: {**doc, "objective": "3"}, "objective must be a finite number"),
             (lambda doc: {**doc, "objective": True}, "objective must be a finite number"),
             (lambda doc: {**doc, "light": "1 2 3"}, "light must be a list of integers"),
             (lambda doc: {**doc, "light": [1, "2", 3]}, "light must be a list of integers"),
+            (
+                lambda doc: {**doc, "light": [1]},
+                "light set disagrees with the orientation (missing: [2, 3])",
+            ),
+            (lambda doc: {**doc, "orientation": [[1, 2]]}, "orientation must list all 3 edges"),
             (
                 lambda doc: {**doc, "orientation": [[1, 2], [2], [3, 1]]},
                 "orientation entry 1 must be a [tail, head] pair",
@@ -580,52 +495,53 @@ class TestVerify:
                 "orientation entry 2 must be a [tail, head] pair",
             ),
             (
-                # 1 -> 2, 2 -> 3, 1 -> 3: vertex 1 has out-degree 2
-                lambda doc: {**doc, "orientation": [[1, 2], [2, 3], [1, 3]]},
-                "light set disagrees with the orientation (not light: [1])",
+                lambda doc: {**doc, "orientation": [[1, 3], [2, 3], [3, 1]]},
+                "orientation entry 0 is [1, 3], expected the endpoints of edge 1 2",
             ),
-        ],
-        ids=["not-an-object", "string-objective", "boolean-objective", "light-string",
-             "light-non-integer", "short-pair", "non-integer-endpoint", "heavy-vertex-claimed"],
-    )
-    def test_rejects_malformed_documents(self, capsys, tmp_path, k3_file, change, problem):
-        sol = self.write_solution(tmp_path, change(self.cyclic_suboptimal()))
-        rc, out, err = run(capsys, "verify", k3_file, sol)
-        assert (rc, err) == (1, "")
-        assert f"verify: FAIL: {problem}\n" in out
-
-    def test_each_problem_on_a_line_of_its_own(self, capsys, tmp_path, k3_file):
-        # 1 -> 2, 2 -> 3, 1 -> 3 leaves 2 and 3 light, not the claimed 1 and 2
-        doc = self.cyclic_suboptimal()
-        doc.update(light=[1, 2], orientation=[[1, 2], [2, 3], [1, 3]])
-        rc, out, err = run(capsys, "verify", k3_file, self.write_solution(tmp_path, doc))
-        assert (rc, err) == (1, "")
-        assert out == (
-            "verify: FAIL: light set disagrees with the orientation "
-            "(not light: [1]; missing: [3])\n"
-            "verify: FAIL: objective 3 disagrees with the recomputed value 2\n"
-        )
-
-    @pytest.mark.parametrize(
-        "changes, problem",
-        [
+            # entry 0, [1, 3], is not the endpoints of edge 1 2, but a shape
+            # problem anywhere in the document is all that verify reports
             (
-                {"orientation": [[1, 3], [2, 3], [3]]},
+                lambda doc: {**doc, "orientation": [[1, 3], [2, 3], [3]]},
                 "orientation entry 2 must be a [tail, head] pair",
             ),
             (
-                {"objective": "3", "orientation": [[1, 3], [2, 3], [3, 1]]},
+                lambda doc: {**doc, "objective": "3", "orientation": [[1, 3], [2, 3], [3, 1]]},
                 "objective must be a finite number",
             ),
+            (
+                # 1 -> 2, 2 -> 3, 1 -> 3: vertex 1 has out-degree 2
+                lambda doc: {**doc, "orientation": [[1, 2], [2, 3], [1, 3]]},
+                "light set disagrees with the orientation (not light: [1])\n"
+                "objective 3 disagrees with the recomputed value 2",
+            ),
+            (
+                # the same orientation leaves 2 and 3 light, not the claimed 1 and 2
+                lambda doc: {**doc, "light": [1, 2], "orientation": [[1, 2], [2, 3], [1, 3]]},
+                "light set disagrees with the orientation (not light: [1]; missing: [3])\n"
+                "objective 3 disagrees with the recomputed value 2",
+            ),
+            (
+                lambda doc: {**doc, "objective": 1, "certificate": {
+                    "matching_value": 5, "constant": 6, "offset": 0}},
+                "objective 1 disagrees with the recomputed value 3",
+            ),
+            (
+                lambda doc: {**doc, "certificate": {**doc["certificate"], "offset": 5}},
+                IDENTITY_FAILS,
+            ),
         ],
-        ids=["short-pair", "string-objective"],
+        ids=["suboptimal", "not-an-object", "missing-keys", "string-objective",
+             "boolean-objective", "light-string", "light-non-integer", "wrong-light-set",
+             "short-orientation", "short-pair", "non-integer-endpoint", "pair-not-an-edge",
+             "stray-pair-and-short-pair", "stray-pair-and-string-objective",
+             "heavy-vertex-claimed", "two-problems", "wrong-objective",
+             "broken-certificate-identity"],
     )
-    def test_shape_problems_hide_a_stray_pair(self, capsys, tmp_path, k3_file, changes, problem):
-        # entry 0, [1, 3], is not the endpoints of edge 1 2, but a shape
-        # problem anywhere in the document is all that verify reports
-        sol = self.write_solution(tmp_path, {**self.cyclic_suboptimal(), **changes})
-        rc, out, err = run(capsys, "verify", k3_file, sol)
-        assert (rc, out, err) == (1, f"verify: FAIL: {problem}\n", "")
+    def test_rejects_malformed_documents(self, capsys, tmp_path, k3_file, change, problems):
+        # one verify: FAIL line per problem, each in the order verify checks
+        sol = self.write_solution(tmp_path, change(self.cyclic_suboptimal()))
+        out = "".join(f"verify: FAIL: {p}\n" for p in problems.split("\n"))
+        assert run(capsys, "verify", k3_file, sol) == (1, out, "")
 
     def test_crlf_files_read_as_their_lf_twins(self, capsys, tmp_path):
         texts = {
@@ -672,12 +588,6 @@ class TestVerify:
         assert [rc for rc, _, _ in results[0]] == [0] * 5
         assert results[0][3:] == [(0, "verify: OK\n", "")] * 2
         assert results[1] == results[0]
-
-    def test_rejects_missing_keys(self, capsys, tmp_path, k3_file):
-        sol = self.write_solution(tmp_path, {"objective": 2})
-        rc, out, _ = run(capsys, "verify", k3_file, sol)
-        assert rc == 1
-        assert "missing key" in out
 
     def test_unparseable_json_is_usage_error(self, capsys, tmp_path, k3_file):
         sol = tmp_path / "claim.json"
@@ -730,6 +640,17 @@ INPUT_FAULTS = [
     ("utf8", "solution", b"{\xff}", "'utf-8' codec can't decode byte 0xff"),
     ("syntax", "solution", b"{not json", "Expecting property name enclosed in double quotes"),
     ("exponent", "solution", b'{"objective": 1e5}', "number 1e5 has an exponent"),
+    ("self-loop", "graph", b"2 1\n1 1\n", "line 2: self-loop at vertex 1"),
+    # refused at the header, before any per-vertex allocation
+    ("vertex-count", "graph", b"1000000000 0\n",
+     "line 1: 1000000000 vertices exceed the limit of 1000000"),
+    ("negative-cost", "weights", b"1 -3\n",
+     "line 1: negative cost for vertex 1: minimizing with negative costs is NP-hard"),
+    ("66-digits", "weights", b"1 1" + b"0" * 65 + b".5\n",
+     "line 1: cost has 60 or more integer digits"),
+    ("exponent-places", "weights", b"1 1e-1000000\n",
+     "line 1: cost has more than 60 decimal places"),
+    ("exponent-digits", "weights", b"1 1e5000\n", "line 1: cost has 60 or more integer digits"),
 ]
 
 
@@ -801,27 +722,6 @@ class TestGen:
         weights = parse_weights(w.read_text(), 6)
         assert all(0 <= u <= 9 for u in weights.units)
 
-    def test_weights_max_requires_out_path(self, capsys, tmp_path):
-        rc, _, err = run(capsys, "gen", "6", "0.4", "--weights-max", "9")
-        assert rc == 2
-        assert "--weights-out" in err
-
-    @pytest.mark.parametrize("to_file", [True, False], ids=["out", "stdout"])
-    def test_negative_weights_max_writes_nothing(self, capsys, tmp_path, monkeypatch, to_file):
-        monkeypatch.chdir(tmp_path)
-        argv = ["gen", "5", "0.5", "--weights-max", "-1", "--weights-out", "w.txt"]
-        if to_file:
-            argv += ["--out", "g.txt"]
-        rc, out, err = run(capsys, *argv)
-        assert (rc, out, err) == (2, "", "error: --weights-max must be nonnegative\n")
-        assert list(tmp_path.iterdir()) == []
-
-    def test_weights_out_requires_weights_max(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.chdir(tmp_path)
-        rc, out, err = run(capsys, "gen", "5", "0.5", "--out", "g.txt", "--weights-out", "w.txt")
-        assert (rc, out, err) == (2, "", "error: --weights-out requires --weights-max\n")
-        assert list(tmp_path.iterdir()) == []
-
     @pytest.mark.parametrize(
         "graph,costs",
         [("nodir/g.txt", "w.txt"), ("g.txt", "nodir/w.txt"), (None, "nodir/w.txt")],
@@ -836,14 +736,6 @@ class TestGen:
         rc, out, err = run(capsys, *argv)
         assert (rc, out) == (2, "")
         assert err.startswith("error: [Errno 2] No such file or directory: 'nodir/")
-        assert list(tmp_path.iterdir()) == []
-
-    @pytest.mark.parametrize("costs", ["g.txt", "./g.txt"])
-    def test_one_file_for_graph_and_costs(self, capsys, tmp_path, monkeypatch, costs):
-        monkeypatch.chdir(tmp_path)
-        argv = ["gen", "5", "0.5", "--out", "g.txt", "--weights-max", "3", "--weights-out", costs]
-        rc, out, err = run(capsys, *argv)
-        assert (rc, out, err) == (2, "", "error: --out and --weights-out name the same file\n")
         assert list(tmp_path.iterdir()) == []
 
     def test_failed_write_keeps_existing_file(self, capsys, tmp_path, monkeypatch):
@@ -878,55 +770,44 @@ class TestGen:
         assert len(parse_weights((tmp_path / "w.txt").read_text(), 5)) == 5
         assert sorted(p.name for p in tmp_path.iterdir()) == ["g.txt", "w.txt"]
 
-    def test_invalid_probability(self, capsys):
-        rc, _, err = run(capsys, "gen", "6", "1.7")
-        assert rc == 2
-
-    @pytest.mark.parametrize("argv", [("gen", MAX_VERTICES + 1, "0")])
-    def test_vertex_count_above_the_limit_draws_nothing(self, capsys, monkeypatch, argv):
-        # solve would refuse the header, so the quadratic draw must not start
-        forbid_draws(monkeypatch)
-        rc, out, err = run(capsys, *argv)
-        assert (rc, out) == (2, "")
-        assert err == f"error: {MAX_VERTICES + 1} vertices exceed the limit of {MAX_VERTICES}\n"
-
     @pytest.mark.parametrize(
-        "argv,err",
+        "argv, err",
         [
-            (
-                ["gen", "1000000", "0.5"],
-                "1000000 vertices make 499999500000 vertex pairs to draw, "
-                f"above the limit of {MAX_DRAW_PAIRS} pairs",
-            ),
-            (
-                ["gen", "100000", "0.00003", "--out", "f.txt"],
-                "100000 vertices make 4999950000 vertex pairs to draw, "
-                f"above the limit of {MAX_DRAW_PAIRS} pairs",
-            ),
-            (
-                ["gen", "10000", "0.5", "--out", "f.txt"],
-                "10000 vertices at p = 0.5 expect 24997500 edges, "
-                f"above the limit of {MAX_DRAW_EDGES} edges",
-            ),
+            ("6 0.4 --weights-max 9", "--weights-max requires --weights-out"),
+            ("5 0.5 --out g.txt --weights-out w.txt", "--weights-out requires --weights-max"),
+            ("5 0.5 --weights-max -1 --weights-out w.txt --out g.txt",
+             "--weights-max must be nonnegative"),
+            ("5 0.5 --weights-max -1 --weights-out w.txt", "--weights-max must be nonnegative"),
+            # a cost is drawn from one 64-bit word: a larger range would never end
+            (f"3 1 --weights-max {1 << 64} --weights-out w.txt",
+             "--weights-max must be below 2**64"),
+            ("5 0.5 --out g.txt --weights-max 3 --weights-out g.txt",
+             "--out and --weights-out name the same file"),
+            ("5 0.5 --out g.txt --weights-max 3 --weights-out ./g.txt",
+             "--out and --weights-out name the same file"),
+            ("6 1.7", "edge probability must lie in [0, 1]"),
+            # solve would refuse the header, so the quadratic draw must not start
+            (f"{MAX_VERTICES + 1} 0",
+             f"{MAX_VERTICES + 1} vertices exceed the limit of {MAX_VERTICES}"),
+            # one generator step a pair and a few hundred bytes an edge: a
+            # draw that could not finish is refused before it starts
+            ("1000000 0.5", "1000000 vertices make 499999500000 vertex pairs to draw, "
+             f"above the limit of {MAX_DRAW_PAIRS} pairs"),
+            ("100000 0.00003 --out f.txt", "100000 vertices make 4999950000 vertex pairs "
+             f"to draw, above the limit of {MAX_DRAW_PAIRS} pairs"),
+            ("10000 0.5 --out f.txt", "10000 vertices at p = 0.5 expect 24997500 edges, "
+             f"above the limit of {MAX_DRAW_EDGES} edges"),
         ],
-        ids=["pairs", "pairs-to-file", "edges"],
+        ids=["weights-max-without-out", "weights-out-without-max", "negative-weights-max-out",
+             "negative-weights-max-stdout", "weights-max-2-64", "one-file-for-both",
+             "one-file-for-both-spelled-apart", "invalid-p", "vertex-count-above-the-limit",
+             "pairs", "pairs-to-file", "edges"],
     )
-    def test_a_draw_past_its_budget_draws_nothing(self, capsys, tmp_path, monkeypatch, argv, err):
-        # one generator step a pair and a few hundred bytes an edge: a
-        # draw that could not finish is refused before it starts
+    def test_refuses_before_drawing(self, capsys, tmp_path, monkeypatch, argv, err):
+        # exit 2 with one error line, no draw, and no file written
         monkeypatch.chdir(tmp_path)
         forbid_draws(monkeypatch)
-        assert run(capsys, *argv) == (2, "", f"error: {err}\n")
-        assert list(tmp_path.iterdir()) == []
-
-    def test_weights_max_of_2_64_draws_nothing(self, capsys, tmp_path, monkeypatch):
-        # a cost is drawn from one 64-bit word: a larger range is refused
-        # before the draw, which would otherwise never end
-        monkeypatch.chdir(tmp_path)
-        forbid_draws(monkeypatch)
-        argv = ["gen", "3", "1", "--weights-max", str(1 << 64), "--weights-out", "w.txt"]
-        rc, out, err = run(capsys, *argv)
-        assert (rc, out, err) == (2, "", "error: --weights-max must be below 2**64\n")
+        assert run(capsys, "gen", *argv.split()) == (2, "", f"error: {err}\n")
         assert list(tmp_path.iterdir()) == []
 
     def test_weights_max_of_2_64_minus_1_draws_whole_words(self, capsys, tmp_path, monkeypatch):
@@ -1046,34 +927,48 @@ class TestMainPlumbing:
         assert cli("verify", k3_file, sol) == (0, "verify: OK\n", "")
         assert cli("frobnicate") == PINNED["frobnicate"]
 
-    @pytest.mark.parametrize("costs", [None, "1 2\n2 7\n3 3\n"], ids=["unweighted", "weighted"])
+    @pytest.mark.parametrize(
+        "costs, fault, what",
+        [
+            (None, "one-edge-short",
+             "core recount 2 disagrees with certificate value 3 (n=3, m=3)"),
+            ("1 2\n2 7\n3 3\n", "one-edge-short",
+             "core recount 5 disagrees with certificate value 8 (n=3, m=3)"),
+            (None, "one-sided-mate", "mate is not an involution at vertex 0 (n=9, m=9)"),
+            ("1 2\n2 7\n3 3\n", "one-sided-mate",
+             "mate is not an involution at vertex 1 (n=9, m=9)"),
+        ],
+        ids=["unweighted", "weighted", "unweighted-one-sided-mate", "weighted-one-sided-mate"],
+    )
     def test_internal_error_exits_3_naming_the_inputs(
-        self, capsys, monkeypatch, tmp_path, k3_file, costs
+        self, capsys, monkeypatch, tmp_path, k3_file, costs, fault, what
     ):
-        # a planted fault: the engine drops a parity edge, so the core recount fails
-        engine = "max_cardinality_matching" if costs is None else "max_weight_matching"
-        real = getattr(matching, engine)
+        # a planted fault: the engine drops a parity edge, so the core
+        # recount fails, or its closing check gets a mate with one end of
+        # a matched edge exposed
+        if fault == "one-sided-mate":
+            one_sided_mates(monkeypatch)
+        else:
+            engine = "max_cardinality_matching" if costs is None else "max_weight_matching"
+            real = getattr(matching, engine)
 
-        def one_edge_short(gp, *args):
-            ids = sorted(real(gp, *args).matched_edge_ids)
-            return Matching.from_edge_ids(gp, ids[:-1])
+            def one_edge_short(gp, *args):
+                ids = sorted(real(gp, *args).matched_edge_ids)
+                return Matching.from_edge_ids(gp, ids[:-1])
 
-        monkeypatch.setattr(matching, engine, one_edge_short)
+            monkeypatch.setattr(matching, engine, one_edge_short)
         args, files = [k3_file], [("graph", k3_file)]
         if costs is not None:
             w = tmp_path / "k3.costs"
             w.write_text(costs)
             args += ["--weights", w]
             files.append(("weights", w))
-        rc, out, err = run(capsys, "solve", *args, "--json")
-        assert (rc, out) == (3, "")
-        assert err.startswith("error: internal error: core recount ")
-        assert err.count("\n") == 1
         digests = ", ".join(
             f"{name} {path} sha256 {hashlib.sha256(path.read_bytes()).hexdigest()}"
             for name, path in files
         )
-        assert err.endswith(f"(n=3, m=3); {digests}\n")
+        rc, out, err = run(capsys, "solve", *args, "--json")
+        assert (rc, out, err) == (3, "", f"error: internal error: {what}; {digests}\n")
 
     def test_closed_stdout_is_not_a_usage_error(self, capsys, monkeypatch, k3_file):
         # a reader that stops early: exit 1 with nothing on stderr, and an

@@ -1,7 +1,17 @@
-"""Both matching engines plus the matching utility types."""
+"""Both matching engines plus the matching utility types.
+
+TestBothEngines runs every check the two engines share over one case
+table.  A family builder takes an engine and returns that engine's
+cases by id, each a graph and the edge weights it is matched with:
+costs for max_weight_matching, unit weights for
+max_cardinality_matching.  At unit weights a maximum-weight matching is
+a maximum-cardinality one, so one weight_units comparison checks either
+engine against brute force or networkx.
+"""
 
 import hashlib
 import sys
+from functools import partial
 
 import pytest
 
@@ -9,6 +19,7 @@ from conftest import (
     alternating_augmenting_path_exists,
     complete_graph,
     cycle_graph,
+    one_sided_mates,
     path_graph,
     random_core,
     random_maximal_matching,
@@ -23,6 +34,39 @@ from orientlight.matching import Matching, max_cardinality_matching, max_weight_
 from orientlight.oracle import brute_force_min_light
 from orientlight.reduction import build_gprime
 from support import brute_force_max_matching
+
+ENGINES = ("cardinality", "weight")
+
+
+def run_engine(engine: str, g: Graph, wts) -> Matching:
+    """engine's matching of g; the cardinality engine takes no weights."""
+    if engine == "cardinality":
+        return max_cardinality_matching(g)
+    return max_weight_matching(g, wts)
+
+
+def costed(engine: str, g: Graph, costs) -> tuple[Graph, tuple[int, ...]]:
+    """g as a case of engine: with its edge costs for the weighted engine,
+    with unit weights for the cardinality engine."""
+    return g, (tuple(costs) if engine == "weight" else (1,) * g.m)
+
+
+def check_against_brute_force(engine: str, g: Graph, wts) -> None:
+    m = run_engine(engine, g, wts)
+    assert Matching.from_mate(g, m.mate) == m
+    want = brute_force_max_matching(g, wts, max_edges=BRUTE_FORCE_EDGES)
+    assert m.weight_units(wts) == want.weight_units(wts)
+
+
+def check_against_networkx(engine: str, g: Graph, wts) -> None:
+    nx = pytest.importorskip("networkx")
+    m = run_engine(engine, g, wts)
+    assert Matching.from_mate(g, m.mate) == m
+    h = nx.Graph()
+    h.add_nodes_from(range(g.n))
+    h.add_weighted_edges_from((u, v, w) for (u, v), w in zip(g.edges, wts))
+    want = sum(h[u][v]["weight"] for u, v in nx.max_weight_matching(h))
+    assert m.weight_units(wts) == want
 
 
 def pendant_heavy_graph(n: int, chords: int, seed: int) -> Graph:
@@ -47,13 +91,6 @@ def positive_costs(n: int, top: int, seed: int) -> VertexWeights:
     return VertexWeights(tuple(1 + rng.next_below(top) for _ in range(n)), 100)
 
 
-# (n, seed, top): 2-cores of 3n-vertex draws at average degree 3.2, which
-# the flow kernel keeps whole (positive costs give it the unweighted
-# targets), with costs 1..top: gadgets of 1000-1732 vertices.  The size
-# floors in weighted_gadget keep a kernel change from shrinking them.
-WEIGHTED_GADGETS = [(60, 31, 1000), (80, 32, 1000), (100, 33, 10)]
-
-
 def zero_a_tenth(r, seed: int) -> tuple[Graph, tuple[int, ...]]:
     """The gadget graph with a tenth of its edge weights zeroed, so zero
     weights reach the engine scattered over the gadget, not owned by
@@ -64,17 +101,76 @@ def zero_a_tenth(r, seed: int) -> tuple[Graph, tuple[int, ...]]:
     return r.gprime, wts
 
 
-def weighted_gadget(n: int, seed: int, top: int) -> tuple[Graph, tuple[int, ...]]:
+def gadget_case(g: Graph, seed: int, top: int | None) -> tuple:
+    """g's gadget record and its case: unweighted, or with costs 1..top
+    drawn from seed and a tenth of the edge weights zeroed."""
+    if top is None:
+        r = build_gprime(g)
+        return r, (r.gprime, r.edge_weights)
+    r = build_gprime(g, positive_costs(g.n, top, seed))
+    return r, zero_a_tenth(r, seed)
+
+
+def core_gadget(n: int, seed: int, top: int | None = None) -> tuple[Graph, tuple[int, ...]]:
+    """The gadget of the 2-core of a 3n-vertex draw at average degree 3.2,
+    which the flow kernel keeps whole (positive costs give it the
+    unweighted targets): 1000-2924 vertices, and the floors keep a kernel
+    change from shrinking it."""
     core = random_core(3 * n, 3.2 / (3 * n - 1), seed)
     assert core is not None
-    r = build_gprime(core, positive_costs(core.n, top, seed))
+    r, case = gadget_case(core, seed, top)
     assert r.core == core
-    assert r.gprime.n >= {60: 850, 80: 1074, 100: 1449}[n]
-    return zero_a_tenth(r, seed)
+    floors = {(100, 11): 1355, (150, 12): 1994, (180, 13): 2473, (60, 31): 850, (80, 32): 1074}
+    assert r.gprime.n >= {**floors, (100, 33): 1449}[n, seed]
+    return case
+
+
+def pendant_heavy_gadget(
+    n: int, chords: int, seed: int, top: int | None = None
+) -> tuple[Graph, tuple[int, ...]]:
+    """The gadget of pendant_heavy_graph(n, chords, seed).  Seeds 21 and 22
+    (1000 vertices, 275 chords) keep cores of 485 and 480 vertices, with
+    277 and 278 of demand 1; seed 41 (400 vertices, 120 chords) keeps one
+    of 224 vertices, with 128 of demand 1."""
+    r, case = gadget_case(pendant_heavy_graph(n, chords, seed), seed, top)
+    core_n, floor = {21: (485, 1882), 22: (480, 1978), 41: (224, 945)}[seed]
+    assert r.core.n == core_n
+    assert r.gprime.n >= floor
+    return case
+
+
+def seeded_gadget(
+    n: int, d: float, graph_seed: int, top=None, cost_seed=None, zeroed=False
+) -> tuple[Graph, tuple[int, ...]]:
+    """The gadget of random_graph(n, d / n, graph_seed), unweighted or with
+    the costs random_weights(n, top, cost_seed), a tenth of its edge
+    weights zeroed or not."""
+    g = random_graph(n, d / n, graph_seed)
+    r = build_gprime(g, None if top is None else random_weights(n, top, cost_seed))
+    return zero_a_tenth(r, graph_seed) if zeroed else (r.gprime, r.edge_weights)
+
+
+def sub_critical_gadget(top=None, cost_seed=None) -> tuple[Graph, tuple[int, ...]]:
+    """The gadget of random_graph(300, 435 / 44850, 1), unweighted or with
+    the costs random_weights(300, top, cost_seed): m = 1.4n, below the
+    density at which the flow kernel settles almost everything, so a
+    core of 232 vertices (45 of demand 1) and a gadget of 1411 vertices
+    remain."""
+    n = 300
+    g = random_graph(n, 435 / (n * (n - 1) // 2), 1)
+    r = build_gprime(g, None if top is None else random_weights(n, top, cost_seed))
+    assert (g.m, r.core.n, r.gprime.n) == (420, 232, 1411)
+    assert sum(1 for b in r.demand if b == 1) == 45
+    return r.gprime, r.edge_weights
 
 
 def mate_digest(m: Matching) -> str:
     return hashlib.sha256(repr(m.mate).encode()).hexdigest()[:16]
+
+
+def family_digest(matchings) -> str:
+    """mate_digest over a whole family's matchings, in order."""
+    return hashlib.sha256(repr([m.mate for m in matchings]).encode()).hexdigest()[:16]
 
 
 # the costs of a blossom tower's outermost cycle, from x round to y
@@ -125,11 +221,6 @@ def blossom_tower(
     return Graph(n, tuple(uv for uv, _ in edges)), tuple(c for _, c in edges)
 
 
-def family_digest(matchings) -> str:
-    """mate_digest over a whole family's matchings, in order."""
-    return hashlib.sha256(repr([m.mate for m in matchings]).encode()).hexdigest()[:16]
-
-
 def triangle_chain(k: int, pendant: bool) -> Graph:
     """k triangles in a row, each joined to the next by one edge.
 
@@ -165,11 +256,12 @@ def cycling_costs(count: int) -> tuple[int, ...]:
 
 
 def cost_gadget(g: Graph) -> tuple[Graph, tuple[int, ...]]:
+    # with positive costs the gadget graph is the unweighted one
     r = build_gprime(g, VertexWeights(cycling_costs(g.n)))
     return r.gprime, r.edge_weights
 
 
-# the second torture family, every graph at most 22 edges so brute force
+# two more torture families, every graph at most 22 edges so brute force
 # takes it: chains of triangles, whose augmenting paths run the length of
 # the chain, and hub shapes, where one core vertex owns many ports
 TRIANGLE_CHAINS = {
@@ -189,33 +281,110 @@ HUB_SHAPES = {
     },
     **{f"wheel{k}": wheel_graph(k) for k in (3, 6, 11)},
 }
-CHAINS_AND_HUBS = {**TRIANGLE_CHAINS, **HUB_SHAPES}
-chains_and_hubs = pytest.mark.parametrize(
-    "g", CHAINS_AND_HUBS.values(), ids=CHAINS_AND_HUBS.keys()
-)
 
 
-def pendant_heavy_weighted_gadget() -> tuple[Graph, tuple[int, ...]]:
-    # a core with 128 demand-1 vertices, kept whole; a gadget of 945
-    # vertices
-    g = pendant_heavy_graph(400, 120, 41)
-    r = build_gprime(g, positive_costs(g.n, 1000, 41))
-    assert r.core.n == 224
-    assert r.gprime.n >= 945
-    return zero_a_tenth(r, 41)
+def tower_family(engine: str) -> dict[str, tuple[Graph, tuple[int, ...]]]:
+    return {
+        f"tower{depth}" + ("-pendant" if pendant else ""):
+            costed(engine, *blossom_tower(depth, pendant))
+        for depth, pendant in BLOSSOM_TOWERS
+    }
 
 
-def sub_critical_weighted_gadget() -> tuple[Graph, tuple[int, ...]]:
-    # the gadget of random_graph(300, 435 / 44850, 1) with the costs
-    # random_weights(300, 1000, 2): m = 1.4n, below the density at which
-    # the flow kernel settles almost everything, so a core of 232
-    # vertices (45 of demand 1) and a gadget of 1411 vertices remain
-    n = 300
-    g = random_graph(n, 435 / (n * (n - 1) // 2), 1)
-    r = build_gprime(g, random_weights(n, 1000, 2))
-    assert (g.m, r.core.n, r.gprime.n) == (420, 232, 1411)
-    assert sum(1 for b in r.demand if b == 1) == 45
-    return r.gprime, r.edge_weights
+def with_gadgets(graphs: dict[str, Graph]):
+    """The family builder over graphs: each graph with the edge costs
+    cycling_costs gives, then its gadget with those vertex costs."""
+
+    def family(engine: str) -> dict[str, tuple[Graph, tuple[int, ...]]]:
+        cases = {}
+        for name, g in graphs.items():
+            cases[name] = costed(engine, g, cycling_costs(g.m))
+            cases[f"{name}-gadget"] = costed(engine, *cost_gadget(g))
+        return cases
+
+    return family
+
+
+# the torture families, by name: between them they reach nested
+# blossoms, and the weighted engine's mid-stage and end-of-stage
+# expansions
+FAMILIES = {
+    "towers": tower_family,
+    "chains": with_gadgets(TRIANGLE_CHAINS),
+    "hubs": with_gadgets(HUB_SHAPES),
+}
+# brute force takes every family case of at most this many edges: every
+# raw graph, and the smallest gadgets
+BRUTE_FORCE_EDGES = 22
+
+
+def family_rows(max_edges: int | None = None) -> list:
+    """A row (engine, g, wts) for each engine and each case of each family,
+    of at most max_edges edges when that is given."""
+    return [
+        pytest.param(engine, g, wts, id=f"{engine}-{name}")
+        for engine in ENGINES
+        for family in FAMILIES.values()
+        for name, (g, wts) in family(engine).items()
+        if max_edges is None or g.m <= max_edges
+    ]
+
+
+# the first 16 hex digits of sha256 of each engine's matchings over a
+# whole family, in order (family_digest).  A change to which maximum
+# matching an engine returns fails here.
+FAMILY_DIGESTS = {
+    ("cardinality", "towers"): "deecd97562964911",
+    ("cardinality", "chains"): "c668c477e203a2a1",
+    ("cardinality", "hubs"): "3ed0bcb0d69cfc6d",
+    ("weight", "towers"): "591483d988eaa316",
+    ("weight", "chains"): "e25d08e50debe429",
+    ("weight", "hubs"): "0f5f62f7b8d34cc1",
+}
+
+# gadgets past brute force, each engine on its own, all checked against
+# networkx: (engine, builder, digest).  A digest is the first 16 hex
+# digits of sha256(repr(mate)) of the engine's matching (mate_digest), or
+# None for a gadget that is not pinned.
+GADGETS = [
+    # unweighted gadgets of seeded graphs: n, d for p = d / n, graph seed
+    ("cardinality", partial(seeded_gadget, 8, 3.9, 62), "084a6e4e8a39c15b"),
+    ("cardinality", partial(seeded_gadget, 30, 3.0, 7), "480b1c3ed1743ea1"),
+    ("cardinality", partial(seeded_gadget, 40, 3.0, 11), "5eb8767f8a736dd8"),
+    ("cardinality", partial(seeded_gadget, 40, 3.4, 13), "60ab37abd1a30620"),
+    ("cardinality", partial(sub_critical_gadget), "2d1a2389f6f6459f"),
+    ("cardinality", partial(core_gadget, 100, 11), None),
+    ("cardinality", partial(core_gadget, 150, 12), None),
+    ("cardinality", partial(core_gadget, 180, 13), None),
+    ("cardinality", partial(pendant_heavy_gadget, 1000, 275, 21), None),
+    ("cardinality", partial(pendant_heavy_gadget, 1000, 275, 22), None),
+    # then top cost and cost seed, and a tenth of the weights zeroed or not
+    ("weight", partial(seeded_gadget, 8, 3.9, 62, 1000, 73), "7c769e3ae55393eb"),
+    ("weight", partial(seeded_gadget, 8, 3.9, 62, 1000, 73, True), "814a9718f44cacb6"),
+    ("weight", partial(seeded_gadget, 30, 3.0, 7, 1000, 8), "541d9f1a0910797b"),
+    ("weight", partial(seeded_gadget, 30, 3.0, 7, 1000, 8, True), "517b926ad9f0801f"),
+    ("weight", partial(seeded_gadget, 40, 3.0, 11, 3, 12), "d952ece069773704"),
+    ("weight", partial(seeded_gadget, 40, 3.0, 11, 3, 12, True), "6043800b4f376506"),
+    ("weight", partial(seeded_gadget, 40, 3.4, 13, 1000, 14), "a7be84d19e5a6c2e"),
+    ("weight", partial(seeded_gadget, 40, 3.4, 13, 1000, 14, True), "352301403dd60055"),
+    ("weight", partial(sub_critical_gadget, 1000, 2), "8c295a72b399b214"),
+    ("weight", partial(core_gadget, 60, 31, 1000), "a7c876fc387697c9"),
+    ("weight", partial(core_gadget, 80, 32, 1000), None),
+    ("weight", partial(core_gadget, 100, 33, 10), None),
+    ("weight", partial(pendant_heavy_gadget, 400, 120, 41, 1000), None),
+]
+
+
+def gadget_rows(pinned: bool) -> list:
+    """A row (engine, build, digest) for each gadget, or each pinned one,
+    with an id such as weight-seeded-8-3.9-62-1000-73-True."""
+    rows = []
+    for engine, build, digest in GADGETS:
+        name = build.func.__name__.removesuffix("_gadget").replace("_", "-")
+        if digest or not pinned:
+            case = "-".join([engine, name, *map(str, build.args)])
+            rows.append(pytest.param(engine, build, digest, id=case))
+    return rows
 
 
 class TestMatchingType:
@@ -243,15 +412,24 @@ class TestMatchingType:
         with pytest.raises(ValueError, match="out of range"):
             Matching.from_edge_ids(k3, [7])
 
-    def test_from_mate_round_trip(self, c4):
-        m = Matching.from_edge_ids(c4, [0, 2])
-        assert Matching.from_mate(c4, m.mate) == m
+    # a record is a valid matching of g exactly when rebuilding it from
+    # its mate gives it back; the engine-output checks rely on this
+    @pytest.mark.parametrize(
+        "g, ids", [(complete_graph(3), [0]), (cycle_graph(4), [0, 2])], ids=["k3", "c4"]
+    )
+    def test_from_mate_round_trip(self, g, ids):
+        m = Matching.from_edge_ids(g, ids)
+        assert Matching.from_mate(g, m.mate) == m
 
-    def test_from_mate_rejects_non_involution(self, k3):
-        # a cycle of partners, and a partner out of range
-        for mate in ((1, 2, 0), (5, -1, -1)):
-            with pytest.raises(ValueError, match="involution at vertex 0"):
-                Matching.from_mate(k3, mate)
+    @pytest.mark.parametrize(
+        "mate, vertex",
+        [((1, 2, 0), 0), ((5, -1, -1), 0), ((1, 0, 0), 2)],
+        ids=["cycle-of-partners", "partner-out-of-range", "shared-partner"],
+    )
+    def test_from_mate_rejects_non_involution(self, k3, mate, vertex):
+        with pytest.raises(ValueError) as ex:
+            Matching.from_mate(k3, mate)
+        assert str(ex.value) == f"mate is not an involution at vertex {vertex}"
 
     def test_from_mate_rejects_wrong_length(self, k3):
         with pytest.raises(ValueError, match="mate covers 2 vertices, graph has 3"):
@@ -262,58 +440,98 @@ class TestMatchingType:
         with pytest.raises(ValueError, match=r"^matched pair \(0, 2\) is not an edge$"):
             Matching.from_mate(g, (2, 3, 0, 1))
 
+    @pytest.mark.parametrize(
+        "ids, mate, rebuilt",
+        [({9}, (-1, -1, -1), set()), ({0}, (2, -1, 0), {1})],
+        ids=["unknown-edge", "inconsistent-mate"],
+    )
+    def test_from_mate_reads_the_edge_ids_off_the_mate(self, k3, ids, mate, rebuilt):
+        # a record whose edge ids disagree with its mate does not come back
+        m = Matching.from_mate(k3, mate)
+        assert m.matched_edge_ids == rebuilt
+        assert m != Matching(frozenset(ids), mate)
+
     def test_weight_units(self, c4):
         m = Matching.from_edge_ids(c4, [0, 2])
         assert m.weight_units((5, 1, 7, 1)) == 12
 
 
-class TestIsValidMatching:
-    # a record is a valid matching of g exactly when rebuilding it from
-    # its mate gives it back; the engine-output checks below rely on this
-    def test_accepts_single_edge(self, k3):
-        m = Matching.from_edge_ids(k3, [0])
-        assert Matching.from_mate(k3, m.mate) == m
+class TestBothEngines:
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_empty_graph(self, engine):
+        for n in (0, 1, 3, 5):
+            g = Graph(n, ())
+            assert run_engine(engine, g, ()) == Matching.from_edge_ids(g, ())
 
-    def test_rejects_shared_vertex(self, k3):
-        bad = Matching(frozenset({0, 1}), (1, 0, 0))
-        with pytest.raises(ValueError, match="involution"):
-            Matching.from_mate(k3, bad.mate)
-        with pytest.raises(ValueError, match="shares a vertex"):
-            Matching.from_edge_ids(k3, bad.matched_edge_ids)
+    @pytest.mark.parametrize("engine, n, seed", [("cardinality", 10, 77), ("weight", 9, 31)])
+    def test_deterministic(self, engine, n, seed):
+        g = random_graph(n, 0.5, seed)
+        g, wts = costed(engine, g, [(e * 13 + 5) % 11 for e in range(g.m)])
+        assert run_engine(engine, g, wts) == run_engine(engine, g, wts)
 
-    def test_rejects_unknown_edge(self, k3):
-        bad = Matching(frozenset({9}), (-1, -1, -1))
-        assert Matching.from_mate(k3, bad.mate) != bad
+    @pytest.mark.parametrize("engine, seed", [("cardinality", 900), ("weight", 4000)])
+    def test_agrees_with_brute_force_on_random_graphs(self, engine, seed):
+        # 60 graphs on 8 vertices with 1 to 16 edges, and costs 0..10
+        rng = SplitMix64(99)
+        checked = 0
+        while checked < 60:
+            g = random_graph(8, 0.5, seed)
+            seed += 1
+            if 0 < g.m <= 16:
+                costs = [rng.next_below(11) for _ in range(g.m)]
+                check_against_brute_force(engine, *costed(engine, g, costs))
+                checked += 1
 
-    def test_rejects_inconsistent_mate(self, k3):
-        bad = Matching(frozenset({0}), (2, -1, 0))
-        assert Matching.from_mate(k3, bad.mate) != bad
+    @pytest.mark.parametrize("engine, g, wts", family_rows(BRUTE_FORCE_EDGES))
+    def test_agrees_with_brute_force(self, engine, g, wts):
+        check_against_brute_force(engine, g, wts)
+
+    @pytest.mark.parametrize("engine, g, wts", family_rows())
+    def test_agrees_with_networkx(self, engine, g, wts):
+        check_against_networkx(engine, g, wts)
+
+    @pytest.mark.parametrize("engine, build, digest", gadget_rows(pinned=False))
+    def test_agrees_with_networkx_on_a_gadget(self, engine, build, digest):
+        check_against_networkx(engine, *build())
+
+    @pytest.mark.parametrize("engine, family", FAMILY_DIGESTS, ids=[*map("-".join, FAMILY_DIGESTS)])
+    def test_returns_the_pinned_matchings_on_a_family(self, engine, family):
+        cases = FAMILIES[family](engine).values()
+        got = family_digest(run_engine(engine, g, wts) for g, wts in cases)
+        assert got == FAMILY_DIGESTS[engine, family]
+
+    @pytest.mark.parametrize("engine, build, digest", gadget_rows(pinned=True))
+    def test_returns_the_pinned_matching(self, engine, build, digest):
+        assert mate_digest(run_engine(engine, *build())) == digest
+
+    @pytest.mark.parametrize("engine, vertex", [("cardinality", 0), ("weight", 1)])
+    def test_a_final_mate_that_is_not_a_matching_is_an_internal_error(
+        self, monkeypatch, k3, engine, vertex
+    ):
+        # each engine's closing check reads its own state, not the
+        # caller's input, so a fault there is not a ValueError
+        one_sided_mates(monkeypatch)
+        with pytest.raises(RuntimeError) as ex:
+            run_engine(engine, k3, (1, 2, 3))
+        assert str(ex.value) == (
+            f"internal error: mate is not an involution at vertex {vertex} (n=3, m=3)"
+        )
+
+
+def test_every_blossom_tower_has_a_near_perfect_matching():
+    for depth, pendant in BLOSSOM_TOWERS:
+        g, _ = blossom_tower(depth, pendant)
+        assert brute_force_max_matching(g, max_edges=BRUTE_FORCE_EDGES).size == g.n // 2
 
 
 class TestMaxCardinality:
-    @pytest.mark.parametrize("k", range(1, 7))
-    def test_odd_cycles(self, k):
-        g = cycle_graph(2 * k + 1)
-        assert max_cardinality_matching(g).size == k
-
-    def test_even_cycle_perfect(self, c4):
-        assert max_cardinality_matching(c4).size == 2
-
-    def test_c5(self, c5):
-        assert max_cardinality_matching(c5).size == 2
+    @pytest.mark.parametrize("k", range(3, 14))
+    def test_cycles(self, k):
+        assert max_cardinality_matching(cycle_graph(k)).size == k // 2
 
     def test_gprime_of_triangle(self, k3):
         r = build_gprime(k3)
         assert max_cardinality_matching(r.gprime).size == 4
-
-    def test_empty_graph(self):
-        for n in (0, 1, 3, 5):
-            g = Graph(n, ())
-            assert max_cardinality_matching(g) == Matching.from_edge_ids(g, ())
-
-    def test_deterministic(self):
-        g = random_graph(10, 0.5, 77)
-        assert max_cardinality_matching(g) == max_cardinality_matching(g)
 
     def test_no_augmenting_path_remains(self):
         checked = 0
@@ -326,17 +544,6 @@ class TestMaxCardinality:
             m = max_cardinality_matching(g)
             assert Matching.from_mate(g, m.mate) == m
             assert not alternating_augmenting_path_exists(g, m)
-            checked += 1
-
-    def test_agrees_with_brute_force(self):
-        checked = 0
-        seed = 900
-        while checked < 60:
-            g = random_graph(8, 0.5, seed)
-            seed += 1
-            if g.m > 16:
-                continue
-            assert max_cardinality_matching(g).size == brute_force_max_matching(g).size
             checked += 1
 
     def test_failed_tree_is_retired_and_later_roots_still_augment(self):
@@ -363,99 +570,6 @@ class TestMaxCardinality:
         assert [v for v, w in enumerate(m.mate) if w == -1] == [r]
         assert max_cardinality_matching(g) == m
 
-    @pytest.mark.parametrize("n, seed", [(100, 11), (150, 12), (180, 13)])
-    def test_agrees_with_networkx_on_random_gadgets(self, n, seed):
-        # 2-cores of 3n-vertex draws at average degree 3.2, which the flow
-        # kernel keeps whole: gadgets of 1636-2924 vertices, far above the
-        # brute-force caps; the floors keep a kernel change from shrinking
-        # them
-        core = random_core(3 * n, 3.2 / (3 * n - 1), seed)
-        assert core is not None
-        r = build_gprime(core)
-        assert r.core == core
-        assert r.gprime.n >= {100: 1355, 150: 1994, 180: 2473}[n]
-        self._check_against_networkx(r.gprime)
-
-    @pytest.mark.parametrize("seed", [21, 22])
-    def test_agrees_with_networkx_on_pendant_heavy_gadgets(self, seed):
-        # cores of 485 and 480 vertices, with 277 and 278 demand-1
-        # vertices; gadgets of 1882 and 1978 vertices
-        r = build_gprime(pendant_heavy_graph(1000, 275, seed))
-        assert r.core.n == {21: 485, 22: 480}[seed]
-        assert r.gprime.n >= {21: 1882, 22: 1978}[seed]
-        self._check_against_networkx(r.gprime)
-
-    # the first 16 hex digits of sha256(repr(mate)) on the unweighted
-    # gadgets of TestMaxWeight's pinned graphs: graph n, d for p = d / n
-    # and graph seed.  A change to which maximum matching the engine
-    # returns fails here.
-    @pytest.mark.parametrize(
-        "case, digest",
-        [
-            ((8, 3.9, 62), "084a6e4e8a39c15b"),
-            ((30, 3.0, 7), "480b1c3ed1743ea1"),
-            ((40, 3.0, 11), "5eb8767f8a736dd8"),
-            ((40, 3.4, 13), "60ab37abd1a30620"),
-        ],
-    )
-    def test_returns_the_pinned_matching(self, case, digest):
-        n, d, graph_seed = case
-        r = build_gprime(random_graph(n, d / n, graph_seed))
-        assert mate_digest(max_cardinality_matching(r.gprime)) == digest
-
-    def test_returns_the_pinned_matching_on_a_sub_critical_gadget(self):
-        # the unweighted gadget of sub_critical_weighted_gadget's graph
-        n = 300
-        r = build_gprime(random_graph(n, 435 / (n * (n - 1) // 2), 1))
-        assert r.gprime.n == 1411
-        assert mate_digest(max_cardinality_matching(r.gprime)) == "2d1a2389f6f6459f"
-
-    def test_returns_the_pinned_matchings_on_the_blossom_towers(self):
-        towers = [blossom_tower(*case)[0] for case in BLOSSOM_TOWERS]
-        assert family_digest(map(max_cardinality_matching, towers)) == "deecd97562964911"
-
-    @pytest.mark.parametrize("depth, pendant", BLOSSOM_TOWERS)
-    def test_agrees_with_brute_force_on_a_blossom_tower(self, depth, pendant):
-        g, _ = blossom_tower(depth, pendant)
-        m = max_cardinality_matching(g)
-        assert Matching.from_mate(g, m.mate) == m
-        # the deepest tower with its path has 22 edges, past the default cap
-        assert m.size == brute_force_max_matching(g, max_edges=22).size == g.n // 2
-
-    @pytest.mark.parametrize("depth, pendant", BLOSSOM_TOWERS)
-    def test_agrees_with_networkx_on_a_blossom_tower(self, depth, pendant):
-        self._check_against_networkx(blossom_tower(depth, pendant)[0])
-
-    @pytest.mark.parametrize(
-        "family, digest",
-        [(TRIANGLE_CHAINS, "c668c477e203a2a1"), (HUB_SHAPES, "3ed0bcb0d69cfc6d")],
-        ids=["chains", "hubs"],
-    )
-    def test_returns_the_pinned_matchings_on_chains_and_hubs(self, family, digest):
-        graphs = [h for g in family.values() for h in (g, build_gprime(g).gprime)]
-        assert family_digest(map(max_cardinality_matching, graphs)) == digest
-
-    @chains_and_hubs
-    def test_agrees_with_brute_force_on_chains_and_hubs(self, g):
-        m = max_cardinality_matching(g)
-        assert Matching.from_mate(g, m.mate) == m
-        assert m.size == brute_force_max_matching(g, max_edges=22).size
-
-    @chains_and_hubs
-    def test_agrees_with_networkx_on_chains_and_hubs_and_their_gadgets(self, g):
-        self._check_against_networkx(g)
-        self._check_against_networkx(build_gprime(g).gprime)
-
-    @staticmethod
-    def _check_against_networkx(g):
-        nx = pytest.importorskip("networkx")
-        m = max_cardinality_matching(g)
-        assert Matching.from_mate(g, m.mate) == m
-        h = nx.Graph()
-        h.add_nodes_from(range(g.n))
-        h.add_edges_from(g.edges)
-        assert m.size == len(nx.max_weight_matching(h, maxcardinality=True))
-
 
 class TestMaxWeight:
     def test_path_prefers_heavy_middle(self):
@@ -479,50 +593,22 @@ class TestMaxWeight:
             m = max_weight_matching(g, (7,) * g.m)
             assert m.weight_units((7,) * g.m) == 7 * card
 
-    def test_rejects_negative(self, k3):
-        with pytest.raises(ValueError, match="negative"):
-            max_weight_matching(k3, (1, -1, 1))
-
-    def test_rejects_non_integer(self, k3):
-        with pytest.raises(ValueError, match="integer"):
-            max_weight_matching(k3, (1.5, 1, 1))
-
-    def test_rejects_bool_weights(self, k3, p2):
-        # a bool is an int to isinstance, and True would weigh 1
-        with pytest.raises(ValueError, match=r"edge weight True at id 0 is not an integer"):
-            max_weight_matching(p2, (True,))
-        with pytest.raises(ValueError, match=r"edge weight False at id 2 is not an integer"):
-            max_weight_matching(k3, (1, 2, False))
-
-    def test_rejects_wrong_length(self, k3):
-        with pytest.raises(ValueError):
-            max_weight_matching(k3, (1, 1))
-
-    def test_empty_graph(self):
-        for n in (0, 1, 3, 5):
-            g = Graph(n, ())
-            assert max_weight_matching(g, ()) == Matching.from_edge_ids(g, ())
-
-    def test_deterministic(self):
-        g = random_graph(9, 0.5, 31)
-        wts = tuple((e * 13 + 5) % 11 for e in range(g.m))
-        assert max_weight_matching(g, wts) == max_weight_matching(g, wts)
-
-    def test_agrees_with_brute_force(self):
-        checked = 0
-        seed = 4000
-        rng = SplitMix64(99)
-        while checked < 60:
-            g = random_graph(8, 0.5, seed)
-            seed += 1
-            if g.m > 16 or g.m == 0:
-                continue
-            wts = tuple(rng.next_below(11) for _ in range(g.m))
-            got = max_weight_matching(g, wts)
-            want = brute_force_max_matching(g, wts)
-            assert Matching.from_mate(g, got.mate) == got
-            assert got.weight_units(wts) == want.weight_units(wts)
-            checked += 1
+    @pytest.mark.parametrize(
+        "wts, message",
+        [
+            ((1, -1, 1), "negative edge weight at id 1"),
+            ((1.5, 1, 1), "edge weight 1.5 at id 0 is not an integer"),
+            # a bool is an int to isinstance, and True would weigh 1
+            ((True, 1, 1), "edge weight True at id 0 is not an integer"),
+            ((1, 2, False), "edge weight False at id 2 is not an integer"),
+            ((1, 1), "2 weights for 3 edges"),
+        ],
+        ids=["negative", "float", "true", "false", "too-few"],
+    )
+    def test_rejects_weights_that_are_not_nonnegative_integers(self, k3, wts, message):
+        with pytest.raises(ValueError) as ex:
+            max_weight_matching(k3, wts)
+        assert str(ex.value) == message
 
     def test_blossom_heavy_instance(self):
         # two triangles joined by a bridge force odd-set handling
@@ -584,16 +670,6 @@ class TestMaxWeight:
         assert got.weight_units(wts) == brute_force_max_matching(g, wts).weight_units(wts)
         assert max_weight_matching(g, wts) == got
 
-    @pytest.mark.parametrize("n, seed, top", WEIGHTED_GADGETS)
-    def test_agrees_with_networkx_on_weighted_gadgets(self, n, seed, top):
-        self._check_against_networkx(*weighted_gadget(n, seed, top))
-
-    def test_agrees_with_networkx_on_a_pendant_heavy_weighted_gadget(self):
-        self._check_against_networkx(*pendant_heavy_weighted_gadget())
-
-    def test_agrees_with_networkx_on_a_sub_critical_weighted_gadget(self):
-        self._check_against_networkx(*sub_critical_weighted_gadget())
-
     def test_leaves_the_recursion_limit_alone(self, monkeypatch):
         # nested blossoms are walked with explicit stacks, so the engine
         # never changes the interpreter-wide recursion limit
@@ -601,8 +677,7 @@ class TestMaxWeight:
             raise AssertionError(f"the engine set the recursion limit to {limit}")
 
         monkeypatch.setattr(sys, "setrecursionlimit", refuse)
-        gadgets = [weighted_gadget(*case) for case in WEIGHTED_GADGETS]
-        for g, wts in gadgets + [pendant_heavy_weighted_gadget()]:
+        for g, wts in [build() for engine, build, _ in GADGETS if engine == "weight"]:
             m = max_weight_matching(g, wts)
             assert Matching.from_mate(g, m.mate) == m
 
@@ -623,97 +698,14 @@ class TestMaxWeight:
     def test_mid_stage_expansion_relabels_a_reached_sub_blossom(self):
         # a seeded input whose mid-stage expansion of an inner blossom
         # relabels a sub-blossom child that holds a reached vertex: 15
-        # edges, a gadget of 59 vertices and 80 edges
+        # edges, a gadget of 59 vertices and 80 edges, which GADGETS
+        # checks against networkx as weight-seeded-8-3.9-62-1000-73
         g = random_graph(8, 3.9 / 8, 62)
         w = random_weights(8, 1000, 73)
         assert g.m == 15
         assert solve_min_light(g, w).objective == brute_force_min_light(g, w)[0]
         r = build_gprime(g, w)
         assert (r.gprime.n, r.gprime.m) == (59, 80)
-        self._check_against_networkx(r.gprime, r.edge_weights)
-
-    # the first 16 hex digits of sha256(repr(mate)) on seeded gadgets:
-    # graph n, d for p = d / n, graph seed, top cost, cost seed, and a
-    # tenth of the weights zeroed or not.  A change to which optimum the
-    # engine returns fails here.
-    @pytest.mark.parametrize(
-        "case, zeroed, digest",
-        [
-            ((8, 3.9, 62, 1000, 73), False, "7c769e3ae55393eb"),
-            ((8, 3.9, 62, 1000, 73), True, "814a9718f44cacb6"),
-            ((30, 3.0, 7, 1000, 8), False, "541d9f1a0910797b"),
-            ((30, 3.0, 7, 1000, 8), True, "517b926ad9f0801f"),
-            ((40, 3.0, 11, 3, 12), False, "d952ece069773704"),
-            ((40, 3.0, 11, 3, 12), True, "6043800b4f376506"),
-            ((40, 3.4, 13, 1000, 14), False, "a7be84d19e5a6c2e"),
-            ((40, 3.4, 13, 1000, 14), True, "352301403dd60055"),
-        ],
-    )
-    def test_returns_the_pinned_matching(self, case, zeroed, digest):
-        n, d, graph_seed, top, cost_seed = case
-        r = build_gprime(random_graph(n, d / n, graph_seed), random_weights(n, top, cost_seed))
-        g, wts = zero_a_tenth(r, graph_seed) if zeroed else (r.gprime, r.edge_weights)
-        assert mate_digest(max_weight_matching(g, wts)) == digest
-
-    def test_returns_the_pinned_matching_on_a_large_gadget(self):
-        g, wts = weighted_gadget(60, 31, 1000)
-        assert mate_digest(max_weight_matching(g, wts)) == "a7c876fc387697c9"
-
-    def test_returns_the_pinned_matching_on_a_sub_critical_gadget(self):
-        g, wts = sub_critical_weighted_gadget()
-        assert mate_digest(max_weight_matching(g, wts)) == "8c295a72b399b214"
-
-    def test_returns_the_pinned_matchings_on_the_blossom_towers(self):
-        towers = [blossom_tower(*case) for case in BLOSSOM_TOWERS]
-        matchings = [max_weight_matching(g, wts) for g, wts in towers]
-        assert family_digest(matchings) == "591483d988eaa316"
-
-    @pytest.mark.parametrize("depth, pendant", BLOSSOM_TOWERS)
-    def test_agrees_with_brute_force_on_a_blossom_tower(self, depth, pendant):
-        g, wts = blossom_tower(depth, pendant)
-        m = max_weight_matching(g, wts)
-        assert Matching.from_mate(g, m.mate) == m
-        want = brute_force_max_matching(g, wts, max_edges=22).weight_units(wts)
-        assert m.weight_units(wts) == want
-
-    @pytest.mark.parametrize("depth, pendant", BLOSSOM_TOWERS)
-    def test_agrees_with_networkx_on_a_blossom_tower(self, depth, pendant):
-        self._check_against_networkx(*blossom_tower(depth, pendant))
-
-    @pytest.mark.parametrize(
-        "family, digest",
-        [(TRIANGLE_CHAINS, "e25d08e50debe429"), (HUB_SHAPES, "0f5f62f7b8d34cc1")],
-        ids=["chains", "hubs"],
-    )
-    def test_returns_the_pinned_matchings_on_chains_and_hubs(self, family, digest):
-        cases = [c for g in family.values() for c in ((g, cycling_costs(g.m)), cost_gadget(g))]
-        matchings = [max_weight_matching(g, wts) for g, wts in cases]
-        assert family_digest(matchings) == digest
-
-    @chains_and_hubs
-    def test_agrees_with_brute_force_on_chains_and_hubs(self, g):
-        wts = cycling_costs(g.m)
-        m = max_weight_matching(g, wts)
-        assert Matching.from_mate(g, m.mate) == m
-        want = brute_force_max_matching(g, wts, max_edges=22).weight_units(wts)
-        assert m.weight_units(wts) == want
-
-    @chains_and_hubs
-    def test_agrees_with_networkx_on_chains_and_hubs_and_their_gadgets(self, g):
-        self._check_against_networkx(g, cycling_costs(g.m))
-        self._check_against_networkx(*cost_gadget(g))
-
-    @staticmethod
-    def _check_against_networkx(g, wts):
-        nx = pytest.importorskip("networkx")
-        m = max_weight_matching(g, wts)
-        assert Matching.from_mate(g, m.mate) == m
-        h = nx.Graph()
-        h.add_nodes_from(range(g.n))
-        for e, (u, v) in enumerate(g.edges):
-            h.add_edge(u, v, weight=wts[e])
-        want = sum(h[u][v]["weight"] for u, v in nx.max_weight_matching(h))
-        assert m.weight_units(wts) == want
 
     def test_dense_complete_graphs(self):
         # K7 has 21 edges, past the default matching oracle cap, so raise it here

@@ -1,6 +1,8 @@
 """Pipeline tests: construction directions, normalization, and solve."""
 
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -23,12 +25,12 @@ from orientlight import (
     solve_with_stats,
 )
 from orientlight.generate import SplitMix64, random_graph, random_orientation, random_weights
-from orientlight.graph import light_cost, light_vertices, out_degree
+from orientlight.graph import light_cost, light_vertices, out_degree, render_graph
 from orientlight.matching import Matching, max_cardinality_matching, max_weight_matching
 from orientlight.oracle import brute_force_min_light
 from orientlight.reduction import build_gprime
 from orientlight.solver import matching_from_orientation, recover_orientation
-from support import normalize_gadget_matching
+from support import normalize_gadget_matching, run_python
 from orientlight import matching, reduction, solver
 from orientlight._record import replace
 
@@ -509,6 +511,16 @@ class TestRecountChecks:
             solve_with_stats(complete_graph(4), weights)
 
 
+    def test_an_orientation_off_its_edges_is_an_internal_error(self, monkeypatch, k3):
+        # light_vertices refuses the orientation the solver built itself
+        monkeypatch.setattr(solver, "recover_orientation", lambda r, m: Orientation((2, 0, 1)))
+        with pytest.raises(RuntimeError) as ex:
+            solve_with_stats(k3)
+        assert str(ex.value) == (
+            "internal error: tail 2 of edge 0 is not one of its endpoints (0, 1) (n=3, m=3)"
+        )
+
+
 class TestSolveProperties:
     def test_certificate_identity_and_recount(self):
         for seed in range(25):
@@ -749,3 +761,31 @@ class TestSolveProperties:
         assert stats.match_seconds >= 0
         assert stats.recover_seconds >= 0
         assert sol.objective == brute_force_min_light(g)[0]
+
+    @pytest.mark.parametrize("costs", [None, (1000, 2)], ids=["unweighted", "weighted"])
+    def test_the_readme_timing_script_prints_the_stats_row(self, tmp_path, costs):
+        # README's script, found with the pattern CI uses, on a sub-critical
+        # graph (m = 1.4n) whose kernel keeps a core, with and without costs
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        script = re.search(r"### Timing one solve\n.*?```python\n(.*?)```", readme, re.S).group(1)
+        n = 300
+        g = random_graph(n, 435 / (n * (n - 1) // 2), 1)
+        files = [tmp_path / "g.txt"]
+        files[0].write_text(render_graph(g))
+        weights = None
+        if costs is not None:
+            weights = random_weights(n, *costs)
+            files.append(tmp_path / "w.txt")
+            files[1].write_text("".join(f"{v + 1} {c}\n" for v, c in enumerate(weights.units)))
+        row = run_python("-c", script, *files).stdout
+        sol, stats = solve_with_stats(g, weights)
+        cert = sol.certificate
+        assert stats.core_edges > 0
+        assert (stats.reduced_vertices, stats.reduced_edges) == size_formulas(stats.reduction)
+        assert re.sub(r"=\d+\.\d{3}s ", "=Ts ", row) == (
+            f"n={n} m={g.m} core_n={stats.core_vertices} core_m={stats.core_edges} "
+            f"|V'|={stats.reduced_vertices} |E'|={stats.reduced_edges} "
+            f"reduce=Ts match=Ts recover=Ts objective={sol.objective} "
+            f"[{cert.constant} - {cert.matching_value} + {cert.offset}]\n"
+        )
+
