@@ -371,8 +371,12 @@ class TestVerify:
 
     @pytest.mark.parametrize(
         "old, new",
-        [('"objective": 3', '"objective": 1e999999999'), ('"offset": 0', '"offset": 2.5E0')],
-        ids=["objective", "offset"],
+        [
+            ('"objective": 3', '"objective": 1e999999999'),
+            ('"offset": 0', '"offset": 2.5E0'),
+            ('"offset": 0', '"offset": -0.50e-1'),
+        ],
+        ids=["objective", "offset", "negative-offset"],
     )
     def test_refuses_exponents(self, capsys, tmp_path, k3_file, old, new):
         # Fraction("1e999999999") would build a billion-digit integer
@@ -385,6 +389,50 @@ class TestVerify:
         assert out == ""
         literal = new.split(": ")[1]
         assert err.startswith("error: ") and literal in err
+
+    FRACTION_30 = "0" * 29 + "1"  # 10**-30, past any float's precision
+    WHOLE_400 = "1" * 400  # with a 4000-digit fraction: 4400 digits, past int()'s limit
+
+    @pytest.mark.parametrize(
+        "objective, matching_value, constant, offset, out",
+        [
+            ("2", "4", "6.5", "-0.50", "verify: OK\n"),
+            ("2.000", "4", "6", "0.000", "verify: OK\n"),
+            ("-0.50", "4", "6", "0", "verify: FAIL: objective -0.5 disagrees with the "
+             f"recomputed value 2\nverify: FAIL: {IDENTITY_FAILS}\n"),
+            ("2", f"4.{FRACTION_30}", f"6.{FRACTION_30}", "0", "verify: OK\n"),
+            ("2", f"4.{FRACTION_30}", "6", f"0.{FRACTION_30}", "verify: OK\n"),
+            ("2", "4", f"6.{FRACTION_30}", "0", f"verify: FAIL: {IDENTITY_FAILS}\n"),
+            ("2", f"{WHOLE_400[:-2]}09.{'7' * 4000}", f"{WHOLE_400}.{'7' * 4000}", "0",
+             "verify: OK\n"),
+        ],
+        ids=["negative-offset", "zeros", "negative-objective", "30-places", "30-places-offset",
+             "30-places-off", "4400-digits"],
+    )
+    def test_reads_decimals_exactly(
+        self, capsys, tmp_path, k3_file, objective, matching_value, constant, offset, out
+    ):
+        # K3's optimum is 2; 6 - 4 + 0 is the certificate solve writes
+        sol = tmp_path / "claim.json"
+        sol.write_text(
+            f'{{"objective": {objective}, "light": [2, 3], '
+            f'"orientation": [[1, 2], [2, 3], [1, 3]], "certificate": '
+            f'{{"matching_value": {matching_value}, "constant": {constant}, "offset": {offset}}}}}'
+        )
+        assert run(capsys, "verify", k3_file, sol) == (0 if out == "verify: OK\n" else 1, out, "")
+
+    def test_a_refused_document_leaves_the_next_verify_unchanged(self, capsys, tmp_path, k3_file):
+        # verify after verify in one process, the first refused mid-document
+        rc, good, _ = run(capsys, "solve", k3_file, "--json")
+        bad = tmp_path / "bad.json"
+        bad.write_text(good.replace('"objective": 2,', '"objective": 2, "objective": 2.5,'))
+        sol = tmp_path / "sol.json"
+        sol.write_text(good)
+        for _ in range(2):
+            assert run(capsys, "verify", k3_file, bad) == (
+                2, "", f"error: {bad}: solution repeats the key 'objective'\n"
+            )
+            assert run(capsys, "verify", k3_file, sol) == (0, "verify: OK\n", "")
 
     @pytest.mark.parametrize("seed", range(12))
     def test_round_trip_at_the_cost_limits(self, capsys, tmp_path, seed):
@@ -693,6 +741,60 @@ def test_a_missing_input_file_is_reported_as_the_os_names_it(capsys, tmp_path, n
     )
     assert (rc, out) == (2, "")
     assert err == f"error: [Errno 2] No such file or directory: '{paths[name]}'\n"
+
+
+BOM = b"\xef\xbb\xbf"
+
+# (case, command, the input replaced, its bytes or None for a directory,
+# exit code, the whole of stderr with {path} for the replaced input's path)
+LOAD_CASES = [
+    ("directory", "solve", "graph", None, 2, "error: [Errno 21] Is a directory: '{path}'\n"),
+    ("directory", "verify", "graph", None, 2, "error: [Errno 21] Is a directory: '{path}'\n"),
+    ("directory", "verify", "solution", None, 2, "error: [Errno 21] Is a directory: '{path}'\n"),
+    ("marked", "solve", "graph", BOM + K3_TEXT.encode(), 0, ""),
+    ("marked", "verify", "graph", BOM + K3_TEXT.encode(), 1, ""),
+    # the position counts from the first byte after the mark
+    ("utf8-after-mark", "solve", "graph", BOM + b"3 3\n1 \xff\n", 2,
+     "error: {path}: 'utf-8' codec can't decode byte 0xff in position 6: invalid start byte\n"),
+    ("utf8-after-mark", "verify", "solution", BOM + b'{"a": "\xe2\x82"}', 2,
+     "error: {path}: 'utf-8' codec can't decode bytes in position 7-8: "
+     "invalid continuation byte\n"),
+    # one mark is dropped; a second is text, and each reader says so
+    ("second-mark", "solve", "graph", BOM + BOM + K3_TEXT.encode(), 2,
+     "error: {path}: line 1: header must be two integers\n"),
+    ("second-mark", "verify", "solution", BOM + BOM + b"{}", 2,
+     "error: {path}: Unexpected UTF-8 BOM (decode using utf-8-sig): line 1 column 1 (char 0)\n"),
+]
+
+
+@pytest.mark.parametrize(
+    "command, name, data, code, err",
+    [
+        pytest.param(command, name, data, code, err, id=f"{command}-{name}-{case}")
+        for case, command, name, data, code, err in LOAD_CASES
+    ],
+)
+def test_an_input_is_read_or_refused_in_the_exact_words(
+    capsys, tmp_path, command, name, data, code, err
+):
+    # solve g --weights w and verify g sol --weights w; a marked graph reads
+    # as the unmarked one: solve solves it, verify checks the empty document
+    paths = write_inputs(tmp_path)
+    paths[name].unlink()
+    if data is None:
+        paths[name].mkdir()
+    else:
+        paths[name].write_bytes(data)
+    argv = [command, paths["graph"]] + [paths["solution"]] * (command == "verify")
+    rc, out, got = run(capsys, *argv, "--weights", paths["weights"])
+    assert (rc, got) == (code, err.format(path=paths[name]))
+    if code == 0:
+        assert out.startswith("objective: 2\n")
+    elif code == 1:
+        keys = ("objective", "light", "orientation", "certificate")
+        assert out == "".join(f"verify: FAIL: missing key {key!r}\n" for key in keys)
+    else:
+        assert out == ""
 
 
 class TestGen:
