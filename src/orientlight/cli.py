@@ -51,11 +51,12 @@ _INPUTS = ("graph", "weights", "solution")  # the argparse names of input files
 def _load(path: str, parse, *extra):
     """parse(text, *extra) of the file decoded as UTF-8, a leading byte-order
     mark dropped and newlines left as they are (every parser splits at CRLF
-    and a lone CR).  A ValueError from either step is raised naming the path."""
-    with open(path, "rb") as f:
-        data = f.read()
+    and a lone CR).  A ValueError from either step is raised naming the path.
+    Dropping the mark first keeps decode("utf-8-sig")'s errors and positions."""
+    with open(path, "rb", buffering=0) as f:
+        data = f.readall()
     try:
-        return parse(data.decode("utf-8-sig"), *extra)
+        return parse(data.removeprefix(b"\xef\xbb\xbf").decode(), *extra)
     except ValueError as ex:
         raise ValueError(f"{path}: {ex}") from None
 
@@ -94,22 +95,26 @@ def _num(x: int | Fraction) -> str:
         return str(x.numerator)
     places = next(k for k in range(x.denominator.bit_length()) if 10**k % x.denominator == 0)
     whole, fraction = divmod(abs(x.numerator) * 10**places // x.denominator, 10**places)
-    return f"{'-' if x < 0 else ''}{whole}.{fraction:0{places}d}"
+    return f"{'-' if x.numerator < 0 else ''}{whole}.{fraction:0{places}d}"
 
 
 def _exact(literal: str) -> Fraction:
     """A JSON literal with a fraction part, read exactly.  An exponent is
-    refused: Fraction("1e999999999") would build a billion-digit integer."""
+    refused: Fraction("1e999999999") would build a billion-digit integer.
+    As in Fraction's own reader, the whole part and the fraction digits are
+    two ints: one int of all the digits would reach int()'s limit sooner."""
     if "e" in literal or "E" in literal:
         raise ValueError(f"number {literal} has an exponent; write it as a plain decimal")
     from fractions import Fraction
 
-    return Fraction(literal)
+    whole, _, digits = literal.partition(".")
+    numerator = abs(int(whole)) * 10 ** len(digits) + int(digits)
+    return Fraction(-numerator if literal[0] == "-" else numerator, 10 ** len(digits))
 
 
 def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
-    """A json.loads object_pairs_hook that refuses an object naming a
-    key twice, which json.loads would otherwise read as its last value."""
+    """A JSONDecoder object_pairs_hook that refuses an object naming a
+    key twice, which json would otherwise read as its last value."""
     obj = dict(pairs)
     if len(obj) < len(pairs):
         key = next(k for k, c in Counter(k for k, _ in pairs).items() if c > 1)
@@ -117,12 +122,21 @@ def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
     return obj
 
 
-def _parse_solution(text: str) -> object:
-    """The solution document, every number an int or an exact Fraction."""
+@functools.cache
+def _solution_decoder():  # json.loads would build one per call
     import json
 
+    return json.JSONDecoder(parse_float=_exact, object_pairs_hook=_unique_keys)
+
+
+def _parse_solution(text: str) -> object:
+    """The solution document, every number an int or an exact Fraction."""
+    if text.startswith("\ufeff"):  # the one check json.loads makes before decoding
+        from json import JSONDecodeError
+
+        raise JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
     try:
-        return json.loads(text, parse_float=_exact, object_pairs_hook=_unique_keys)
+        return _solution_decoder().decode(text)
     except RecursionError:
         raise ValueError("solution JSON is nested too deeply") from None
     except ValueError as ex:
@@ -134,8 +148,10 @@ def _parse_solution(text: str) -> object:
 
 def _is_number(x: object) -> bool:
     """An int or a Fraction, as verify reads numbers: an exact rational
-    that is not a bool.  json.loads yields NaN and Infinity as floats,
+    that is not a bool.  The JSON decoder yields NaN and Infinity as floats,
     which are refused."""
+    if type(x) is int:
+        return True
     from numbers import Rational
 
     return isinstance(x, Rational) and not isinstance(x, bool)
@@ -227,8 +243,8 @@ def _document_problems(g: Graph, weights: VertexWeights, claimed: object) -> lis
     (a missing key, a value of the wrong type) come first; only a
     well-shaped document is checked against the instance, and the first
     orientation entry that does not name its edge's endpoints stops
-    that check.  Values come from json.loads, so `type(x) is int` is an
-    integer that is not a boolean."""
+    that check.  Values come from the JSON decoder, so `type(x) is int` is
+    an integer that is not a boolean."""
     if not isinstance(claimed, dict):
         return ["solution must be a JSON object"]
     keys = ("objective", "light", "orientation", "certificate")
@@ -246,10 +262,10 @@ def _document_problems(g: Graph, weights: VertexWeights, claimed: object) -> lis
         out.append(f"orientation must list all {g.m} edges")
     else:
         for e, (uv, pair) in enumerate(zip(g.edges, ori)):
-            if not isinstance(pair, list) or list(map(type, pair)) != [int, int]:
+            a, b = pair if type(pair) is list and len(pair) == 2 else (None, None)
+            if type(a) is not int or type(b) is not int:
                 out.append(f"orientation entry {e} must be a [tail, head] pair")
                 break
-            a, b = pair
             if stray is None and (a - 1, b - 1) != uv and (b - 1, a - 1) != uv:
                 stray = (
                     f"orientation entry {e} is [{a}, {b}], expected the endpoints "

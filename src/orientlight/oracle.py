@@ -58,38 +58,35 @@ def brute_force_min_light(
     elif len(weights) != g.n:
         raise ValueError(f"weights cover {len(weights)} vertices, graph has {g.n}")
     units = weights.units
-    # each vertex with an edge, and its edges as (column, whether the
-    # edge leaves it on the column): edge e is column j = m-1-e, the
-    # 2^m-bit mask whose bit k is bit j of k, and a 0 there orients e
-    # from its lower endpoint, so e leaves its higher endpoint on the
-    # column and its lower endpoint on the column's complement
+    # each vertex with an edge, and its edges as (e, whether the edge
+    # leaves it on column e): column e is the 2^m-bit mask whose bit k is
+    # bit m-1-e of k, and a 0 there orients e from its lower endpoint, so
+    # e leaves its higher endpoint on the column and its lower endpoint
+    # on the column's complement
     incident: dict[int, list[tuple[int, bool]]] = {}
     for e, (u, w) in enumerate(g.edges):
-        incident.setdefault(u, []).append((m - 1 - e, False))
-        incident.setdefault(w, []).append((m - 1 - e, True))
+        incident.setdefault(u, []).append((e, False))
+        incident.setdefault(w, []).append((e, True))
     # a vertex of degree at most 1 is light in every orientation, and
     # one of cost 0 never counts: neither needs a sweep
     swept = [v for v, es in incident.items() if len(es) > 1 and units[v]]
     constant = sum(units) - sum(units[v] for v in swept)
-    size = 1 << m
-    full = (1 << size) - 1
+    full = (1 << (1 << m)) - 1
+    # bit j of k is bit j + 1 of k xor bit j + 1 of k + 2^j, and where
+    # k + 2^j passes 2^m - 1 (the shift brings in 0s) bits j.. of k are
+    # all 1: from all ones, each shift-xor gives the next lower bit, so
+    # the columns come out in edge order
     columns = []
-    for j in range(m):
-        # one period of column j, 2^j zeros then 2^j ones, doubled by
-        # shift-or until it spans 2^m bits
-        half = 1 << j
-        col = ((1 << half) - 1) << half
-        width = half << 1
-        while width < size:
-            col |= col << width
-            width <<= 1
+    col = full
+    for j in reversed(range(m)):
+        col ^= col >> (1 << j)
         columns.append(col)
     # planes[i] holds bit i of every orientation's swept total
     planes: list[int] = []
     for v in swept:
         ones = twos = 0
-        for j, on_column in incident[v]:
-            c = columns[j] if on_column else full ^ columns[j]
+        for e, on_column in incident[v]:
+            c = columns[e] if on_column else full ^ columns[e]
             twos |= ones & c
             ones |= c
         light = full ^ twos
